@@ -21,9 +21,8 @@ from .errors import PompeiuError
 from .expressions import parse_complex, parse_expression, to_coefficients
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
-                        apply_mixed, apply_polydisc, apply_S, apply_Sbar, apply_T,
-                        apply_T_power, apply_Tbar, apply_Tbar_power,
-                        evaluate_on_grid, field_from_expression)
+                        apply_polydisc, apply_S, apply_Sbar, apply_T,
+                        evaluate_on_grid, field_from_expression, transform)
 
 
 def format_complex(z: complex) -> str:
@@ -141,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--grid", type=int, default=17)
     ex.add_argument("--extent", type=float, default=0.95)
     ex.add_argument("--format", choices=["csv", "json"], default="csv")
+    ex.set_defaults(power=1)   # export applies single T/Tbar
     _add_common(ex)
     return top
 
@@ -157,62 +157,51 @@ def _emit(text: str, cfg: RunConfig) -> None:
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
+#: kernel kind -> value at (a, b) on the R-disk; gdiag and gmixed are the
+#: (k, 0) and (mu, nu >= 1) entries of the normalized kernel table
+_KERNELS = {
+    "c1": lambda args, a, b, R: kernels.c1(a, b, args.k),
+    "c2": lambda args, a, b, R: kernels.c2(a, b, args.l, int(args.nu), R),
+    "c3": lambda args, a, b, R: kernels.KernelQuery(a, b, int(args.mu), int(args.nu), R).evaluate(),
+    "c8": lambda args, a, b, R: kernels.c8(_multi_index(args.mu), _multi_index(args.nu)),
+    "gdiag": lambda args, a, b, R: kernels.g_diag(a, b, args.k),
+    "gmixed": lambda args, a, b, R: kernels.g_mixed(a, b, int(args.mu), int(args.nu), R),
+}
+
+
 def _cmd_kernel(args, cfg: RunConfig) -> int:
-    a, b = parse_complex(args.a), parse_complex(args.b)
-    R = cfg.radius
-    kind = args.kind
-    if kind == "c1":
-        value = kernels.c1(a, b, args.k)
-    elif kind == "c2":
-        value = kernels.c2(a, b, args.l, int(args.nu), R)
-    elif kind == "c3":
-        value = kernels.KernelQuery(a, b, int(args.mu), int(args.nu), R).evaluate()
-    elif kind == "c8":
-        value = kernels.c8(_multi_index(args.mu), _multi_index(args.nu))
-    elif kind == "gdiag":
-        value = kernels.g_diag(a, b, args.k)
-    else:
-        value = kernels.g_mixed(a, b, int(args.mu), int(args.nu), R)
+    value = _KERNELS[args.kind](args, parse_complex(args.a), parse_complex(args.b), cfg.radius)
     _emit(format_complex(value) + "\n", cfg)
     return 0
 
 
+#: disk --op -> value at one target; T^k, Tbar^k and mixed are the (k, 0),
+#: (0, k) and (mu, nu) entries of the transform core
+_DISK_OPS = {
+    "T": lambda f, z, args, cfg: transform(f, z, args.power, 0, cfg.resolution),
+    "Tbar": lambda f, z, args, cfg: transform(f, z, 0, args.power, cfg.resolution),
+    "mixed": lambda f, z, args, cfg: transform(f, z, int(args.mu), int(args.nu), cfg.resolution),
+    "dual": lambda f, z, args, cfg: apply_conjugate_dual(f, z, int(args.mu), int(args.nu),
+                                                         cfg.resolution),
+    "2T": lambda f, z, args, cfg: apply_2T(f, z, cfg.resolution),
+    "2Tbar": lambda f, z, args, cfg: apply_2Tbar(f, z, cfg.resolution),
+    "S": lambda f, z, args, cfg: apply_S(f, z, cfg.contour_count),
+    "Sbar": lambda f, z, args, cfg: apply_Sbar(f, z, cfg.contour_count),
+}
+
+
 def _cmd_op(args, cfg: RunConfig) -> int:
-    R, res = cfg.radius, cfg.resolution
     if args.op == "polydisc":
-        domain = PolydiscDomain(args.n, R)
-        f = field_from_expression(args.f, domain, args.alpha)
+        f = field_from_expression(args.f, PolydiscDomain(args.n, cfg.radius), args.alpha)
         z = tuple(parse_complex(part) for part in args.z.split(","))
         # per-factor rules default smaller than the disk resolution; explicit
         # flags override
         poly_res = (args.nr, args.ntheta) if args.nr and args.ntheta \
             else operators.POLYDISC_RESOLUTION
         value = apply_polydisc(f, z, _multi_index(args.mu), _multi_index(args.nu), poly_res)
-        _emit(format_complex(value) + "\n", cfg)
-        return 0
-
-    domain = DiskDomain(R)
-    f = field_from_expression(args.f, domain, args.alpha)
-    z = parse_complex(args.z)
-    if args.op in ("T", "Tbar") and args.power > 1:
-        fn = apply_T_power if args.op == "T" else apply_Tbar_power
-        value = fn(f, z, args.power, res)
-    elif args.op == "T":
-        value = apply_T(f, z, res)
-    elif args.op == "Tbar":
-        value = apply_Tbar(f, z, res)
-    elif args.op == "S":
-        value = apply_S(f, z, cfg.contour_count)
-    elif args.op == "Sbar":
-        value = apply_Sbar(f, z, cfg.contour_count)
-    elif args.op == "2T":
-        value = apply_2T(f, z, res)
-    elif args.op == "2Tbar":
-        value = apply_2Tbar(f, z, res)
-    elif args.op == "mixed":
-        value = apply_mixed(f, z, int(args.mu), int(args.nu), res)
     else:
-        value = apply_conjugate_dual(f, z, int(args.mu), int(args.nu), res)
+        f = field_from_expression(args.f, DiskDomain(cfg.radius), args.alpha)
+        value = _DISK_OPS[args.op](f, parse_complex(args.z), args, cfg)
     _emit(format_complex(value) + "\n", cfg)
     return 0
 
@@ -270,16 +259,11 @@ def _poly_from_expression(text: str) -> solver.HolomorphicPolynomial:
 def _cmd_export(args, cfg: RunConfig) -> int:
     domain = DiskDomain(cfg.radius)
     f = field_from_expression(args.f, domain)
-    res = cfg.resolution
     if args.op is None:
         func = lambda z: complex(f(np.asarray(z)))
-    elif args.op == "T":
-        func = lambda z: apply_T(f, z, res)
-    elif args.op == "Tbar":
-        func = lambda z: apply_Tbar(f, z, res)
     else:
-        func = lambda z: apply_mixed(f, z, args.mu, args.nu, res)
-    config_echo = {"radius": cfg.radius, "resolution": list(res), "seed": cfg.seed,
+        func = lambda z: _DISK_OPS[args.op](f, z, args, cfg)
+    config_echo = {"radius": cfg.radius, "resolution": list(cfg.resolution), "seed": cfg.seed,
                    "field": f.description, "op": args.op or "none", "command": "export"}
     grid = evaluate_on_grid(func, domain, args.grid, args.extent, config=config_echo)
     _emit(_grid_text(grid, args.format), cfg)

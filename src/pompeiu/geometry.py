@@ -245,8 +245,3 @@ def wirtinger_split(order_d: int, order_dbar: int) -> WirtingerStencil:
         offsets=tuple(k for k, _ in items),
         coeffs=tuple(v for _, v in items),
     )
-
-
-def conj_involution(z: complex) -> complex:
-    """conj(conj(z)) == z, exactly; exposed for the property suite."""
-    return complex(z).conjugate().conjugate()

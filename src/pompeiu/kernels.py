@@ -4,7 +4,8 @@
 transform T^mu Tbar^nu into a single area integral; `c1` is its polynomial
 log-companion part, `c2` the boundary residue sum, and `c8` the polydisc
 tensor prefactor.  `g_diag` / `g_mixed` are the same kernels normalized for
-the PDE solution formulas.
+the transforms and the PDE solution formulas, and `kernel` is the one table
+of normalized kernels keyed by (mu, nu) that every area transform uses.
 
 Every closed form here is derived from the residue calculus and held to the
 defining integrals numerically: the oracle module quadrates each kernel's
@@ -172,6 +173,26 @@ def g_mixed(z, zeta, mu: int, nu: int, radius: float):
     scale = sign / (TWO_PI_I * math.factorial(mu - 1) * math.factorial(nu - 1))
     out = scale * np.asarray(c3(z, zeta, mu, nu, radius))
     return out if out.shape else complex(out)
+
+
+def kernel(z, zeta, mu: int, nu: int, radius: float):
+    """Entry (mu, nu) of the normalized kernel table: T^mu Tbar^nu f(z) is
+    the area integral of kernel(z, w; mu, nu) f(w) dwbar^dw.
+
+    An index of 0 is the identity in that variable: (k, 0) is T^k (`g_diag`),
+    (0, k) is Tbar^k = -conj(g_diag) (conjugation flips the 2i of the area
+    element), and mu, nu >= 1 is `g_mixed`.  (0, 0) and negative orders raise
+    DomainError.
+    """
+    mu = _check_order("mu", mu, minimum=0)
+    nu = _check_order("nu", nu, minimum=0)
+    if mu and nu:
+        return g_mixed(z, zeta, mu, nu, radius)
+    if mu:
+        return g_diag(z, zeta, mu)
+    if nu:
+        return -np.conj(g_diag(z, zeta, nu))
+    raise DomainError("(mu, nu) = (0, 0) is the identity, not an area transform")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The disk transform family and its high-order closed forms.
+"""The disk transform family.
 
-Single applications (`apply_T`, `apply_Tbar`, `apply_S`, `apply_Sbar`,
-`apply_2T`, `apply_2Tbar`) quadrate the defining integrals directly.  Powers
-and mixed compositions (`apply_T_power`, `apply_Tbar_power`, `apply_mixed`)
-use the single-integral closed forms, never nested integrals; the
-brute-force nested route lives in the oracle module as their independent
-cross-check.
+`transform(f, z, mu, nu)` is the one core: T^mu Tbar^nu f(z) as a single
+quadrature against entry (mu, nu) of the kernel table `kernels.kernel`, where
+an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
+(0, k)).  `apply_T`, `apply_Tbar`, the powers and `apply_mixed` are aliases
+of it.  `apply_S`, `apply_2T` and `apply_polydisc` have kernels of their own;
+`apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
+Nothing here nests integrals: that route is the oracle module's cross-check.
 
 Operator application is pure given (field, rule): batch evaluation over
 target grids is data-parallel (capped by the PMP_THREADS environment
@@ -26,7 +27,7 @@ import numpy as np
 from . import expressions
 from .errors import DimensionCap, DomainError, NonFiniteSample
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .kernels import TWO_PI_I, c3, c8, g_mixed
+from .kernels import TWO_PI_I, c3, c8, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, AreaRule,
                          ContourRule, build_area_rule, build_contour_rule, integrate)
 
@@ -113,23 +114,60 @@ def _rule_for(f: ScalarField, z: complex, resolution, rule: AreaRule | None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Single applications
+# The transform core and its aliases
 # ---------------------------------------------------------------------------
+
+def transform(f: ScalarField, z: complex, mu: int, nu: int,
+              resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+    """T^mu Tbar^nu f(z) as one quadrature against the (mu, nu) table kernel.
+
+    T^k is (k, 0) and Tbar^k is (0, k); (0, 0) and negative orders raise
+    DomainError.  The kernel's only non-smooth point is its singularity at
+    the target, which the graded rule centered at z absorbs.
+    """
+    r = _rule_for(f, z, resolution, rule)
+    return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius) * f(w)))
+
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
             rule: AreaRule | None = None) -> complex:
     """Tf(z) = -1/(2 pi i) * integral of f(w)/(w - z) dwbar^dw."""
-    r = _rule_for(f, z, resolution, rule)
-    return complex(integrate(r, lambda w: f(w) / (w - z)) / (-TWO_PI_I))
+    return transform(f, z, 1, 0, resolution, rule)
 
 
 def apply_Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
                rule: AreaRule | None = None) -> complex:
     """Tbar f(z) = -1/(2 pi i) * integral of f(w)/(wbar - zbar) dwbar^dw."""
-    r = _rule_for(f, z, resolution, rule)
-    zb = np.conj(complex(z))
-    return complex(integrate(r, lambda w: f(w) / (np.conj(w) - zb)) / (-TWO_PI_I))
+    return transform(f, z, 0, 1, resolution, rule)
 
+
+def apply_T_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
+                  rule: AreaRule | None = None) -> complex:
+    """T^k f(z), with kernel proportional to (wb - zb)^(k-1)/(w - z)."""
+    return transform(f, z, k, 0, resolution, rule)
+
+
+def apply_Tbar_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
+                     rule: AreaRule | None = None) -> complex:
+    """Tbar^k f(z), the mirror of T^k."""
+    return transform(f, z, 0, k, resolution, rule)
+
+
+def apply_mixed(f: ScalarField, z: complex, mu: int, nu: int,
+                resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+    """T^mu Tbar^nu f(z)."""
+    return transform(f, z, mu, nu, resolution, rule)
+
+
+def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
+                         resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+    """Tbar^mu T^nu f(z) via conj(T^mu Tbar^nu conj(f)) instead of a second kernel."""
+    return complex(np.conj(transform(f.conjugate(), z, mu, nu, resolution, rule)))
+
+
+# ---------------------------------------------------------------------------
+# Operators with kernels of their own, and their conjugate twins
+# ---------------------------------------------------------------------------
 
 def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
              rule: AreaRule | None = None) -> complex:
@@ -141,10 +179,8 @@ def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
 
 def apply_2Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
                 rule: AreaRule | None = None) -> complex:
-    r = _rule_for(f, z, resolution, rule)
-    fz = complex(f(np.asarray(complex(z))))
-    zb = np.conj(complex(z))
-    return complex(integrate(r, lambda w: (f(w) - fz) / (np.conj(w) - zb) ** 2) / (-TWO_PI_I))
+    """-1/(2 pi i) * int (f(w)-f(z))/(wbar-zbar)^2 dwbar^dw = conj(2T conj(f))."""
+    return complex(np.conj(apply_2T(f.conjugate(), z, resolution, rule)))
 
 
 def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT,
@@ -162,61 +198,9 @@ def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COU
 
 def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT,
                rule: ContourRule | None = None) -> complex:
-    """Sbar f(z) = -1/(2 pi i) * contour integral of f(w)/(wbar - zbar) dwbar."""
-    domain = f.domain
-    if rule is None:
-        rule = cached_contour_rule(domain.radius, contour_count, domain.center)
-    zb = np.conj(complex(z))
-    samples = f(rule.nodes) / (np.conj(rule.nodes) - zb)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSample("integrand produced NaN/Inf at a contour node")
-    return complex(np.sum(np.conj(rule.weights) * samples) / (-TWO_PI_I))
-
-
-# ---------------------------------------------------------------------------
-# High-order closed forms
-# ---------------------------------------------------------------------------
-
-def apply_T_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
-                  rule: AreaRule | None = None) -> complex:
-    """T^k f(z) by the single-integral form with kernel (wb - zb)^(k-1)/(w - z)."""
-    if k < 1:
-        raise DomainError(f"power k must be >= 1, got {k}")
-    r = _rule_for(f, z, resolution, rule)
-    zb = np.conj(complex(z))
-    scale = (-1.0) ** k / (math.factorial(k - 1) * TWO_PI_I)
-    return complex(scale * integrate(
-        r, lambda w: (np.conj(w) - zb) ** (k - 1) * f(w) / (w - z)))
-
-
-def apply_Tbar_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
-                     rule: AreaRule | None = None) -> complex:
-    """Tbar^k f(z) by the mirrored single-integral form."""
-    if k < 1:
-        raise DomainError(f"power k must be >= 1, got {k}")
-    r = _rule_for(f, z, resolution, rule)
-    zb = np.conj(complex(z))
-    scale = (-1.0) ** k / (math.factorial(k - 1) * TWO_PI_I)
-    return complex(scale * integrate(
-        r, lambda w: (w - z) ** (k - 1) * f(w) / (np.conj(w) - zb)))
-
-
-def apply_mixed(f: ScalarField, z: complex, mu: int, nu: int,
-                resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
-    """T^mu Tbar^nu f(z) as one quadrature against the closed-form kernel.
-
-    The kernel's only non-smooth point is the logarithmic singularity at the
-    target, which the graded rule centered at z absorbs.
-    """
-    r = _rule_for(f, z, resolution, rule)
-    zc = complex(z)
-    return complex(integrate(r, lambda w: g_mixed(zc, w, mu, nu, f.domain.radius) * f(w)))
-
-
-def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
-                         resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
-    """Tbar^mu T^nu f(z) via conj(T^mu Tbar^nu conj(f)) instead of a second kernel."""
-    return complex(np.conj(apply_mixed(f.conjugate(), z, mu, nu, resolution, rule)))
+    """Sbar f(z) = -1/(2 pi i) * contour integral of f(w)/(wbar - zbar) dwbar
+    = conj(S conj(f))."""
+    return complex(np.conj(apply_S(f.conjugate(), z, contour_count, rule)))
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NonFiniteSample, ResolutionTooLow
+from .errors import DomainError, NonFiniteSample, ResolutionTooLow
 from .geometry import AREA_FACTOR, DiskDomain
 
 DEFAULT_RESOLUTION = (64, 128)
@@ -108,6 +108,26 @@ def _boundary_distance(domain: DiskDomain, center: complex,
     return np.maximum(-x + np.sqrt(np.maximum(under, 0.0)), 0.0)
 
 
+def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int],
+                directions) -> AreaRule:
+    """Graded polar rule about `center`; `directions(center, n_angular)` gives
+    the unit directions, their angular weights and the radial extent rho along each."""
+    n_radial, n_angular = resolution
+    if n_radial < 4 or n_angular < 8:
+        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
+    center = domain.validate_point(center)
+    unit, wt, rho = directions(center, n_angular)
+    rho = _snap_tiny(rho, domain.radius)
+    s, ws = _graded_radial_rule(n_radial)
+
+    nodes = center + (rho[None, :] * s[:, None]) * unit[None, :]
+    # dA = r dr dtheta = rho^2 s ds dtheta
+    weights = AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None]) * wt[None, :]
+    nodes, weights = _drop_degenerate(nodes.ravel(), weights.ravel())
+    return AreaRule(nodes=nodes, weights=weights,
+                    center=center, resolution=(n_radial, n_angular), domain=domain)
+
+
 def build_area_rule(domain: DiskDomain, singularity: complex,
                     resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> AreaRule:
     """Polar rule centered at `singularity`, covering the whole disk.
@@ -116,22 +136,12 @@ def build_area_rule(domain: DiskDomain, singularity: complex,
     extent is a smooth periodic function of the angle).  Radial rule: graded
     Gauss-Legendre panels on [0, rho(theta)].
     """
-    n_radial, n_angular = resolution
-    if n_radial < 4 or n_angular < 8:
-        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
-    singularity = domain.validate_point(singularity)
+    def directions(center, n_angular):
+        cos_t, sin_t = _symmetric_angles(n_angular)
+        return (cos_t + 1j * sin_t, np.full(n_angular, 2 * np.pi / n_angular),
+                _boundary_distance(domain, center, cos_t, sin_t))
 
-    cos_t, sin_t = _symmetric_angles(n_angular)
-    unit = cos_t + 1j * sin_t
-    rho = _snap_tiny(_boundary_distance(domain, singularity, cos_t, sin_t), domain.radius)
-    s, ws = _graded_radial_rule(n_radial)
-
-    nodes = singularity + (rho[None, :] * s[:, None]) * unit[None, :]
-    # dA = r dr dtheta = rho^2 s ds dtheta
-    weights = AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None]) * (2 * np.pi / n_angular)
-    nodes, weights = _drop_degenerate(nodes.ravel(), weights.ravel())
-    return AreaRule(nodes=nodes, weights=weights,
-                    center=singularity, resolution=(n_radial, n_angular), domain=domain)
+    return _polar_rule(domain, singularity, resolution, directions)
 
 
 def build_half_rule(domain: DiskDomain, center: complex, other: complex,
@@ -144,57 +154,48 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
     bisector meets the circle, so the radial-extent kink never sits inside a
     panel.  Two such rules (swapping the roles) tile the disk exactly.
     """
-    n_radial, n_angular = resolution
-    if n_radial < 4 or n_angular < 8:
-        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
-    center = domain.validate_point(center)
-    other = domain.validate_point(other)
-    sep = abs(other - center)
-    if sep == 0:
-        raise ValueError("center and other must differ")
+    def directions(center, n_angular):
+        o = domain.validate_point(other)
+        sep = abs(o - center)
+        if sep == 0:
+            raise ValueError("center and other must differ")
 
-    u = (other - center) / sep
-    iu = 1j * u
-    m0 = (center + other) / 2
-    # bisector line m0 + t*iu meets the circle |z - d| = R at two angles
-    beta = (np.conj(iu) * (m0 - domain.center)).real
-    disc = max(beta * beta - (abs(m0 - domain.center) ** 2 - domain.radius**2), 0.0)
-    root = math.sqrt(disc)
-    cut_angles = sorted(
-        float(np.angle((m0 + t * iu) - center)) % (2 * np.pi) for t in (-beta - root, -beta + root))
-    a0, a1 = cut_angles
-    arcs = [(a0, a1), (a1, a0 + 2 * np.pi)]
+        u = (o - center) / sep
+        iu = 1j * u
+        m0 = (center + o) / 2
+        # bisector line m0 + t*iu meets the circle |z - d| = R at two angles
+        beta = (np.conj(iu) * (m0 - domain.center)).real
+        disc = max(beta * beta - (abs(m0 - domain.center) ** 2 - domain.radius**2), 0.0)
+        root = math.sqrt(disc)
+        a0, a1 = sorted(float(np.angle((m0 + t * iu) - center)) % (2 * np.pi)
+                        for t in (-beta - root, -beta + root))
+        arcs = [(a0, a1), (a1, a0 + 2 * np.pi)]
 
-    order = 8
-    theta_parts, wt_parts = [], []
-    x, w = leggauss(order)
-    for lo, hi in arcs:
-        span = hi - lo
-        panels = max(1, round(span / (2 * np.pi) * n_angular / order))
-        # cosine-cluster panel edges toward the arc endpoints: the integrand's
-        # radial extent is steepest near the bisector-circle corners
-        t = np.linspace(0.0, 1.0, panels + 1)
-        edges = lo + span * (1.0 - np.cos(np.pi * t)) / 2.0
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            theta_parts.append((e0 + e1) / 2 + (e1 - e0) / 2 * x)
-            wt_parts.append((e1 - e0) / 2 * w)
-    theta = np.concatenate(theta_parts)
-    wt = np.concatenate(wt_parts)
+        order = 8
+        theta_parts, wt_parts = [], []
+        x, w = leggauss(order)
+        for lo, hi in arcs:
+            span = hi - lo
+            panels = max(1, round(span / (2 * np.pi) * n_angular / order))
+            # cosine-cluster panel edges toward the arc endpoints: the
+            # integrand's radial extent is steepest near the bisector-circle
+            # corners
+            t = np.linspace(0.0, 1.0, panels + 1)
+            edges = lo + span * (1.0 - np.cos(np.pi * t)) / 2.0
+            for e0, e1 in zip(edges[:-1], edges[1:]):
+                theta_parts.append((e0 + e1) / 2 + (e1 - e0) / 2 * x)
+                wt_parts.append((e1 - e0) / 2 * w)
+        theta = np.concatenate(theta_parts)
 
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    unit = cos_t + 1j * sin_t
-    rho_d = _boundary_distance(domain, center, cos_t, sin_t)
-    d_bis = cos_t * u.real + sin_t * u.imag  # Re(e^{i theta} conj(u))
-    with np.errstate(divide="ignore"):
-        rho_b = np.where(d_bis > 1e-15, (sep / 2) / np.where(d_bis > 1e-15, d_bis, 1.0), np.inf)
-    rho = _snap_tiny(np.minimum(rho_d, rho_b), domain.radius)
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        rho_d = _boundary_distance(domain, center, cos_t, sin_t)
+        d_bis = cos_t * u.real + sin_t * u.imag  # Re(e^{i theta} conj(u))
+        with np.errstate(divide="ignore"):
+            rho_b = np.where(d_bis > 1e-15, (sep / 2) / np.where(d_bis > 1e-15, d_bis, 1.0),
+                             np.inf)
+        return cos_t + 1j * sin_t, np.concatenate(wt_parts), np.minimum(rho_d, rho_b)
 
-    s, ws = _graded_radial_rule(n_radial)
-    nodes = center + (rho[None, :] * s[:, None]) * unit[None, :]
-    weights = AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None]) * wt[None, :]
-    nodes, weights = _drop_degenerate(nodes.ravel(), weights.ravel())
-    return AreaRule(nodes=nodes, weights=weights,
-                    center=center, resolution=(n_radial, n_angular), domain=domain)
+    return _polar_rule(domain, center, resolution, directions)
 
 
 def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT,
@@ -213,18 +214,16 @@ def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT,
 def integrate(rule: AreaRule | ContourRule, integrand) -> complex:
     """Weighted sum of integrand samples at the rule nodes.
 
-    The integrand should accept a complex ndarray and return matching shape;
-    scalar-only callables are accepted with a pointwise fallback.
+    The integrand must be vectorized: given the node array it returns a
+    matching-shape array or a 0-d constant.  Any other shape raises
+    DomainError; whatever the integrand raises propagates.
     """
     nodes = rule.nodes
-    try:
-        vals = np.asarray(integrand(nodes), dtype=complex)
-        if vals.shape == ():
-            vals = np.full(nodes.shape, complex(vals))
-        elif vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([complex(integrand(z)) for z in nodes])
+    vals = np.asarray(integrand(nodes), dtype=complex)
+    if vals.shape == ():
+        vals = np.full(nodes.shape, complex(vals))
+    elif vals.shape != nodes.shape:
+        raise DomainError(f"integrand returned shape {vals.shape} for {nodes.shape} nodes")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
     return complex(np.sum(rule.weights * vals))

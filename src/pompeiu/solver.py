@@ -9,14 +9,15 @@ assembles all kernel groups at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
-from .kernels import c3, g_diag, g_mixed
-from .operators import ScalarField, cached_area_rule
+# solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
+from .kernels import c3, kernel  # noqa: F401
+from .operators import ScalarField, cached_area_rule, transform
 from .quadrature import DEFAULT_RESOLUTION, integrate
 
 BIHARMONIC_IMAG_TOL = 1e-12
@@ -78,88 +79,63 @@ class SolutionSpec:
             raise DomainError(f"need exactly mu={self.mu} f-polynomials, got {len(self.f_list)}")
 
 
-def _domain_of(spec: SolutionSpec, domain: DiskDomain | None) -> DiskDomain:
-    if spec.rhs is not None:
-        return spec.rhs.domain
-    if domain is None:
-        raise DomainError("homogeneous problems need an explicit domain")
-    return domain
-
-
 def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
               resolution=DEFAULT_RESOLUTION):
-    """Evaluator z -> u(z) with d^mu dbar^nu u = rhs.
+    """Evaluator z -> u(z) with d^mu dbar^nu u = rhs (rhs None: homogeneous).
 
-    u = g_0(z) + integral of [ sum_{j=1}^{nu-1} G_j g_j + G_nu conj(f_0)
-    + sum_{i=1}^{mu-1} G_{nu,i} conj(f_i) + G_{nu,mu} A ], where G_l is the
-    pure-power kernel and G_{a,b} the mixed kernel; the composition T^nu
-    Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.
+    u = g_0(z) + one integral of a sum of (mu, nu) kernel-table entries
+    (`kernels.kernel`): (j, 0) against g_j for j = 1..nu-1, (nu, i) against
+    conj(f_i) for i = 0..mu-1, and (nu, mu) against A; the composition
+    T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.
     """
     mu, nu = spec.mu, spec.nu
-    dom = _domain_of(spec, domain)
-    radius = dom.radius
-    rhs = spec.rhs
+    dom = domain if spec.rhs is None else spec.rhs.domain
+    if dom is None:
+        raise DomainError("homogeneous problems need an explicit domain")
+    # (table entry, density) per term; zero free data contributes nothing
+    terms = [((j, 0), g) for j, g in enumerate(spec.g_list) if j and not g.is_zero]
+    terms += [((nu, i), lambda w, f=f: np.conj(f(w)))
+              for i, f in enumerate(spec.f_list) if not f.is_zero]
+    if spec.rhs is not None:
+        terms.append(((nu, mu), spec.rhs))
 
     def u(z: complex) -> complex:
         z = complex(z)
         rule = cached_area_rule(dom, dom.validate_point(z), tuple(resolution))
 
-        def group(w):
-            total = np.zeros(w.shape, dtype=complex)
-            for j in range(1, nu):
-                gj = spec.g_list[j]
-                if not gj.is_zero:
-                    total = total + g_diag(z, w, j) * gj(w)
-            f0 = spec.f_list[0]
-            if not f0.is_zero:
-                total = total + g_diag(z, w, nu) * np.conj(f0(w))
-            for i in range(1, mu):
-                fi = spec.f_list[i]
-                if not fi.is_zero:
-                    total = total + g_mixed(z, w, nu, i, radius) * np.conj(fi(w))
-            if rhs is not None:
-                total = total + g_mixed(z, w, nu, mu, radius) * rhs(w)
-            return total
+        def integrand(w):
+            return sum((kernel(z, w, *entry, dom.radius) * density(w) for entry, density in terms),
+                       np.zeros(w.shape, dtype=complex))
 
-        return complex(spec.g_list[0](np.asarray(z)) + integrate(rule, group))
+        return complex(spec.g_list[0](np.asarray(z)) + integrate(rule, integrand))
 
     return u
-
-
-def solve_homogeneous(spec: SolutionSpec, domain: DiskDomain | None = None,
-                      resolution=DEFAULT_RESOLUTION):
-    """Evaluator for d^mu dbar^nu u = 0 built from the free holomorphic data."""
-    if spec.rhs is not None:
-        spec = SolutionSpec(spec.mu, spec.nu, None, spec.g_list, spec.f_list)
-    return solve_pde(spec, domain, resolution)
 
 
 def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
                      h2: HolomorphicPolynomial, resolution=DEFAULT_RESOLUTION):
     """Evaluator z -> real u(z) with LaplacianSquared u = rhs (rhs real-valued).
 
-    u = Re( (1/(32 pi i)) * integral of K22(z, w) rhs(w) dwbar^dw )
-        + |z|^2 Re(h1(z)) + Re(h2(z)),
-
-    where K22 is the (2,2) mixed kernel: the integral term is Re(T^2 Tbar^2
-    rhs / 16) and LaplacianSquared = 16 d^2 dbar^2.  The harmonic parts are
-    the real parts of the supplied holomorphic polynomials.
+    u = Re(T^2 Tbar^2 rhs) / 16 + |z|^2 Re(h1(z)) + Re(h2(z)), since
+    LaplacianSquared = 16 d^2 dbar^2; the harmonic parts are the real parts
+    of the supplied holomorphic polynomials.
     """
     dom = rhs.domain
     if not isinstance(dom, DiskDomain):
         raise DomainError("biharmonic solver needs a disk right-hand side")
-    radius = dom.radius
+
+    def real_samples(w):
+        samples = np.asarray(rhs(w), dtype=complex)
+        if np.any(np.abs(samples.imag) > BIHARMONIC_IMAG_TOL):
+            raise NonRealRHS("biharmonic right-hand side must be real-valued")
+        return samples
+
+    real_rhs = replace(rhs, evaluator=real_samples)
 
     def u(z: complex) -> float:
         z = complex(z)
-        rule = cached_area_rule(dom, dom.validate_point(z), tuple(resolution))
-        samples = np.asarray(rhs(rule.nodes), dtype=complex)
-        if np.any(np.abs(samples.imag) > BIHARMONIC_IMAG_TOL):
-            raise NonRealRHS("biharmonic right-hand side must be real-valued")
-        kernel = c3(z, rule.nodes, 2, 2, radius)
-        integral = np.sum(rule.weights * kernel * samples) / (32j * np.pi)
         har = abs(z) ** 2 * complex(h1(np.asarray(z))).real + complex(h2(np.asarray(z))).real
-        return float(integral.real + har)
+        return float(transform(real_rhs, z, 2, 2, resolution).real / 16 + har)
 
     return u
 

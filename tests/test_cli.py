@@ -85,6 +85,17 @@ def test_op_apply_power(capsys):
     assert parse_complex(out.strip()) == pytest.approx(0.125, abs=1e-8)
 
 
+@pytest.mark.parametrize("op", ["T", "Tbar"])
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_op_apply_nonpositive_power_is_a_numeric_failure(capsys, op, power):
+    # T^0 / Tbar^0 is the (0, 0) entry of the kernel table, not T itself
+    code = run_command(["op", "apply", "--op", op, f"--power={power}", "--f", "1", "--z", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_op_apply_mixed_and_dual(capsys):
     code, out = run(capsys, "op", "apply", "--op", "mixed", "--f", "1",
                     "--z", "0", "--mu", "1", "--nu", "1")

@@ -5,15 +5,7 @@ from hypothesis import strategies as st
 
 from pompeiu.errors import DomainError, StencilOutOfDomain
 from pompeiu.geometry import (AREA_FACTOR, DiskDomain, MultiIndex, PolydiscDomain,
-                              conj_involution, require_finite, wirtinger_split)
-
-finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
-                                    max_magnitude=1e6)
-
-
-@given(finite_complex)
-def test_conjugation_involution_exact(z):
-    assert conj_involution(z) == z
+                              require_finite, wirtinger_split)
 
 
 def test_require_finite_rejects_nan_inf():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pompeiu.errors import CoincidentPoints, DomainError, OrderTooLarge
 from pompeiu.geometry import MultiIndex
 from pompeiu.kernels import (KernelQuery, binomial, c1, c2, c3, c3_special_cases,
-                             c8, g_diag, g_mixed, log_term)
+                             c8, g_diag, g_mixed, kernel, log_term)
 
 R = 1.0
 
@@ -233,6 +233,18 @@ def test_g_mixed_scales_c3():
     assert g_mixed(z, w, 1, 1, R) == pytest.approx(-c3(z, w, 1, 1, R) / (2j * np.pi))
     assert g_mixed(z, w, 2, 2, R) == pytest.approx(c3(z, w, 2, 2, R) / (2j * np.pi))
     assert g_mixed(z, w, 2, 1, R) == pytest.approx(c3(z, w, 2, 1, R) / (2j * np.pi))
+
+
+def test_kernel_table_entries():
+    # index 0 is the identity: (k, 0) = g_diag, (0, k) its mirror, both >= 1 mixed
+    z, w = 0.1 + 0.2j, -0.3 + 0.1j
+    for k in (1, 2, 4):
+        assert kernel(z, w, k, 0, R) == g_diag(z, w, k)
+        assert kernel(z, w, 0, k, R) == -np.conj(g_diag(z, w, k))
+    assert kernel(z, w, 2, 3, R) == g_mixed(z, w, 2, 3, R)
+    for mu, nu in ((0, 0), (-1, 0), (0, -1), (-2, 3)):
+        with pytest.raises(DomainError):
+            kernel(z, w, mu, nu, R)
 
 
 def test_kernel_query_validation():

@@ -7,7 +7,7 @@ from pompeiu.operators import (apply_2T, apply_2Tbar, apply_conjugate_dual,
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
                                apply_T, apply_T_power, apply_Tbar, apply_Tbar_power,
                                constant_field, evaluate_on_grid, field_from_callable,
-                               field_from_expression)
+                               field_from_expression, transform)
 from pompeiu.oracle import PolynomialField, exact_transform, wirtinger_exact
 
 DISK = DiskDomain(1.0)
@@ -169,8 +169,32 @@ def test_dual_interior_identity_Tbar_d_plus_Sbar():
 def test_power_one_equals_single():
     f = zbar_power_field(2)
     z = 0.2 + 0.3j
-    assert apply_T_power(f, z, 1, RES) == pytest.approx(apply_T(f, z, RES), abs=1e-14)
-    assert apply_Tbar_power(f, z, 1, RES) == pytest.approx(apply_Tbar(f, z, RES), abs=1e-14)
+    assert apply_T_power(f, z, 1, RES) == apply_T(f, z, RES)
+    assert apply_Tbar_power(f, z, 1, RES) == apply_Tbar(f, z, RES)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transform_index_zero_is_a_pure_power(k):
+    # table entry (k, 0) is T^k and (0, k) is Tbar^k: the exact transform and
+    # its conjugate, each iterated k times
+    rng = np.random.default_rng(40 + k)
+    poly = PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    f = poly.to_field(DISK)
+    exact_T = exact_Tbar = poly
+    for _ in range(k):
+        exact_T = exact_transform(exact_T, DISK.radius)
+        exact_Tbar = exact_transform(exact_Tbar, DISK.radius, conjugate=True)
+    for z in interior_points(30 + k, 3, 0.7):
+        assert transform(f, z, k, 0, RES) == pytest.approx(complex(exact_T(np.asarray(z))),
+                                                           rel=1e-7, abs=1e-8)
+        assert transform(f, z, 0, k, RES) == pytest.approx(complex(exact_Tbar(np.asarray(z))),
+                                                           rel=1e-7, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu, nu", [(0, 0), (-1, 0), (0, -2), (-1, 2), (2, -1)])
+def test_transform_rejects_identity_and_negative_orders(mu, nu):
+    with pytest.raises(DomainError):
+        transform(constant_field(1.0, DISK), 0.2, mu, nu, RES)
 
 
 def test_T_squared_of_one():

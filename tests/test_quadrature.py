@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu.errors import NonFiniteSample, ResolutionTooLow
+from pompeiu.errors import DomainError, NonFiniteSample, ResolutionTooLow
 from pompeiu.geometry import DiskDomain
 from pompeiu.quadrature import (build_area_rule, build_contour_rule, build_half_rule,
                                 integrate)
@@ -134,12 +134,18 @@ def test_non_finite_sample_raises():
         integrate(rule, lambda w: 1.0 / (w - rule.nodes[0]))
 
 
-def test_scalar_only_integrand_fallback():
+def test_integrand_must_be_vectorized():
     import math
     d = DiskDomain(1.0)
     rule = build_area_rule(d, 0j, (8, 16))
-    got = integrate(rule, lambda w: math.exp(w.real) * 1.0)
-    assert got == pytest.approx(integrate(rule, lambda w: np.exp(w.real) + 0j))
+    # a scalar-only callable raises its own error instead of a node-by-node retry
+    with pytest.raises(TypeError):
+        integrate(rule, lambda w: math.exp(w.real))
+    # a result of the wrong shape is a typed error
+    with pytest.raises(DomainError):
+        integrate(rule, lambda w: np.ones(3))
+    # a 0-d result stands for a constant
+    assert integrate(rule, lambda w: 2.0) == integrate(rule, lambda w: np.full(w.shape, 2.0 + 0j))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pompeiu.errors import DomainError, NonRealRHS, StencilOutOfDomain
 from pompeiu.geometry import DiskDomain, wirtinger_split
 from pompeiu.operators import apply_mixed, constant_field, field_from_expression
 from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
-                            solve_biharmonic, solve_homogeneous, solve_pde)
+                            solve_biharmonic, solve_pde)
 
 DISK = DiskDomain(1.0)
 ZERO = HolomorphicPolynomial.zero()
@@ -31,7 +31,7 @@ def test_solution_spec_validates_lengths():
 def test_homogeneous_holomorphic_data_passes_through():
     # mu = nu = 1, g0(z) = z: u is that holomorphic function itself
     spec = SolutionSpec(1, 1, None, (HolomorphicPolynomial((0, 1)),), (ZERO,))
-    u = solve_homogeneous(spec, DISK)
+    u = solve_pde(spec, DISK)
     for z in PTS:
         assert u(z) == pytest.approx(z, abs=1e-12)
     rhs0 = constant_field(0.0, DISK)
@@ -42,7 +42,7 @@ def test_homogeneous_holomorphic_data_passes_through():
 def test_homogeneous_conjugate_data():
     # g0 = 0, f0 = 1: u = T(conj(1)) = zbar, so d dbar u = 0
     spec = SolutionSpec(1, 1, None, (ZERO,), (HolomorphicPolynomial((1,)),))
-    u = solve_homogeneous(spec, DISK)
+    u = solve_pde(spec, DISK)
     for z in PTS:
         assert u(z) == pytest.approx(np.conj(z), abs=1e-9)
     res = fd_residual(u, 1, 1, constant_field(0.0, DISK), PTS)
@@ -54,7 +54,7 @@ def test_homogeneous_second_order_random_data():
     polys = [HolomorphicPolynomial(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
              for _ in range(4)]
     spec = SolutionSpec(2, 2, None, tuple(polys[:2]), tuple(polys[2:]))
-    u = solve_homogeneous(spec, DISK)
+    u = solve_pde(spec, DISK)
     res = fd_residual(u, 2, 2, constant_field(0.0, DISK), PTS)
     assert np.max(res) < 1e-5
 
@@ -77,7 +77,7 @@ def test_pde_zero_rhs_reduces_to_homogeneous():
     spec_zero = SolutionSpec(1, 1, zero_rhs, (g0,), (f0,))
     spec_none = SolutionSpec(1, 1, None, (g0,), (f0,))
     u_zero = solve_pde(spec_zero)
-    u_hom = solve_homogeneous(spec_none, DISK)
+    u_hom = solve_pde(spec_none, DISK)
     for z in PTS:
         assert u_zero(z) == pytest.approx(u_hom(z), abs=1e-12)
 
@@ -98,7 +98,7 @@ def test_pde_completeness_linearity():
     f0 = HolomorphicPolynomial(tuple(rng.standard_normal(2)))
     full = solve_pde(SolutionSpec(1, 1, rhs, (g0,), (f0,)))
     bare = solve_pde(SolutionSpec(1, 1, rhs, (ZERO,), (ZERO,)))
-    hom = solve_homogeneous(SolutionSpec(1, 1, None, (g0,), (f0,)), DISK)
+    hom = solve_pde(SolutionSpec(1, 1, None, (g0,), (f0,)), DISK)
     for z in PTS:
         assert full(z) - bare(z) == pytest.approx(hom(z), abs=1e-10)
 
