@@ -10,7 +10,7 @@ import numpy as np
 
 from pompeiu.geometry import DiskDomain
 from pompeiu.kernels import c3
-from pompeiu.operators import apply_T, field_from_callable, field_from_expression
+from pompeiu.operators import ScalarField, apply_T, field_from_expression
 from pompeiu.oracle import lemma_lhs_quadrature
 from pompeiu.solver import SolutionSpec, HolomorphicPolynomial, fd_residual, solve_pde
 
@@ -28,7 +28,7 @@ def table(title, rows):
 
 
 def monomial_transform(domain, z, l):
-    f = field_from_callable(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l, domain)
+    f = ScalarField(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l, domain)
     want = np.conj(z) ** (l + 1) / (l + 1)
     return [(res, abs(apply_T(f, z, res) - want)) for res in RESOLUTIONS]
 

@@ -18,7 +18,7 @@ from .operators import (GridField, ScalarField, apply_2T, apply_2Tbar,
                         apply_conjugate_dual, apply_mixed, apply_polydisc, apply_S,
                         apply_Sbar, apply_T, apply_T_power, apply_Tbar,
                         apply_Tbar_power, constant_field, evaluate_on_grid,
-                        field_from_callable, field_from_expression, transform)
+                        field_from_expression, transform)
 from .quadrature import (AreaRule, ContourRule, build_area_rule, build_contour_rule,
                          build_half_rule, integrate)
 from .solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
@@ -37,7 +37,7 @@ __all__ = [
     "apply_T_power", "apply_Tbar", "apply_Tbar_power", "apply_conjugate_dual",
     "apply_mixed", "apply_polydisc", "build_area_rule", "build_contour_rule",
     "build_half_rule", "c1", "c2", "c3", "c3_special_cases", "c8",
-    "constant_field", "evaluate_on_grid", "fd_residual", "field_from_callable",
-    "field_from_expression", "g_diag", "g_mixed", "integrate",
-    "solve_biharmonic", "solve_pde", "transform", "wirtinger_split",
+    "constant_field", "evaluate_on_grid", "fd_residual", "field_from_expression",
+    "g_diag", "g_mixed", "integrate", "solve_biharmonic", "solve_pde", "transform",
+    "wirtinger_split",
 ]

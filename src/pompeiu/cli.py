@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     oa.add_argument("--mu", default="1")
     oa.add_argument("--nu", default="1")
     oa.add_argument("--n", type=int, default=1, help="polydisc factor count")
-    oa.add_argument("--alpha", type=float, default=0.5)
     _add_common(oa)
 
     so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
@@ -192,15 +191,14 @@ _DISK_OPS = {
 
 def _cmd_op(args, cfg: RunConfig) -> int:
     if args.op == "polydisc":
-        f = field_from_expression(args.f, PolydiscDomain(args.n, cfg.radius), args.alpha)
+        f = field_from_expression(args.f, PolydiscDomain(args.n, cfg.radius))
         z = tuple(parse_complex(part) for part in args.z.split(","))
-        # per-factor rules default smaller than the disk resolution; explicit
-        # flags override
+        # per-factor rules default smaller than the disk's; explicit flags override
         poly_res = (args.nr, args.ntheta) if args.nr and args.ntheta \
             else operators.POLYDISC_RESOLUTION
         value = apply_polydisc(f, z, _multi_index(args.mu), _multi_index(args.nu), poly_res)
     else:
-        f = field_from_expression(args.f, DiskDomain(cfg.radius), args.alpha)
+        f = field_from_expression(args.f, DiskDomain(cfg.radius))
         value = _DISK_OPS[args.op](f, parse_complex(args.z), args, cfg)
     _emit(format_complex(value) + "\n", cfg)
     return 0
@@ -309,14 +307,14 @@ def _suite_operators(cfg: RunConfig, report) -> int:
     failures = 0
     for l in range(4):
         z = _interior_point(rng, 0.7 * R)
-        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain, 0.5, f"zbar^{l}")
+        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain, f"zbar^{l}")
         got = apply_T(f, z, cfg.resolution)
         want = np.conj(z) ** (l + 1) / (l + 1)
         err = abs(got - want) / max(1.0, abs(want))
         failures += report(err <= cfg.tolerance("golden", 1e-8), f"T(zbar^{l}) golden", err)
     poly = oracle.PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     f = poly.to_field(domain)
-    dbar = oracle.wirtinger_exact(poly, 0, 1).to_field(domain)
+    dbar = poly.wirtinger(0, 1).to_field(domain)
     for _ in range(3):
         z = _interior_point(rng, 0.6 * R)
         got = apply_T(dbar, z, cfg.resolution) + apply_S(f, z, cfg.contour_count)
@@ -347,7 +345,7 @@ def _suite_norms(cfg: RunConfig, report) -> int:
     failures = 0
     for alpha in (0.25, 0.5, 0.75):
         coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        f = oracle.PolynomialField(coeffs).to_field(domain, alpha)
+        f = oracle.PolynomialField(coeffs).to_field(domain)
         rep = oracle.check_norm_bound(f, 1, 1, alpha, resolution=(24, 48),
                                       sup_points=4, pairs=4, seed=cfg.seed)
         failures += report(rep.holds, f"norm bound alpha={alpha}", rep.lhs / rep.rhs)

@@ -40,7 +40,8 @@ def require_finite(z: complex) -> complex:
 class DiskDomain:
     """Closed disk {z : |z - center| <= radius}.
 
-    The operator and kernel modules require ``center == 0``; nonzero centers
+    The closed-form kernels assume ``center == 0``, and the area operators
+    and the solver raise DomainError on any other center.  Nonzero centers
     are supported by the quadrature module (used e.g. for the exact
     polynomial-moment golden integrals on shifted disks).
     """

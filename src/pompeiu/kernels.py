@@ -69,12 +69,12 @@ def _check_order(name: str, value: int, minimum: int = 1) -> int:
     return value
 
 
-def require_separated(a, b, radius: float, eps: float = COINCIDENCE_EPS):
-    """Raise CoincidentPoints where |a - b| is below the relative epsilon."""
+def require_separated(a, b, radius: float):
+    """Raise CoincidentPoints where |a - b| is below COINCIDENCE_EPS * R."""
     gap = np.abs(np.asarray(a) - np.asarray(b))
-    if np.any(gap < eps * radius):
+    if np.any(gap < COINCIDENCE_EPS * radius):
         raise CoincidentPoints(
-            f"|a-b| below {eps:g}*R; kernel not defined at coincidence")
+            f"|a-b| below {COINCIDENCE_EPS:g}*R; kernel not defined at coincidence")
 
 
 def log_term(a, b, radius: float):
@@ -238,7 +238,6 @@ class KernelQuery:
     mu: int
     nu: int
     radius: float
-    epsilon: float = COINCIDENCE_EPS
 
     def __post_init__(self):
         if self.radius <= 0 or not math.isfinite(self.radius):
@@ -248,7 +247,7 @@ class KernelQuery:
                 raise DomainError(f"{name}={point} outside the closed disk of radius {self.radius}")
         _check_order("mu", self.mu)
         _check_order("nu", self.nu)
-        require_separated(self.a, self.b, self.radius, self.epsilon)
+        require_separated(self.a, self.b, self.radius)
 
     def evaluate(self) -> complex:
         return complex(c3(self.a, self.b, self.mu, self.nu, self.radius))

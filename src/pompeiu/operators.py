@@ -6,11 +6,12 @@ an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
 (0, k)).  `apply_T`, `apply_Tbar`, the powers and `apply_mixed` are aliases
 of it.  `apply_S`, `apply_2T` and `apply_polydisc` have kernels of their own;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
-Nothing here nests integrals: that route is the oracle module's cross-check.
+Area operators accept only disks centred at 0, as the closed-form kernels
+assume.  Nothing here nests integrals: that is the oracle module's route.
 
 Operator application is pure given (field, rule): batch evaluation over
-target grids is data-parallel (capped by the PMP_THREADS environment
-variable) and reduces in a fixed order, so results are reproducible.
+target grids is data-parallel (PMP_THREADS workers, a positive integer)
+and reduces in a fixed order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import expressions
-from .errors import DimensionCap, DomainError, NonFiniteSample
+from .errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .kernels import TWO_PI_I, c3, c8, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, AreaRule,
-                         ContourRule, build_area_rule, build_contour_rule, integrate)
+                         build_area_rule, build_contour_rule, integrate)
 
 #: default per-factor resolution for polydisc tensor quadrature
 POLYDISC_RESOLUTION = (24, 48)
@@ -40,19 +41,13 @@ class ScalarField:
     """A complex-valued function on a disk or polydisc.
 
     `evaluator` must be total on the closed domain and vectorized: it takes
-    one complex ndarray per domain factor and returns a matching-shape array.
-    `hoelder_alpha` is metadata used by the norm estimators; it must lie
-    strictly inside (0, 1).
+    one complex array per domain factor, the arrays broadcastable against
+    each other, and returns an array of their broadcast shape or a 0-d value.
     """
 
     evaluator: object
     domain: DiskDomain | PolydiscDomain
-    hoelder_alpha: float = 0.5
     description: str = ""
-
-    def __post_init__(self):
-        if not (0.0 < self.hoelder_alpha < 1.0):
-            raise DomainError(f"hoelder_alpha must be in (0,1) strictly, got {self.hoelder_alpha}")
 
     @property
     def factors(self) -> int:
@@ -63,30 +58,26 @@ class ScalarField:
 
     def conjugate(self) -> "ScalarField":
         ev = self.evaluator
-        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain, self.hoelder_alpha,
+        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain,
                            f"conj({self.description})" if self.description else "")
 
 
-def constant_field(value: complex, domain, alpha: float = 0.5) -> ScalarField:
+def constant_field(value: complex, domain) -> ScalarField:
     value = complex(value)
 
     def ev(*zs):
         shape = np.broadcast(*[np.asarray(z) for z in zs]).shape
         return np.full(shape, value) if shape else value
 
-    return ScalarField(ev, domain, alpha, str(value))
+    return ScalarField(ev, domain, str(value))
 
 
-def field_from_expression(text: str, domain, alpha: float = 0.5) -> ScalarField:
+def field_from_expression(text: str, domain) -> ScalarField:
     ast = expressions.parse_expression(text)
     n = domain.factors if isinstance(domain, PolydiscDomain) else 1
     expressions.validate_variables(ast, n)
-    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain, alpha,
+    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain,
                        expressions.pretty(ast))
-
-
-def field_from_callable(fn, domain, alpha: float = 0.5, description: str = "") -> ScalarField:
-    return ScalarField(fn, domain, alpha, description)
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +90,10 @@ def cached_area_rule(domain: DiskDomain, center: complex,
     return build_area_rule(domain, center, resolution)
 
 
-@lru_cache(maxsize=32)
-def cached_contour_rule(radius: float, count: int, center: complex) -> ContourRule:
-    return build_contour_rule(radius, count, center)
-
-
-def _rule_for(f: ScalarField, z: complex, resolution, rule: AreaRule | None) -> AreaRule:
-    if rule is not None:
-        return rule
-    domain = f.domain
-    if not isinstance(domain, DiskDomain):
-        raise DomainError("disk operators need a ScalarField on a DiskDomain")
+def _rule_for(domain, z: complex, resolution) -> AreaRule:
+    """The area rule centred at z on `domain`, which must be a disk centred at 0."""
+    if not isinstance(domain, DiskDomain) or domain.center != 0:
+        raise DomainError("disk operators need a ScalarField on a DiskDomain centred at 0")
     return cached_area_rule(domain, domain.validate_point(complex(z)), tuple(resolution))
 
 
@@ -118,89 +102,80 @@ def _rule_for(f: ScalarField, z: complex, resolution, rule: AreaRule | None) -> 
 # ---------------------------------------------------------------------------
 
 def transform(f: ScalarField, z: complex, mu: int, nu: int,
-              resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+              resolution=DEFAULT_RESOLUTION) -> complex:
     """T^mu Tbar^nu f(z) as one quadrature against the (mu, nu) table kernel.
 
     T^k is (k, 0) and Tbar^k is (0, k); (0, 0) and negative orders raise
     DomainError.  The kernel's only non-smooth point is its singularity at
     the target, which the graded rule centered at z absorbs.
     """
-    r = _rule_for(f, z, resolution, rule)
+    r = _rule_for(f.domain, z, resolution)
     return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius) * f(w)))
 
 
-def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
-            rule: AreaRule | None = None) -> complex:
+def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Tf(z) = -1/(2 pi i) * integral of f(w)/(w - z) dwbar^dw."""
-    return transform(f, z, 1, 0, resolution, rule)
+    return transform(f, z, 1, 0, resolution)
 
 
-def apply_Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
-               rule: AreaRule | None = None) -> complex:
+def apply_Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Tbar f(z) = -1/(2 pi i) * integral of f(w)/(wbar - zbar) dwbar^dw."""
-    return transform(f, z, 0, 1, resolution, rule)
+    return transform(f, z, 0, 1, resolution)
 
 
-def apply_T_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
-                  rule: AreaRule | None = None) -> complex:
+def apply_T_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION) -> complex:
     """T^k f(z), with kernel proportional to (wb - zb)^(k-1)/(w - z)."""
-    return transform(f, z, k, 0, resolution, rule)
+    return transform(f, z, k, 0, resolution)
 
 
-def apply_Tbar_power(f: ScalarField, z: complex, k: int, resolution=DEFAULT_RESOLUTION,
-                     rule: AreaRule | None = None) -> complex:
+def apply_Tbar_power(f: ScalarField, z: complex, k: int,
+                     resolution=DEFAULT_RESOLUTION) -> complex:
     """Tbar^k f(z), the mirror of T^k."""
-    return transform(f, z, 0, k, resolution, rule)
+    return transform(f, z, 0, k, resolution)
 
 
 def apply_mixed(f: ScalarField, z: complex, mu: int, nu: int,
-                resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+                resolution=DEFAULT_RESOLUTION) -> complex:
     """T^mu Tbar^nu f(z)."""
-    return transform(f, z, mu, nu, resolution, rule)
+    return transform(f, z, mu, nu, resolution)
 
 
 def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
-                         resolution=DEFAULT_RESOLUTION, rule: AreaRule | None = None) -> complex:
+                         resolution=DEFAULT_RESOLUTION) -> complex:
     """Tbar^mu T^nu f(z) via conj(T^mu Tbar^nu conj(f)) instead of a second kernel."""
-    return complex(np.conj(transform(f.conjugate(), z, mu, nu, resolution, rule)))
+    return complex(np.conj(transform(f.conjugate(), z, mu, nu, resolution)))
 
 
 # ---------------------------------------------------------------------------
 # Operators with kernels of their own, and their conjugate twins
 # ---------------------------------------------------------------------------
 
-def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
-             rule: AreaRule | None = None) -> complex:
+def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Regularized square kernel: -1/(2 pi i) * int (f(w)-f(z))/(w-z)^2 dwbar^dw."""
-    r = _rule_for(f, z, resolution, rule)
+    r = _rule_for(f.domain, z, resolution)
     fz = complex(f(np.asarray(complex(z))))
     return complex(integrate(r, lambda w: (f(w) - fz) / (w - z) ** 2) / (-TWO_PI_I))
 
 
-def apply_2Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION,
-                rule: AreaRule | None = None) -> complex:
+def apply_2Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """-1/(2 pi i) * int (f(w)-f(z))/(wbar-zbar)^2 dwbar^dw = conj(2T conj(f))."""
-    return complex(np.conj(apply_2T(f.conjugate(), z, resolution, rule)))
+    return complex(np.conj(apply_2T(f.conjugate(), z, resolution)))
 
 
-def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT,
-            rule: ContourRule | None = None) -> complex:
+def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT) -> complex:
     """Sf(z) = 1/(2 pi i) * contour integral of f(w)/(w - z) dw (counterclockwise).
 
     Trapezoid accuracy is spectral in the node count but decays as z
     approaches the boundary; keep targets a few node spacings inside.
     """
-    domain = f.domain
-    if rule is None:
-        rule = cached_contour_rule(domain.radius, contour_count, domain.center)
+    rule = build_contour_rule(f.domain.radius, contour_count, f.domain.center)
     return complex(integrate(rule, lambda w: f(w) / (w - z)) / TWO_PI_I)
 
 
-def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT,
-               rule: ContourRule | None = None) -> complex:
+def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT) -> complex:
     """Sbar f(z) = -1/(2 pi i) * contour integral of f(w)/(wbar - zbar) dwbar
     = conj(S conj(f))."""
-    return complex(np.conj(apply_S(f.conjugate(), z, contour_count, rule)))
+    return complex(np.conj(apply_S(f.conjugate(), z, contour_count)))
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
@@ -209,7 +184,8 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
 
     Per-factor rules are centered on the matching component of the target;
     the integrand is the product of per-factor kernels times f on the tensor
-    grid.  The first factor is streamed to bound memory.
+    grid.  The first factor is streamed one node at a time, and the other
+    factors reach f as sparse broadcastable axes, to bound memory.
     """
     domain = f.domain
     if not isinstance(domain, PolydiscDomain):
@@ -230,14 +206,15 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     if n == 1:
         total = np.sum(wk[0] * f(rules[0].nodes))
     else:
-        tail_grids = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij")
-        tail_wk = wk[1]
-        for part in wk[2:]:
-            tail_wk = np.multiply.outer(tail_wk, part)
+        tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
+        tail_wk = reduce(np.multiply.outer, wk[1:])
         total = 0j
-        for i, node0 in enumerate(rules[0].nodes):
-            factors = [np.full(tail_grids[0].shape, node0)] + list(tail_grids)
-            total += wk[0][i] * np.sum(tail_wk * f(*factors))
+        # each first-factor node as a shape-(1,) array, not a numpy scalar:
+        # scalar z**2 can differ from array z**2 in the last bit
+        for w0, node0 in zip(wk[0], rules[0].nodes[:, None]):
+            total += w0 * np.sum(tail_wk * f(node0, *tail_nodes))
+    if not np.isfinite(total):
+        raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
     return complex(c8(mu, nu) * total)
 
 
@@ -268,23 +245,26 @@ class GridField:
                 lines.append(f"{x:.15g},{y:.15g},{v.real:.15g},{v.imag:.15g}")
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json_text(self) -> str:
+        obj = {
             "config": self.config,
             "xs": [float(x) for x in self.xs],
             "ys": [float(y) for y in self.ys],
             "values": [[[float(v.real), float(v.imag)] for v in row] for row in self.values],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=None, separators=(",", ":")) + "\n"
+        return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
 
 
 def worker_count() -> int:
+    """Grid workers from PMP_THREADS (default 1); anything but a positive integer raises."""
+    text = os.environ.get("PMP_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("PMP_THREADS", "1")))
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise PompeiuError(f"PMP_THREADS must be a positive integer, got {text!r}")
+    return count
 
 
 def evaluate_on_grid(func, domain: DiskDomain, n: int = 33, extent: float = 0.95,

@@ -1,13 +1,15 @@
 """Independent brute-force references for the closed-form machinery.
 
 Nothing here touches the closed-form kernels: nested operator application
-composes single-operator quadratures, the lemma left-hand sides are quadrated
-directly from their defining integrals with two-center singular rules, and
-polynomial test fields carry exact coefficient-level Wirtinger calculus.
+composes single-operator quadratures at the fixed NESTED_* resolutions, the
+lemma left-hand sides are quadrated directly from their defining integrals
+with two-center singular rules, and polynomial test fields carry exact
+coefficient-level Wirtinger calculus.
 
 Discrete Hoelder/semi-norm estimators are sups over finite seeded samples and
 therefore lower bounds of the continuum quantities; they are only ever used
-on the small side of one-sided inequality checks.
+on the small side of one-sided inequality checks.  The Hoelder exponent
+alpha is an argument of each estimator and check, not a property of a field.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .quadrature import build_area_rule, build_contour_rule, build_half_rule, in
 MAX_POLY_DEGREE = 8
 MAX_PROGRAM_LENGTH = 4
 MIN_PAIR_SEPARATION = 1e-6
+
+#: NestedOracle: per-node rule, polar grid of each intermediate, outermost rule
+NESTED_RESOLUTION = (24, 48)
+NESTED_GRID_SHAPE = (40, 80)
+NESTED_TOP_RESOLUTION = (64, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +91,12 @@ class PolynomialField:
             c = c[:, 1:] * q[None, :] if c.shape[1] > 1 else np.zeros((c.shape[0], 1), complex)
         return PolynomialField(c)
 
-    def to_field(self, domain: DiskDomain, alpha: float = 0.5) -> ScalarField:
-        return ScalarField(self, domain, alpha, "polynomial")
+    def to_field(self, domain: DiskDomain) -> ScalarField:
+        return ScalarField(self, domain, "polynomial")
 
     def __repr__(self):
         terms = [f"({v:g})z^{p}zb^{q}" for (p, q), v in np.ndenumerate(self.coeffs) if v != 0]
         return " + ".join(terms) or "0"
-
-
-def wirtinger_exact(p: PolynomialField, mu: int, nu: int) -> PolynomialField:
-    """Exact coefficient-level d^mu dbar^nu of a polynomial field."""
-    return p.wirtinger(mu, nu)
 
 
 def exact_transform(field: PolynomialField, radius: float,
@@ -169,15 +171,10 @@ class NestedOracle:
     threads only for reads after warm-up.
     """
 
-    def __init__(self, f: ScalarField, resolution=(24, 48), grid_shape=(40, 80),
-                 top_resolution=(64, 128)):
+    def __init__(self, f: ScalarField):
         if not isinstance(f.domain, DiskDomain):
             raise DomainError("nested application is defined for disk fields")
-        self.f = f
         self.domain = f.domain
-        self.resolution = tuple(resolution)
-        self.top_resolution = tuple(top_resolution)
-        self.grid_shape = tuple(grid_shape)
         self._memo: dict[tuple[str, ...], object] = {(): f.evaluator}
 
     def _field_for(self, suffix: tuple[str, ...]):
@@ -191,13 +188,13 @@ class NestedOracle:
         # (the disk is rotation-invariant about its center), so each grid row
         # is one batched quadrature:  1/(w - z) = e^{-i t}/(n0 - r)  with
         # w = center + e^{i t} n0,  z = center + e^{i t} r.
-        nr, nt = self.grid_shape
+        nr, nt = NESTED_GRID_SHAPE
         radii = np.linspace(0.0, self.domain.radius, nr)
         angles = 2 * np.pi * np.arange(nt) / nt
         phases = np.exp(1j * angles)
         values = np.empty((nr, nt), dtype=complex)
         for i, r in enumerate(radii):
-            base = build_area_rule(self.domain, self.domain.center + r, self.resolution)
+            base = build_area_rule(self.domain, self.domain.center + r, NESTED_RESOLUTION)
             n0 = base.nodes - self.domain.center
             nodes_all = self.domain.center + phases[:, None] * n0[None, :]
             fvals = np.asarray(inner_evaluator(nodes_all), dtype=complex)
@@ -217,15 +214,13 @@ class NestedOracle:
         for op in program:
             if op not in _SINGLE_OPS:
                 raise DomainError(f"unknown operator {op!r}; expected 'T' or 'Tbar'")
-        field = ScalarField(self._field_for(program[1:]), self.domain, self.f.hoelder_alpha)
-        rule = build_area_rule(self.domain, complex(z), self.top_resolution)
-        return _SINGLE_OPS[program[0]](field, complex(z), rule=rule)
+        field = ScalarField(self._field_for(program[1:]), self.domain)
+        return _SINGLE_OPS[program[0]](field, complex(z), NESTED_TOP_RESOLUTION)
 
 
-def nested_apply(f: ScalarField, z, program, resolution=(24, 48),
-                 grid_shape=(40, 80), top_resolution=(64, 128)):
+def nested_apply(f: ScalarField, z, program):
     """One-shot nested application; accepts a scalar or a sequence of targets."""
-    oracle = NestedOracle(f, resolution, grid_shape, top_resolution)
+    oracle = NestedOracle(f)
     if np.ndim(z) == 0:
         return oracle.evaluate(complex(z), program)
     return np.array([oracle.evaluate(complex(w), program) for w in np.asarray(z).ravel()])
@@ -395,7 +390,7 @@ def bound_constants(alpha: float) -> tuple[float, float, float]:
 
 def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
                      resolution=(32, 64), sup_points: int = 8, pairs: int = 8,
-                     seed: int = 0, fd_step: float | None = None) -> NormBoundReport:
+                     seed: int = 0) -> NormBoundReport:
     """One-sided check of the m-th semi-norm growth bound for T^mu Tbar^nu.
 
     The left side is a discrete estimate (finite-difference derivatives of
@@ -413,7 +408,7 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
     rhs_const = 2.0 ** ((m - 1) * m // 2) * (C4 * m + C0 + (m - 1) * C5) ** m
     rhs = rhs_const * disk_norm_estimate(f, alpha, seed=seed)
 
-    h = fd_step if fd_step is not None else (1e-12) ** (1.0 / (m + 2)) * radius
+    h = (1e-12) ** (1.0 / (m + 2)) * radius
     rng = np.random.default_rng(seed + 17)
     sites = _disk_samples(rng, sup_points, 0.6 * radius)
     pair_a = _disk_samples(rng, pairs, 0.6 * radius)

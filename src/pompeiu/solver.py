@@ -17,7 +17,7 @@ from .errors import DomainError, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
 # solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
 from .kernels import c3, kernel  # noqa: F401
-from .operators import ScalarField, cached_area_rule, transform
+from .operators import ScalarField, _rule_for, transform
 from .quadrature import DEFAULT_RESOLUTION, integrate
 
 BIHARMONIC_IMAG_TOL = 1e-12
@@ -101,7 +101,7 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
 
     def u(z: complex) -> complex:
         z = complex(z)
-        rule = cached_area_rule(dom, dom.validate_point(z), tuple(resolution))
+        rule = _rule_for(dom, z, resolution)
 
         def integrand(w):
             return sum((kernel(z, w, *entry, dom.radius) * density(w) for entry, density in terms),
@@ -140,18 +140,17 @@ def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
     return u
 
 
-def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points,
-                h: float | None = None, richardson: bool = True) -> np.ndarray:
+def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points) -> np.ndarray:
     """|FD[d^mu dbar^nu] u(z) - rhs(z)| at each target point.
 
-    Step defaults to (1e-12)^(1/(mu+nu+2)) * R, balancing truncation against
-    quadrature noise in the sampled values.
+    The Richardson-extrapolated stencil steps by (1e-12)^(1/(mu+nu+2)) * R,
+    balancing truncation against quadrature noise in the sampled values.
     """
     dom = rhs.domain
     if not isinstance(dom, DiskDomain):
         raise DomainError("fd_residual needs a disk right-hand side")
     stencil = wirtinger_split(mu, nu)
-    step = h if h is not None else (1e-12) ** (1.0 / (mu + nu + 2)) * dom.radius
+    step = (1e-12) ** (1.0 / (mu + nu + 2)) * dom.radius
 
     def u_vec(zarr):
         zarr = np.atleast_1d(np.asarray(zarr, dtype=complex))
@@ -162,9 +161,6 @@ def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points,
     for z in points:
         z = complex(z)
         stencil.check_inside(dom, z, step)
-        if richardson:
-            val = stencil.apply_richardson(u_vec, z, step)
-        else:
-            val = stencil.apply(u_vec, z, step)
+        val = stencil.apply_richardson(u_vec, z, step)
         out.append(abs(val - complex(rhs(np.asarray(z)))))
     return np.array(out)

@@ -11,11 +11,11 @@ import numpy as np
 
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.kernels import c2, c3, c3_special_cases
-from pompeiu.operators import (apply_conjugate_dual, apply_mixed, apply_polydisc,
-                               apply_S, apply_T, apply_T_power, constant_field,
-                               field_from_callable, field_from_expression)
+from pompeiu.operators import (ScalarField, apply_conjugate_dual, apply_mixed,
+                               apply_polydisc, apply_S, apply_T, apply_T_power,
+                               constant_field, field_from_expression)
 from pompeiu.oracle import (NestedOracle, PolynomialField, check_norm_bound,
-                            lemma_lhs_quadrature, wirtinger_exact)
+                            lemma_lhs_quadrature)
 from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
                             solve_pde)
 
@@ -85,7 +85,7 @@ def test_criterion_3_exact_golden_transforms():
     pts = disk_points(rng, 10, 0.8)
     worst = 0.0
     for l in range(6):
-        f = field_from_callable(
+        f = ScalarField(
             lambda w, l=l: np.conj(np.asarray(w, dtype=complex)) ** l, DISK)
         for z in pts:
             want = np.conj(z) ** (l + 1) / (l + 1)
@@ -145,7 +145,7 @@ def test_criterion_6_interior_identity():
     for _ in range(2):
         poly = random_poly(rng, (4, 4))
         f = poly.to_field(DISK)
-        dbar_f = wirtinger_exact(poly, 0, 1).to_field(DISK)
+        dbar_f = poly.wirtinger(0, 1).to_field(DISK)
         for z in disk_points(rng, 5, 0.7):
             got = apply_T(dbar_f, z, (64, 128)) + apply_S(f, z, 256)
             worst = max(worst, abs(got - complex(poly(np.asarray(z)))))
@@ -268,7 +268,7 @@ def test_criterion_11_norm_bound():
     all_hold = True
     tightest = np.inf
     for i, (poly, alpha, mu, nu) in enumerate(rows):
-        f = poly.to_field(DISK, alpha)
+        f = poly.to_field(DISK)
         rep = check_norm_bound(f, mu, nu, alpha, resolution=(24, 48),
                                sup_points=6, pairs=6, seed=100 + i)
         all_hold = all_hold and rep.holds

@@ -213,6 +213,33 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_op_apply_has_no_alpha_flag():
+    # the Hoelder exponent is an argument of the norm checks, not of a field
+    with pytest.raises(SystemExit) as exc:
+        run_command(["op", "apply", "--op", "T", "--f", "1", "--z", "0", "--alpha", "0.5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0"])
+def test_malformed_thread_count_exits_1(monkeypatch, capsys, value):
+    monkeypatch.setenv("PMP_THREADS", value)
+    code = run_command(["export", "--f", "z", "--grid", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PMP_THREADS")
+
+
+def test_polydisc_non_finite_value_exits_1(capsys):
+    # z^3 overflows to inf at |z| ~ 1e150, so the tensor sum is NaN
+    code = run_command(["op", "apply", "--op", "polydisc", "--n", "2", "--R", "1e150",
+                        "--f", "z1^3*z2^3", "--z", "0,0", "--mu", "1,1", "--nu", "1,1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integrand produced NaN/Inf")
+
+
 def test_numeric_failure_exits_1(capsys):
     code = run_command(["kernel", "eval", "--a", "0.2", "--b", "0.2"])
     assert code == 1

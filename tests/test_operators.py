@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from pompeiu.errors import DimensionCap, DomainError
+from pompeiu.errors import DimensionCap, DomainError, NonFiniteSample
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
-from pompeiu.operators import (apply_2T, apply_2Tbar, apply_conjugate_dual,
+from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
                                apply_T, apply_T_power, apply_Tbar, apply_Tbar_power,
-                               constant_field, evaluate_on_grid, field_from_callable,
-                               field_from_expression, transform)
-from pompeiu.oracle import PolynomialField, exact_transform, wirtinger_exact
+                               constant_field, evaluate_on_grid, field_from_expression,
+                               transform, worker_count)
+from pompeiu.oracle import PolynomialField, exact_transform
+from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_pde
 
 DISK = DiskDomain(1.0)
 RES = (64, 128)
 
 
 def zbar_power_field(l):
-    return field_from_callable(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l,
-                               DISK, description=f"zbar^{l}")
+    return ScalarField(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l,
+                       DISK, f"zbar^{l}")
 
 
 def interior_points(seed, count, radius):
@@ -128,7 +129,7 @@ def test_interior_identity_T_dbar_plus_S():
     rng = np.random.default_rng(15)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     f = poly.to_field(DISK)
-    dbar_f = wirtinger_exact(poly, 0, 1).to_field(DISK)
+    dbar_f = poly.wirtinger(0, 1).to_field(DISK)
     for z in interior_points(9, 5, 0.7):
         got = apply_T(dbar_f, z, RES) + apply_S(f, z)
         assert abs(got - complex(poly(np.asarray(z)))) <= 1e-8
@@ -156,7 +157,7 @@ def test_dual_interior_identity_Tbar_d_plus_Sbar():
     rng = np.random.default_rng(24)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     f = poly.to_field(DISK)
-    d_f = wirtinger_exact(poly, 1, 0).to_field(DISK)
+    d_f = poly.wirtinger(1, 0).to_field(DISK)
     for z in interior_points(14, 4, 0.7):
         got = apply_Tbar(d_f, z, RES) + apply_Sbar(f, z)
         assert abs(got - complex(poly(np.asarray(z)))) <= 1e-8
@@ -334,16 +335,42 @@ def test_polydisc_multi_index_validation():
         apply_polydisc(one, (0, 0), MultiIndex((1,)), MultiIndex((1, 1)))
 
 
+def test_polydisc_callable_may_ignore_a_factor():
+    # the other factors reach f as broadcastable axes, so a callable that
+    # ignores one returns a smaller shape; the value must not change
+    p3 = PolydiscDomain(3, 1.0)
+    ones = MultiIndex((1, 1, 1))
+    z = (0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j)
+    ignoring = ScalarField(lambda z1, z2, z3: z1 * z3, p3)
+    full = ScalarField(lambda z1, z2, z3: z1 * z3 + 0 * z2, p3)
+    assert (apply_polydisc(ignoring, z, ones, ones, (8, 16))
+            == apply_polydisc(full, z, ones, ones, (8, 16)))
+
+
+def test_polydisc_non_finite_value_raises():
+    p2 = PolydiscDomain(2, 1.0)
+    nan = ScalarField(lambda z1, z2: np.where(np.abs(z1 * z2) < 0.5, z1 * z2, np.nan), p2)
+    with pytest.raises(NonFiniteSample):
+        apply_polydisc(nan, (0.1, 0.2), MultiIndex((1, 1)), MultiIndex((1, 1)), (8, 16))
+
+
+def test_disk_operators_reject_a_shifted_disk():
+    # the closed-form kernels assume the disk is centred at 0; on a shifted
+    # disk the mixed kernel gives a wrong value, so the operators refuse it
+    shifted = DiskDomain(1.0, 0.5 + 0.2j)
+    one = constant_field(1.0, shifted)
+    z = shifted.center + 0.1
+    zero = HolomorphicPolynomial.zero()
+    solution = solve_pde(SolutionSpec(1, 1, one, (zero,), (zero,)))
+    for evaluate in (lambda: transform(one, z, 1, 1), lambda: apply_T(one, z),
+                     lambda: apply_2T(one, z), lambda: solution(z)):
+        with pytest.raises(DomainError, match="centred at 0"):
+            evaluate()
+
+
 # ---------------------------------------------------------------------------
 # Fields and grids
 # ---------------------------------------------------------------------------
-
-def test_scalar_field_alpha_strictness():
-    with pytest.raises(DomainError):
-        constant_field(1.0, DISK, alpha=0.0)
-    with pytest.raises(DomainError):
-        constant_field(1.0, DISK, alpha=1.0)
-
 
 def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch):
     f = field_from_expression("z*zbar", DISK)
@@ -353,6 +380,13 @@ def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch):
     threaded = evaluate_on_grid(func, DISK, n=9)
     assert np.array_equal(serial.values, threaded.values)
     assert serial.to_csv_text() == threaded.to_csv_text()
+
+
+def test_thread_count_default_and_value(monkeypatch):
+    monkeypatch.delenv("PMP_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("PMP_THREADS", "3")
+    assert worker_count() == 3
 
 
 def test_grid_csv_shape():

@@ -6,12 +6,12 @@ import pytest
 from pompeiu.errors import CoincidentPoints, DepthCap, DomainError
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.kernels import c1, c2, c3, log_term
-from pompeiu.operators import (apply_mixed, apply_polydisc, apply_T, constant_field,
-                               field_from_callable, field_from_expression)
+from pompeiu.operators import (ScalarField, apply_mixed, apply_polydisc, apply_T,
+                               constant_field, field_from_expression)
 from pompeiu.oracle import (HoelderEstimate, NestedOracle, PolynomialField,
-                            check_norm_bound, disk_norm_estimate, exact_transform,
-                            hoelder_seminorm, lemma_lhs_quadrature, nested_apply,
-                            polydisc_norm_estimate, wirtinger_exact)
+                            bound_constants, check_norm_bound, disk_norm_estimate,
+                            exact_transform, hoelder_seminorm, lemma_lhs_quadrature,
+                            nested_apply, polydisc_norm_estimate)
 
 DISK = DiskDomain(1.0)
 A, B = 0.31 + 0.12j, -0.22 + 0.41j
@@ -24,7 +24,7 @@ A, B = 0.31 + 0.12j, -0.22 + 0.41j
 def test_nested_single_is_plain_T():
     f = field_from_expression("z*zbar", DISK)
     z = 0.2 - 0.3j
-    got = nested_apply(f, z, ["T"], top_resolution=(64, 128))
+    got = nested_apply(f, z, ["T"])
     assert got == pytest.approx(apply_T(f, z, (64, 128)), abs=1e-14)
 
 
@@ -138,19 +138,19 @@ def test_lemma_coincident_points():
 
 def test_wirtinger_exact_values():
     zzbar = PolynomialField.from_dict({(1, 1): 1.0})
-    assert wirtinger_exact(zzbar, 1, 1).coeffs[0, 0] == 1.0
+    assert zzbar.wirtinger(1, 1).coeffs[0, 0] == 1.0
     zbar3 = PolynomialField.from_dict({(0, 3): 1.0})
-    d = wirtinger_exact(zbar3, 0, 1)
+    d = zbar3.wirtinger(0, 1)
     assert complex(d(np.asarray(0.5j))) == pytest.approx(3 * np.conj(0.5j) ** 2)
     z2zb2 = PolynomialField.from_dict({(2, 2): 1.0})
-    dd = wirtinger_exact(z2zb2, 2, 2)
+    dd = z2zb2.wirtinger(2, 2)
     assert complex(dd(np.asarray(0.3 + 0.1j))) == pytest.approx(4.0)
 
 
 def test_wirtinger_exact_cross_checked_by_fd():
     rng = np.random.default_rng(22)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    exact = wirtinger_exact(poly, 2, 1)
+    exact = poly.wirtinger(2, 1)
     stencil = wirtinger_split(2, 1)
     z = 0.2 - 0.35j
     fd = stencil.apply_richardson(lambda w: poly(np.asarray(w, dtype=complex)), z, 1e-2)
@@ -165,6 +165,14 @@ def test_degree_cap():
 # ---------------------------------------------------------------------------
 # Hoelder estimators
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_alpha_outside_open_unit_interval_raises(alpha):
+    with pytest.raises(DomainError):
+        hoelder_seminorm(constant_field(1.0, DISK), alpha)
+    with pytest.raises(DomainError):
+        bound_constants(alpha)
+
 
 def test_hoelder_of_constant_is_zero():
     f = constant_field(3.7 - 1.1j, DISK)
@@ -264,7 +272,7 @@ def test_polydisc_transform_norm_bounded_under_refinement():
             out = np.array([apply_polydisc(f, (complex(w1), complex(w2)), mu, nu, res)
                             for w1, w2 in zip(z1b.ravel(), z2b.ravel())])
             return out.reshape(z1b.shape)
-        return field_from_callable(ev, p2)
+        return ScalarField(ev, p2)
 
     coarse = polydisc_norm_estimate(transformed((12, 24)), 0.5, sample_budget=12, seed=5)
     fine = polydisc_norm_estimate(transformed((24, 48)), 0.5, sample_budget=12, seed=5)

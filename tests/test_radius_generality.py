@@ -8,7 +8,7 @@ from pompeiu.kernels import c3
 from pompeiu.operators import (apply_mixed, apply_S, apply_T, constant_field,
                                field_from_expression)
 from pompeiu.oracle import (NestedOracle, PolynomialField, exact_transform,
-                            lemma_lhs_quadrature, wirtinger_exact)
+                            lemma_lhs_quadrature)
 from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
                             solve_biharmonic, solve_pde)
 
@@ -34,7 +34,7 @@ def test_exact_transform_and_interior_identity_scale(R):
     exact = exact_transform(poly, R)
     scale = max(1.0, abs(complex(exact(np.asarray(z)))))
     assert abs(apply_T(f, z) - complex(exact(np.asarray(z)))) <= 1e-9 * scale
-    dbar = wirtinger_exact(poly, 0, 1).to_field(d)
+    dbar = poly.wirtinger(0, 1).to_field(d)
     got = apply_T(dbar, z) + apply_S(f, z)
     assert abs(got - complex(poly(np.asarray(z)))) <= 1e-9 * max(1.0, abs(got))
 
