@@ -35,15 +35,9 @@ def main():
     # residual spot check: Delta^2 = 16 d^2 dbar^2
     stencil = wirtinger_split(2, 2)
     h = (1e-12) ** (1 / 6) * args.R
-
-    def uvec(zarr):
-        zarr = np.atleast_1d(np.asarray(zarr, dtype=complex))
-        return np.array([u(complex(w)) for w in zarr.ravel()],
-                        dtype=complex).reshape(zarr.shape)
-
     pts = [0.25 * args.R, (0.1 + 0.2j) * args.R, (-0.3 - 0.1j) * args.R]
     for z in pts:
-        got = 16 * stencil.apply_richardson(uvec, z, h).real
+        got = 16 * stencil.apply_richardson(u, z, h).real
         want = complex(rhs(np.asarray(z))).real
         print(f"z = {z:.3f}: Delta^2 u = {got:.6f} (target {want:.6f})")
 

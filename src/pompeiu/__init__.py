@@ -13,7 +13,7 @@ from .errors import (CoincidentPoints, DepthCap, DimensionCap, DomainError,
                      UnknownVariable)
 from .geometry import (AREA_FACTOR, DiskDomain, MultiIndex, PolydiscDomain,
                        WirtingerStencil, wirtinger_split)
-from .kernels import KernelQuery, c1, c2, c3, c3_special_cases, c8, g_diag, g_mixed
+from .kernels import c1, c2, c3, c3_special_cases, c8, g_diag, g_mixed
 from .operators import (GridField, ScalarField, apply_2T, apply_2Tbar,
                         apply_conjugate_dual, apply_mixed, apply_polydisc, apply_S,
                         apply_Sbar, apply_T, apply_T_power, apply_Tbar,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AREA_FACTOR", "AreaRule", "CoincidentPoints", "ContourRule", "DepthCap",
     "DimensionCap", "DiskDomain", "DomainError", "GridField",
-    "HolomorphicPolynomial", "KernelQuery", "MultiIndex", "NonFiniteSample",
+    "HolomorphicPolynomial", "MultiIndex", "NonFiniteSample",
     "NonRealRHS", "OrderTooLarge", "ParseError", "PolydiscDomain",
     "PompeiuError", "ResolutionTooLow", "ScalarField", "SolutionSpec",
     "StencilOutOfDomain", "UnknownVariable", "WirtingerStencil",

@@ -4,15 +4,13 @@ verification suites, and grid export.
 Complex values print as `re±imi` with 15 significant digits.  Grid output is
 CSV (`x,y,re,im`, header row, row-major) or JSON with a config echo.  Usage
 errors exit 2, numeric failures exit 1, and `verify` exits nonzero when any
-property fails.
+property fails.  Each subcommand declares only the flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -20,9 +18,10 @@ from . import kernels, operators, oracle, solver
 from .errors import PompeiuError
 from .expressions import parse_complex, parse_expression, to_coefficients
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
-                        apply_polydisc, apply_S, apply_Sbar, apply_T,
+from .operators import (POLYDISC_RESOLUTION, ScalarField, apply_2T, apply_2Tbar,
+                        apply_conjugate_dual, apply_polydisc, apply_S, apply_Sbar, apply_T,
                         evaluate_on_grid, field_from_expression, transform)
+from .quadrature import DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION
 
 
 def format_complex(z: complex) -> str:
@@ -31,51 +30,25 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.15g}{sign}{abs(z.imag):.15g}i"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    radius: float = 1.0
-    n_radial: int = 64
-    n_angular: int = 128
-    contour_count: int = 256
-    tolerances: dict = dataclass_field(default_factory=dict)
-    output: str | None = None
-    seed: int = 0
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return (self.n_radial, self.n_angular)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
-
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+def _add_radius_and_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--R", type=float, default=1.0, help="disk radius")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for attr, key in (("R", "radius"), ("nr", "n_radial"), ("ntheta", "n_angular"),
-                      ("contour_n", "contour_count"), ("seed", "seed"), ("out", "output")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--R", type=float, default=None, help="disk radius")
+def _add_resolution(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nr", type=int, default=None, help="radial quadrature nodes")
     p.add_argument("--ntheta", type=int, default=None, help="angular quadrature nodes")
-    p.add_argument("--contour-n", dest="contour_n", type=int, default=None,
+
+
+def _resolution(args, default=DEFAULT_RESOLUTION) -> tuple[int, int]:
+    """(--nr, --ntheta), each flag left out taking its entry of `default`."""
+    return (default[0] if args.nr is None else args.nr,
+            default[1] if args.ntheta is None else args.ntheta)
+
+
+def _add_contour_count(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--contour-n", dest="contour_n", type=int, default=DEFAULT_CONTOUR_COUNT,
                    help="contour rule node count")
-    p.add_argument("--config", default=None, help="JSON RunConfig file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _multi_index(text: str) -> MultiIndex:
@@ -96,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--nu", default="1")
     ke.add_argument("--k", type=int, default=1, help="order for c1/gdiag")
     ke.add_argument("--l", type=int, default=1, help="first order for c2")
-    _add_common(ke)
+    _add_radius_and_out(ke)
 
     op = sub.add_parser("op", help="apply transforms to a field")
     op_sub = op.add_subparsers(dest="action", required=True)
@@ -109,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     oa.add_argument("--mu", default="1")
     oa.add_argument("--nu", default="1")
     oa.add_argument("--n", type=int, default=1, help="polydisc factor count")
-    _add_common(oa)
+    _add_radius_and_out(oa)
+    _add_resolution(oa)
+    _add_contour_count(oa)
 
     so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
     so.add_argument("--mu", type=int, default=1)
@@ -124,11 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--z", default=None, help="evaluate at this point")
     so.add_argument("--grid", type=int, default=None, help="export an N x N grid")
     so.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(so)
+    so.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
+    _add_radius_and_out(so)
+    _add_resolution(so)
 
     ve = sub.add_parser("verify", help="run a seeded property suite")
     ve.add_argument("--suite", required=True, choices=["kernels", "operators", "pde", "norms"])
-    _add_common(ve)
+    ve.add_argument("--seed", type=int, default=0)
+    _add_radius_and_out(ve)
+    _add_resolution(ve)
+    _add_contour_count(ve)
 
     ex = sub.add_parser("export", help="sample a field or transform on a grid")
     ex.add_argument("--f", required=True, help="field expression")
@@ -139,14 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--grid", type=int, default=17)
     ex.add_argument("--extent", type=float, default=0.95)
     ex.add_argument("--format", choices=["csv", "json"], default="csv")
+    ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
     ex.set_defaults(power=1)   # export applies single T/Tbar
-    _add_common(ex)
+    _add_radius_and_out(ex)
+    _add_resolution(ex)
     return top
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -161,46 +143,46 @@ def _emit(text: str, cfg: RunConfig) -> None:
 _KERNELS = {
     "c1": lambda args, a, b, R: kernels.c1(a, b, args.k),
     "c2": lambda args, a, b, R: kernels.c2(a, b, args.l, int(args.nu), R),
-    "c3": lambda args, a, b, R: kernels.KernelQuery(a, b, int(args.mu), int(args.nu), R).evaluate(),
+    "c3": lambda args, a, b, R: kernels.c3(a, b, int(args.mu), int(args.nu), R),
     "c8": lambda args, a, b, R: kernels.c8(_multi_index(args.mu), _multi_index(args.nu)),
     "gdiag": lambda args, a, b, R: kernels.g_diag(a, b, args.k),
     "gmixed": lambda args, a, b, R: kernels.g_mixed(a, b, int(args.mu), int(args.nu), R),
 }
 
 
-def _cmd_kernel(args, cfg: RunConfig) -> int:
-    value = _KERNELS[args.kind](args, parse_complex(args.a), parse_complex(args.b), cfg.radius)
-    _emit(format_complex(value) + "\n", cfg)
+def _cmd_kernel(args) -> int:
+    disk = DiskDomain(args.R)
+    a, b = (disk.validate_point(parse_complex(text)) for text in (args.a, args.b))
+    _emit(format_complex(_KERNELS[args.kind](args, a, b, args.R)) + "\n", args.out)
     return 0
 
 
-#: disk --op -> value at one target; T^k, Tbar^k and mixed are the (k, 0),
-#: (0, k) and (mu, nu) entries of the transform core
+#: disk --op -> value at one target with area rules of resolution `res`;
+#: T^k, Tbar^k and mixed are the (k, 0), (0, k) and (mu, nu) entries of the
+#: transform core
 _DISK_OPS = {
-    "T": lambda f, z, args, cfg: transform(f, z, args.power, 0, cfg.resolution),
-    "Tbar": lambda f, z, args, cfg: transform(f, z, 0, args.power, cfg.resolution),
-    "mixed": lambda f, z, args, cfg: transform(f, z, int(args.mu), int(args.nu), cfg.resolution),
-    "dual": lambda f, z, args, cfg: apply_conjugate_dual(f, z, int(args.mu), int(args.nu),
-                                                         cfg.resolution),
-    "2T": lambda f, z, args, cfg: apply_2T(f, z, cfg.resolution),
-    "2Tbar": lambda f, z, args, cfg: apply_2Tbar(f, z, cfg.resolution),
-    "S": lambda f, z, args, cfg: apply_S(f, z, cfg.contour_count),
-    "Sbar": lambda f, z, args, cfg: apply_Sbar(f, z, cfg.contour_count),
+    "T": lambda f, z, args, res: transform(f, z, args.power, 0, res),
+    "Tbar": lambda f, z, args, res: transform(f, z, 0, args.power, res),
+    "mixed": lambda f, z, args, res: transform(f, z, int(args.mu), int(args.nu), res),
+    "dual": lambda f, z, args, res: apply_conjugate_dual(f, z, int(args.mu), int(args.nu), res),
+    "2T": lambda f, z, args, res: apply_2T(f, z, res),
+    "2Tbar": lambda f, z, args, res: apply_2Tbar(f, z, res),
+    "S": lambda f, z, args, res: apply_S(f, z, args.contour_n),
+    "Sbar": lambda f, z, args, res: apply_Sbar(f, z, args.contour_n),
 }
 
 
-def _cmd_op(args, cfg: RunConfig) -> int:
+def _cmd_op(args) -> int:
     if args.op == "polydisc":
-        f = field_from_expression(args.f, PolydiscDomain(args.n, cfg.radius))
+        f = field_from_expression(args.f, PolydiscDomain(args.n, args.R))
         z = tuple(parse_complex(part) for part in args.z.split(","))
-        # per-factor rules default smaller than the disk's; explicit flags override
-        poly_res = (args.nr, args.ntheta) if args.nr and args.ntheta \
-            else operators.POLYDISC_RESOLUTION
-        value = apply_polydisc(f, z, _multi_index(args.mu), _multi_index(args.nu), poly_res)
+        # per-factor rules default smaller than the disk's
+        value = apply_polydisc(f, z, _multi_index(args.mu), _multi_index(args.nu),
+                               _resolution(args, POLYDISC_RESOLUTION))
     else:
-        f = field_from_expression(args.f, DiskDomain(cfg.radius))
-        value = _DISK_OPS[args.op](f, parse_complex(args.z), args, cfg)
-    _emit(format_complex(value) + "\n", cfg)
+        f = field_from_expression(args.f, DiskDomain(args.R))
+        value = _DISK_OPS[args.op](f, parse_complex(args.z), args, _resolution(args))
+    _emit(format_complex(value) + "\n", args.out)
     return 0
 
 
@@ -208,15 +190,16 @@ def _grid_text(grid, fmt: str) -> str:
     return grid.to_csv_text() if fmt == "csv" else grid.to_json_text()
 
 
-def _cmd_solve(args, cfg: RunConfig) -> int:
-    domain = DiskDomain(cfg.radius)
+def _cmd_solve(args) -> int:
+    domain = DiskDomain(args.R)
+    res = _resolution(args)
     if args.biharmonic:
         if args.rhs is None:
             raise PompeiuError("--biharmonic needs --rhs")
         rhs = field_from_expression(args.rhs, domain)
         h1 = _poly_from_expression(args.h1)
         h2 = _poly_from_expression(args.h2)
-        u = solver.solve_biharmonic(rhs, h1, h2, cfg.resolution)
+        u = solver.solve_biharmonic(rhs, h1, h2, res)
     else:
         mu, nu = args.mu, args.nu
         g_texts = args.g if args.g is not None else ["0"] * nu
@@ -227,17 +210,17 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
             g_list=tuple(_poly_from_expression(t) for t in g_texts),
             f_list=tuple(_poly_from_expression(t) for t in f_texts),
         )
-        u = solver.solve_pde(spec, domain, cfg.resolution)
+        u = solver.solve_pde(spec, domain, res)
 
     if args.grid is not None:
-        config_echo = {"radius": cfg.radius, "resolution": list(cfg.resolution),
-                       "seed": cfg.seed, "command": "solve"}
+        config_echo = {"radius": args.R, "resolution": list(res),
+                       "seed": args.seed, "command": "solve"}
         grid = evaluate_on_grid(u, domain, args.grid, config=config_echo)
-        _emit(_grid_text(grid, args.format), cfg)
+        _emit(_grid_text(grid, args.format), args.out)
         return 0
     if args.z is None:
         raise PompeiuError("solve needs --z or --grid")
-    _emit(format_complex(u(parse_complex(args.z))) + "\n", cfg)
+    _emit(format_complex(u(parse_complex(args.z))) + "\n", args.out)
     return 0
 
 
@@ -254,17 +237,18 @@ def _poly_from_expression(text: str) -> solver.HolomorphicPolynomial:
     return solver.HolomorphicPolynomial(tuple(dense))
 
 
-def _cmd_export(args, cfg: RunConfig) -> int:
-    domain = DiskDomain(cfg.radius)
+def _cmd_export(args) -> int:
+    domain = DiskDomain(args.R)
+    res = _resolution(args)
     f = field_from_expression(args.f, domain)
     if args.op is None:
         func = lambda z: complex(f(np.asarray(z)))
     else:
-        func = lambda z: _DISK_OPS[args.op](f, z, args, cfg)
-    config_echo = {"radius": cfg.radius, "resolution": list(cfg.resolution), "seed": cfg.seed,
+        func = lambda z: _DISK_OPS[args.op](f, z, args, res)
+    config_echo = {"radius": args.R, "resolution": list(res), "seed": args.seed,
                    "field": f.description, "op": args.op or "none", "command": "export"}
     grid = evaluate_on_grid(func, domain, args.grid, args.extent, config=config_echo)
-    _emit(_grid_text(grid, args.format), cfg)
+    _emit(_grid_text(grid, args.format), args.out)
     return 0
 
 
@@ -272,82 +256,80 @@ def _cmd_export(args, cfg: RunConfig) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_kernels(cfg: RunConfig, report) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    R = cfg.radius
+def _suite_kernels(args, report) -> int:
+    rng = np.random.default_rng(args.seed)
+    R = args.R
     failures = 0
-    tol = cfg.tolerance("kernel_oracle", 1e-4)
     for trial in range(4):
         a, b = _separated_pair(rng, R)
         for mu, nu in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            lhs = oracle.lemma_lhs_quadrature("lem6", a, b, (mu, nu), R, cfg.resolution)
+            lhs = oracle.lemma_lhs_quadrature("lem6", a, b, (mu, nu), R, _resolution(args))
             rhs = 2j * np.pi * kernels.c3(a, b, mu, nu, R)
             err = abs(lhs - rhs) / max(1.0, abs(lhs))
-            failures += report(err <= tol, f"kernel c3({mu},{nu}) vs quadrature", err)
+            failures += report(err <= 1e-4, f"kernel c3({mu},{nu}) vs quadrature", err)
     for l in (1, 2):
         for nu in (1, 2):
             a, b = _separated_pair(rng, R)
             lhs = oracle.lemma_lhs_quadrature("lem5", a, b, (l, nu), R,
-                                              contour_count=cfg.contour_count)
+                                              contour_count=args.contour_n)
             rhs = 2j * np.pi * kernels.c2(a, b, l, nu, R)
-            failures += report(abs(lhs - rhs) <= cfg.tolerance("contour", 1e-10),
+            failures += report(abs(lhs - rhs) <= 1e-10,
                                f"kernel c2({l},{nu}) vs contour", abs(lhs - rhs))
     for (mu, nu), special in kernels.c3_special_cases.items():
         a, b = _separated_pair(rng, R)
         err = abs(special(a, b, R) - kernels.c3(a, b, mu, nu, R))
-        failures += report(err <= cfg.tolerance("special", 1e-12),
+        failures += report(err <= 1e-12,
                            f"explicit kernel ({mu},{nu}) vs general", err)
     return failures
 
 
-def _suite_operators(cfg: RunConfig, report) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    R = cfg.radius
+def _suite_operators(args, report) -> int:
+    rng = np.random.default_rng(args.seed)
+    R = args.R
+    res = _resolution(args)
     domain = DiskDomain(R)
     failures = 0
     for l in range(4):
         z = _interior_point(rng, 0.7 * R)
         f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain, f"zbar^{l}")
-        got = apply_T(f, z, cfg.resolution)
+        got = apply_T(f, z, res)
         want = np.conj(z) ** (l + 1) / (l + 1)
         err = abs(got - want) / max(1.0, abs(want))
-        failures += report(err <= cfg.tolerance("golden", 1e-8), f"T(zbar^{l}) golden", err)
+        failures += report(err <= 1e-8, f"T(zbar^{l}) golden", err)
     poly = oracle.PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     f = poly.to_field(domain)
     dbar = poly.wirtinger(0, 1).to_field(domain)
     for _ in range(3):
         z = _interior_point(rng, 0.6 * R)
-        got = apply_T(dbar, z, cfg.resolution) + apply_S(f, z, cfg.contour_count)
+        got = apply_T(dbar, z, res) + apply_S(f, z, args.contour_n)
         err = abs(got - complex(poly(np.asarray(z))))
-        failures += report(err <= cfg.tolerance("interior_identity", 1e-7),
-                           "T dbar f + S f = f", err)
+        failures += report(err <= 1e-7, "T dbar f + S f = f", err)
     return failures
 
 
-def _suite_pde(cfg: RunConfig, report) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    domain = DiskDomain(cfg.radius)
+def _suite_pde(args, report) -> int:
+    rng = np.random.default_rng(args.seed)
+    domain = DiskDomain(args.R)
     failures = 0
     rhs = operators.constant_field(4.0, domain)
     spec = solver.SolutionSpec(1, 1, rhs, (solver.HolomorphicPolynomial.zero(),),
                                (solver.HolomorphicPolynomial.zero(),))
-    u = solver.solve_pde(spec, resolution=cfg.resolution)
-    pts = [_interior_point(rng, 0.5 * cfg.radius) for _ in range(3)]
+    u = solver.solve_pde(spec, resolution=_resolution(args))
+    pts = [_interior_point(rng, 0.5 * args.R) for _ in range(3)]
     res = solver.fd_residual(u, 1, 1, rhs, pts)
-    failures += report(float(np.max(res)) <= cfg.tolerance("pde_residual", 4e-2),
-                       "d dbar u = 4 residual", float(np.max(res)))
+    failures += report(float(np.max(res)) <= 4e-2, "d dbar u = 4 residual", float(np.max(res)))
     return failures
 
 
-def _suite_norms(cfg: RunConfig, report) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    domain = DiskDomain(cfg.radius)
+def _suite_norms(args, report) -> int:
+    rng = np.random.default_rng(args.seed)
+    domain = DiskDomain(args.R)
     failures = 0
     for alpha in (0.25, 0.5, 0.75):
         coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f = oracle.PolynomialField(coeffs).to_field(domain)
         rep = oracle.check_norm_bound(f, 1, 1, alpha, resolution=(24, 48),
-                                      sup_points=4, pairs=4, seed=cfg.seed)
+                                      sup_points=4, pairs=4, seed=args.seed)
         failures += report(rep.holds, f"norm bound alpha={alpha}", rep.lhs / rep.rhs)
     return failures
 
@@ -364,7 +346,7 @@ def _interior_point(rng, radius: float) -> complex:
     return complex(radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     lines = []
 
     def report(ok: bool, name: str, measure) -> int:
@@ -373,26 +355,25 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
     suite = {"kernels": _suite_kernels, "operators": _suite_operators,
              "pde": _suite_pde, "norms": _suite_norms}[args.suite]
-    failures = suite(cfg, report)
-    _emit("\n".join(lines) + "\n", cfg)
+    failures = suite(args, report)
+    _emit("\n".join(lines) + "\n", args.out)
     return 1 if failures else 0
 
 
 def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
         if args.command == "kernel":
-            return _cmd_kernel(args, cfg)
+            return _cmd_kernel(args)
         if args.command == "op":
-            return _cmd_op(args, cfg)
+            return _cmd_op(args)
         if args.command == "solve":
-            return _cmd_solve(args, cfg)
+            return _cmd_solve(args)
         if args.command == "verify":
-            return _cmd_verify(args, cfg)
+            return _cmd_verify(args)
         if args.command == "export":
-            return _cmd_export(args, cfg)
+            return _cmd_export(args)
     except PompeiuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,24 +38,16 @@ def require_finite(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class DiskDomain:
-    """Closed disk {z : |z - center| <= radius}.
-
-    The closed-form kernels assume ``center == 0``, and the area operators
-    and the solver raise DomainError on any other center.  Nonzero centers
-    are supported by the quadrature module (used e.g. for the exact
-    polynomial-moment golden integrals on shifted disks).
-    """
+    """Closed disk {z : |z| <= radius}, centred at 0 as the closed-form kernels assume."""
 
     radius: float
-    center: complex = 0j
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise DomainError(f"disk radius must be positive and finite, got {self.radius}")
-        require_finite(self.center)
 
     def contains(self, z: complex) -> bool:
-        return abs(z - self.center) <= self.radius * (1.0 + MEMBERSHIP_RTOL)
+        return abs(z) <= self.radius * (1.0 + MEMBERSHIP_RTOL)
 
     def validate_point(self, z: complex) -> complex:
         z = require_finite(z)
@@ -93,11 +85,7 @@ class PolydiscDomain:
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Per-factor operator orders.
-
-    Entry 0 is legal only where the identity `T^0 f = f` is meant (the PDE
-    solver); kernel-level operations require every entry >= 1.
-    """
+    """Per-factor operator orders of a polydisc transform, each >= 1."""
 
     entries: tuple[int, ...]
 
@@ -105,8 +93,8 @@ class MultiIndex:
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
         if len(self.entries) == 0:
             raise DomainError("multi-index must have at least one entry")
-        if any(e < 0 for e in self.entries):
-            raise DomainError(f"multi-index entries must be non-negative, got {self.entries}")
+        if any(e < 1 for e in self.entries):
+            raise DomainError(f"multi-index entries must be >= 1, got {self.entries}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,11 +106,6 @@ class MultiIndex:
     def order(self) -> int:
         return sum(self.entries)
 
-    def require_positive(self) -> "MultiIndex":
-        if any(e < 1 for e in self.entries):
-            raise DomainError(f"kernel-level multi-index needs every entry >= 1, got {self.entries}")
-        return self
-
     def require_length(self, n: int) -> "MultiIndex":
         if len(self.entries) != n:
             raise DomainError(f"multi-index length {len(self.entries)} != factor count {n}")
@@ -130,7 +113,6 @@ class MultiIndex:
 
     def shifted_factorial(self) -> int:
         """(entries - 1)! taken factor-wise, i.e. prod (e_j - 1)!."""
-        self.require_positive()
         out = 1
         for e in self.entries:
             out *= math.factorial(e - 1)
@@ -193,8 +175,9 @@ class WirtingerStencil:
         return z + h * off
 
     def apply(self, u, z: complex, h: float) -> complex:
-        """One plain (non-extrapolated) stencil evaluation at step h."""
-        vals = np.asarray(u(self.sample_points(z, h)), dtype=complex)
+        """One plain (non-extrapolated) stencil evaluation at step h; `u` is
+        called once per sample point with a complex and returns a scalar."""
+        vals = np.array([u(complex(p)) for p in self.sample_points(z, h)], dtype=complex)
         return complex(np.sum(np.asarray(self.coeffs) * vals) / h**self.total_order)
 
     def apply_richardson(self, u, z: complex, h: float) -> complex:
@@ -206,7 +189,7 @@ class WirtingerStencil:
     def check_inside(self, domain: DiskDomain, z: complex, h: float) -> None:
         # the h/2 pass of Richardson extrapolation only shrinks the reach
         reach = self.radius * h
-        if abs(z - domain.center) + reach > domain.radius * (1.0 + MEMBERSHIP_RTOL):
+        if abs(z) + reach > domain.radius * (1.0 + MEMBERSHIP_RTOL):
             raise StencilOutOfDomain(
                 f"stencil of reach {reach:g} at {z} leaves the disk of radius {domain.radius}")
 

@@ -6,8 +6,9 @@ an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
 (0, k)).  `apply_T`, `apply_Tbar`, the powers and `apply_mixed` are aliases
 of it.  `apply_S`, `apply_2T` and `apply_polydisc` have kernels of their own;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
-Area operators accept only disks centred at 0, as the closed-form kernels
-assume.  Nothing here nests integrals: that is the oracle module's route.
+Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
+closed-form kernels assume.  Nothing here nests integrals: that is the oracle
+module's route.
 
 Operator application is pure given (field, rule): batch evaluation over
 target grids is data-parallel (PMP_THREADS workers, a positive integer)
@@ -91,9 +92,9 @@ def cached_area_rule(domain: DiskDomain, center: complex,
 
 
 def _rule_for(domain, z: complex, resolution) -> AreaRule:
-    """The area rule centred at z on `domain`, which must be a disk centred at 0."""
-    if not isinstance(domain, DiskDomain) or domain.center != 0:
-        raise DomainError("disk operators need a ScalarField on a DiskDomain centred at 0")
+    """The area rule centred at z on `domain`, which must be a disk."""
+    if not isinstance(domain, DiskDomain):
+        raise DomainError("disk operators need a ScalarField on a DiskDomain")
     return cached_area_rule(domain, domain.validate_point(complex(z)), tuple(resolution))
 
 
@@ -168,7 +169,7 @@ def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COU
     Trapezoid accuracy is spectral in the node count but decays as z
     approaches the boundary; keep targets a few node spacings inside.
     """
-    rule = build_contour_rule(f.domain.radius, contour_count, f.domain.center)
+    rule = build_contour_rule(f.domain.radius, contour_count)
     return complex(integrate(rule, lambda w: f(w) / (w - z)) / TWO_PI_I)
 
 
@@ -193,8 +194,8 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     n = domain.factors
     if n > 3:
         raise DimensionCap(f"polydisc operators capped at 3 factors, got {n}")
-    mu = mu.require_positive().require_length(n)
-    nu = nu.require_positive().require_length(n)
+    mu.require_length(n)
+    nu.require_length(n)
     z = domain.validate_point(z)
 
     disk = domain.factor_disk
@@ -203,16 +204,18 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
                for j in range(n)]
     wk = [rules[j].weights * kernels[j] for j in range(n)]
 
-    if n == 1:
-        total = np.sum(wk[0] * f(rules[0].nodes))
-    else:
-        tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
-        tail_wk = reduce(np.multiply.outer, wk[1:])
-        total = 0j
-        # each first-factor node as a shape-(1,) array, not a numpy scalar:
-        # scalar z**2 can differ from array z**2 in the last bit
-        for w0, node0 in zip(wk[0], rules[0].nodes[:, None]):
-            total += w0 * np.sum(tail_wk * f(node0, *tail_nodes))
+    # floating-point warnings are silenced here: a NaN/Inf total raises below
+    with np.errstate(all="ignore"):
+        if n == 1:
+            total = np.sum(wk[0] * f(rules[0].nodes))
+        else:
+            tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
+            tail_wk = reduce(np.multiply.outer, wk[1:])
+            total = 0j
+            # each first-factor node as a shape-(1,) array, not a numpy scalar:
+            # scalar z**2 can differ from array z**2 in the last bit
+            for w0, node0 in zip(wk[0], rules[0].nodes[:, None]):
+                total += w0 * np.sum(tail_wk * f(node0, *tail_nodes))
     if not np.isfinite(total):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
     return complex(c8(mu, nu) * total)
@@ -271,21 +274,26 @@ def evaluate_on_grid(func, domain: DiskDomain, n: int = 33, extent: float = 0.95
                      config: dict | None = None) -> GridField:
     """Evaluate a pointwise function on the inscribed-square grid.
 
-    The grid spans the square of half-side extent*R/sqrt(2) centered on the
-    disk center, so every point lies inside the closed disk.  Points are
-    evaluated independently (PMP_THREADS workers) and assembled in a fixed
-    order.
+    The grid spans the square of half-side extent*R/sqrt(2) centered on 0, so
+    every point lies inside the closed disk.  Points are evaluated
+    independently (PMP_THREADS workers) and assembled in a fixed order; a
+    non-finite value raises NonFiniteSample, without floating-point warnings.
     """
     half = extent * domain.radius / math.sqrt(2.0)
-    xs = np.linspace(-half, half, n) + domain.center.real
-    ys = np.linspace(-half, half, n) + domain.center.imag
+    xs = np.linspace(-half, half, n)
+    ys = np.linspace(-half, half, n)
     points = [complex(x, y) for y in ys for x in xs]
+
+    def sample(z):
+        # per call, because each worker thread has its own error state
+        with np.errstate(all="ignore"):
+            return func(z)
 
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(func, points))
+            flat = list(pool.map(sample, points))
     else:
-        flat = [func(z) for z in points]
+        flat = [sample(z) for z in points]
     values = np.array(flat, dtype=complex).reshape(len(ys), len(xs))
     return GridField(xs=xs, ys=ys, values=values, config=dict(config or {}))

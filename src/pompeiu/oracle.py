@@ -145,9 +145,8 @@ class _PolarGridField:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        w = z - self.domain.center
-        r = np.minimum(np.abs(w), self.domain.radius)
-        theta = np.mod(np.angle(w), 2 * np.pi)
+        r = np.minimum(np.abs(z), self.domain.radius)
+        theta = np.mod(np.angle(z), 2 * np.pi)
         flat_r, flat_t = np.ravel(r), np.ravel(theta)
         vals = self._re.ev(flat_r, flat_t) + 1j * self._im.ev(flat_r, flat_t)
         return vals.reshape(z.shape) if z.shape else complex(vals[0])
@@ -185,18 +184,18 @@ class NestedOracle:
 
     def _materialize(self, op: str, inner_evaluator) -> _PolarGridField:
         # One base rule per radius; rules at other angles are its rotations
-        # (the disk is rotation-invariant about its center), so each grid row
-        # is one batched quadrature:  1/(w - z) = e^{-i t}/(n0 - r)  with
-        # w = center + e^{i t} n0,  z = center + e^{i t} r.
+        # (the disk is rotation-invariant about 0), so each grid row is one
+        # batched quadrature:  1/(w - z) = e^{-i t}/(n0 - r)  with
+        # w = e^{i t} n0,  z = e^{i t} r.
         nr, nt = NESTED_GRID_SHAPE
         radii = np.linspace(0.0, self.domain.radius, nr)
         angles = 2 * np.pi * np.arange(nt) / nt
         phases = np.exp(1j * angles)
         values = np.empty((nr, nt), dtype=complex)
         for i, r in enumerate(radii):
-            base = build_area_rule(self.domain, self.domain.center + r, NESTED_RESOLUTION)
-            n0 = base.nodes - self.domain.center
-            nodes_all = self.domain.center + phases[:, None] * n0[None, :]
+            base = build_area_rule(self.domain, r, NESTED_RESOLUTION)
+            n0 = base.nodes
+            nodes_all = phases[:, None] * n0[None, :]
             fvals = np.asarray(inner_evaluator(nodes_all), dtype=complex)
             if op == "T":
                 integrand = fvals / (phases[:, None] * (n0[None, :] - r))
@@ -418,15 +417,10 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
 
     memo: dict[complex, complex] = {}
 
-    def g(zarr):
-        zarr = np.atleast_1d(np.asarray(zarr, dtype=complex))
-        out = np.empty(zarr.shape, dtype=complex)
-        for idx, zz in np.ndenumerate(zarr):
-            zz = complex(zz)
-            if zz not in memo:
-                memo[zz] = apply_mixed(f, zz, mu, nu, resolution)
-            out[idx] = memo[zz]
-        return out
+    def g(z: complex) -> complex:
+        if z not in memo:
+            memo[z] = apply_mixed(f, z, mu, nu, resolution)
+        return memo[z]
 
     lhs = 0.0
     for i in range(m + 1):

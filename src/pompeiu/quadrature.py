@@ -48,7 +48,7 @@ class AreaRule:
 
 @dataclass(frozen=True)
 class ContourRule:
-    """Nodes on the circle |z - center| = R with dz weights (counterclockwise)."""
+    """Nodes on the circle |z| = R with dz weights (counterclockwise)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -102,9 +102,8 @@ def _snap_tiny(rho: np.ndarray, radius: float) -> np.ndarray:
 def _boundary_distance(domain: DiskDomain, center: complex,
                        cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     """Distance from `center` to the circle along each direction."""
-    e = center - domain.center
-    x = e.real * cos_t + e.imag * sin_t
-    under = domain.radius**2 - abs(e) ** 2 + x * x
+    x = center.real * cos_t + center.imag * sin_t
+    under = domain.radius**2 - abs(center) ** 2 + x * x
     return np.maximum(-x + np.sqrt(np.maximum(under, 0.0)), 0.0)
 
 
@@ -163,9 +162,9 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
         u = (o - center) / sep
         iu = 1j * u
         m0 = (center + o) / 2
-        # bisector line m0 + t*iu meets the circle |z - d| = R at two angles
-        beta = (np.conj(iu) * (m0 - domain.center)).real
-        disc = max(beta * beta - (abs(m0 - domain.center) ** 2 - domain.radius**2), 0.0)
+        # bisector line m0 + t*iu meets the circle |z| = R at two angles
+        beta = (np.conj(iu) * m0).real
+        disc = max(beta * beta - (abs(m0) ** 2 - domain.radius**2), 0.0)
         root = math.sqrt(disc)
         a0, a1 = sorted(float(np.angle((m0 + t * iu) - center)) % (2 * np.pi)
                         for t in (-beta - root, -beta + root))
@@ -198,15 +197,14 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
     return _polar_rule(domain, center, resolution, directions)
 
 
-def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT,
-                       center: complex = 0j) -> ContourRule:
-    """Equispaced trapezoid rule on |z - center| = radius, weights carry dz."""
+def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> ContourRule:
+    """Equispaced trapezoid rule on |z| = radius, weights carry dz."""
     if count < 8:
         raise ResolutionTooLow(f"contour rule needs count >= 8, got {count}")
-    domain = DiskDomain(radius, center)
+    domain = DiskDomain(radius)
     cos_t, sin_t = _symmetric_angles(count)
     unit = cos_t + 1j * sin_t
-    nodes = center + radius * unit
+    nodes = radius * unit
     weights = 1j * radius * unit * (2 * np.pi / count)
     return ContourRule(nodes=nodes, weights=weights, count=count, domain=domain)
 
@@ -216,10 +214,13 @@ def integrate(rule: AreaRule | ContourRule, integrand) -> complex:
 
     The integrand must be vectorized: given the node array it returns a
     matching-shape array or a 0-d constant.  Any other shape raises
-    DomainError; whatever the integrand raises propagates.
+    DomainError, and a NaN/Inf sample NonFiniteSample (the floating-point
+    warnings that produced it are silenced); whatever the integrand raises
+    propagates.
     """
     nodes = rule.nodes
-    vals = np.asarray(integrand(nodes), dtype=complex)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(integrand(nodes), dtype=complex)
     if vals.shape == ():
         vals = np.full(nodes.shape, complex(vals))
     elif vals.shape != nodes.shape:

@@ -86,12 +86,15 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     u = g_0(z) + one integral of a sum of (mu, nu) kernel-table entries
     (`kernels.kernel`): (j, 0) against g_j for j = 1..nu-1, (nu, i) against
     conj(f_i) for i = 0..mu-1, and (nu, mu) against A; the composition
-    T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.
+    T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.  `domain`
+    is required when rhs is None and must equal rhs.domain otherwise.
     """
     mu, nu = spec.mu, spec.nu
     dom = domain if spec.rhs is None else spec.rhs.domain
     if dom is None:
         raise DomainError("homogeneous problems need an explicit domain")
+    if domain is not None and domain != dom:
+        raise DomainError(f"domain {domain} differs from the right-hand side's {dom}")
     # (table entry, density) per term; zero free data contributes nothing
     terms = [((j, 0), g) for j, g in enumerate(spec.g_list) if j and not g.is_zero]
     terms += [((nu, i), lambda w, f=f: np.conj(f(w)))
@@ -151,16 +154,10 @@ def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points) -> np.ndarray:
         raise DomainError("fd_residual needs a disk right-hand side")
     stencil = wirtinger_split(mu, nu)
     step = (1e-12) ** (1.0 / (mu + nu + 2)) * dom.radius
-
-    def u_vec(zarr):
-        zarr = np.atleast_1d(np.asarray(zarr, dtype=complex))
-        return np.array([u(complex(zz)) for zz in zarr.ravel()],
-                        dtype=complex).reshape(zarr.shape)
-
     out = []
     for z in points:
         z = complex(z)
         stencil.check_inside(dom, z, step)
-        val = stencil.apply_richardson(u_vec, z, step)
+        val = stencil.apply_richardson(u, z, step)
         out.append(abs(val - complex(rhs(np.asarray(z)))))
     return np.array(out)

@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pompeiu.cli import RunConfig, format_complex, run_command
+import pompeiu
+from pompeiu.cli import build_parser, format_complex, run_command
 from pompeiu.expressions import parse_complex
 
 
@@ -117,6 +123,21 @@ def test_op_apply_polydisc(capsys):
                      "--nr", "16", "--ntheta", "32")
     assert code == 0
     assert parse_complex(out2.strip()) == pytest.approx(1.0, rel=1e-4)
+
+
+def test_polydisc_single_resolution_flag_is_honoured(capsys):
+    # each of --nr / --ntheta replaces its own entry of the (24, 48) default
+    base = ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1*z1bar*z2",
+            "--z", "0.3,0.1i", "--mu", "1,1", "--nu", "1,1"]
+    outs = {}
+    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "48"),
+                  ("--ntheta", "16"), ("--nr", "24", "--ntheta", "16")):
+        code, outs[extra] = run(capsys, *base, *extra)
+        assert code == 0
+    assert outs[("--nr", "8")] != outs[()]
+    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "48")]
+    assert outs[("--ntheta", "16")] != outs[()]
+    assert outs[("--ntheta", "16")] == outs[("--nr", "24", "--ntheta", "16")]
 
 
 def test_solve_point_value(capsys):
@@ -246,32 +267,94 @@ def test_numeric_failure_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_config_file_sets_radius(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"radius": 0.5, "n_radial": 16, "n_angular": 32}))
-    # target outside the configured 0.5-disk: numeric failure
-    code = run_command(["op", "apply", "--op", "T", "--f", "zbar", "--z", "0.9",
-                        "--config", str(cfg)])
+def test_radius_flag_sets_the_disk(capsys):
+    # a target outside the 0.5-disk is a numeric failure; T(zbar) = zbar^2/2 on any disk
+    code = run_command(["op", "apply", "--op", "T", "--f", "zbar", "--z", "0.9", "--R", "0.5"])
     assert code == 1
-    # explicit flag overrides the config file
-    code, out = run(capsys, "op", "apply", "--op", "T", "--f", "zbar", "--z", "0.9",
-                    "--config", str(cfg), "--R", "2.0")
+    code, out = run(capsys, "op", "apply", "--op", "T", "--f", "zbar", "--z", "0.9", "--R", "2.0")
     assert code == 0
+    assert parse_complex(out.strip()) == pytest.approx(0.9**2 / 2, abs=1e-8)
 
 
-def test_runconfig_tolerance_lookup():
-    cfg = RunConfig(tolerances={"kernel_oracle": 1e-3})
-    assert cfg.tolerance("kernel_oracle", 1e-4) == 1e-3
-    assert cfg.tolerance("other", 1e-4) == 1e-4
-
-
-def test_verify_exits_nonzero_on_failure(tmp_path, capsys):
-    # an impossible tolerance override forces FAIL lines and exit 1
-    cfg = tmp_path / "strict.json"
-    cfg.write_text(json.dumps({"tolerances": {"kernel_oracle": 1e-30},
-                               "n_radial": 16, "n_angular": 32}))
-    code = run_command(["verify", "--suite", "kernels", "--seed", "7",
-                        "--config", str(cfg)])
+def test_verify_exits_nonzero_on_failure(capsys):
+    # the minimum resolution is far too coarse for the golden tolerance
+    code = run_command(["verify", "--suite", "operators", "--nr", "4", "--ntheta", "8"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL T(zbar^3) golden" in out
+
+
+def _subparser(*names) -> argparse.ArgumentParser:
+    parser = build_parser()
+    for name in names:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+COMMON = {"--R", "--out"}
+RESOLUTION = {"--nr", "--ntheta"}
+
+#: each subcommand's flags: exactly the ones its body reads
+SUBCOMMAND_FLAGS = {
+    ("kernel", "eval"): {"--kind", "--a", "--b", "--mu", "--nu", "--k", "--l"} | COMMON,
+    ("op", "apply"): ({"--op", "--f", "--z", "--power", "--mu", "--nu", "--n", "--contour-n"}
+                      | COMMON | RESOLUTION),
+    ("solve",): ({"--mu", "--nu", "--rhs", "--g", "--f", "--biharmonic", "--h1", "--h2", "--z",
+                  "--grid", "--format", "--seed"} | COMMON | RESOLUTION),
+    ("verify",): {"--suite", "--seed", "--contour-n"} | COMMON | RESOLUTION,
+    ("export",): ({"--f", "--op", "--mu", "--nu", "--grid", "--extent", "--format", "--seed"}
+                  | COMMON | RESOLUTION),
+}
+
+
+@pytest.mark.parametrize("names", SUBCOMMAND_FLAGS, ids=" ".join)
+def test_subcommand_flag_set(names):
+    parser = _subparser(*names)
+    flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+    assert flags == SUBCOMMAND_FLAGS[names]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "--a", "0", "--b", "0.5", "--nr", "5"],
+    ["kernel", "eval", "--a", "0", "--b", "0.5", "--ntheta", "8"],
+    ["kernel", "eval", "--a", "0", "--b", "0.5", "--contour-n", "64"],
+    ["kernel", "eval", "--a", "0", "--b", "0.5", "--seed", "9"],
+    ["op", "apply", "--op", "T", "--f", "1", "--z", "0", "--seed", "1"],
+    ["solve", "--g", "z", "--z", "0", "--contour-n", "64"],
+    ["export", "--f", "z", "--grid", "3", "--contour-n", "64"],
+    ["verify", "--suite", "kernels", "--config", "run.json"],
+    ["op", "apply", "--op", "T", "--f", "1", "--z", "0", "--config", "run.json"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", ["c1", "c2", "c3", "gdiag", "gmixed"])
+@pytest.mark.parametrize("a, b", [("1.5", "0.2"), ("0.2", "2"), ("0.2", "nan")])
+def test_kernel_eval_rejects_points_outside_the_disk(capsys, kind, a, b):
+    # one point check for every kind, before dispatch
+    code = run_command(["kernel", "eval", "--kind", kind, "--a", a, "--b", b])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["op", "apply", "--op", "polydisc", "--n", "2", "--R", "1e150", "--f", "z1^3*z2^3",
+      "--z", "0,0", "--mu", "1,1", "--nu", "1,1"], "1"),
+    (["op", "apply", "--op", "T", "--R", "1e150", "--f", "z^3", "--z", "0"], "1"),
+    (["export", "--op", "mixed", "--R", "1e150", "--f", "z^3", "--grid", "3"], "2"),
+], ids=["polydisc", "T", "export-2-threads"])
+def test_numeric_failure_prints_only_the_error_line(argv, threads):
+    # a fresh interpreter, so numpy's floating-point warnings would reach stderr
+    env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(pompeiu.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: integrand produced NaN/Inf at a quadrature node\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, OrderTooLarge
 from pompeiu.geometry import MultiIndex
-from pompeiu.kernels import (KernelQuery, binomial, c1, c2, c3, c3_special_cases,
+from pompeiu.kernels import (binomial, c1, c2, c3, c3_special_cases,
                              c8, g_diag, g_mixed, kernel, log_term)
 
 R = 1.0
@@ -246,11 +246,3 @@ def test_kernel_table_entries():
         with pytest.raises(DomainError):
             kernel(z, w, mu, nu, R)
 
-
-def test_kernel_query_validation():
-    with pytest.raises(DomainError):
-        KernelQuery(1.5, 0.2, 1, 1, 1.0)
-    with pytest.raises(CoincidentPoints):
-        KernelQuery(0.2, 0.2, 1, 1, 1.0)
-    q = KernelQuery(0.0, 0.5, 1, 1, 1.0)
-    assert q.evaluate() == pytest.approx(math.log(4.0))

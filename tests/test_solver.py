@@ -82,6 +82,15 @@ def test_pde_zero_rhs_reduces_to_homogeneous():
         assert u_zero(z) == pytest.approx(u_hom(z), abs=1e-12)
 
 
+def test_pde_domain_must_match_the_rhs_domain():
+    spec = SolutionSpec(1, 1, constant_field(1.0, DISK), (ZERO,), (ZERO,))
+    with pytest.raises(DomainError):
+        solve_pde(spec, DiskDomain(2.0))
+    assert solve_pde(spec, DiskDomain(1.0))(0.1) == solve_pde(spec)(0.1)
+    with pytest.raises(DomainError):
+        solve_pde(SolutionSpec(1, 1, None, (ZERO,), (ZERO,)))
+
+
 def test_pde_constant_rhs_residual():
     # d dbar u = 4 means Laplacian u = 16
     rhs = constant_field(4.0, DISK)
@@ -122,13 +131,7 @@ def biharmonic_fd(u, z, h=None):
     # LaplacianSquared = 16 d^2 dbar^2
     stencil = wirtinger_split(2, 2)
     h = h if h is not None else (1e-12) ** (1.0 / 6.0)
-
-    def uvec(zarr):
-        zarr = np.atleast_1d(np.asarray(zarr, dtype=complex))
-        return np.array([u(complex(w)) for w in zarr.ravel()],
-                        dtype=complex).reshape(zarr.shape)
-
-    return 16 * stencil.apply_richardson(uvec, z, h)
+    return 16 * stencil.apply_richardson(u, z, h)
 
 
 def test_biharmonic_harmonic_part_only():
