@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, OrderTooLarge
-from pompeiu.geometry import MultiIndex
+from pompeiu.geometry import DiskDomain, MultiIndex
 from pompeiu.kernels import (binomial, c1, c2, c3, c3_special_cases,
                              c8, g_diag, g_mixed, kernel, log_term)
 
@@ -160,6 +160,17 @@ def test_c3_coincidence_raises():
         c3(0.3, 0.3, 1, 1, R)
     with pytest.raises(CoincidentPoints):
         c3(0.3, 0.3 + 1e-16, 2, 2, R)
+
+
+def test_kernel_query_validation():
+    # a kernel query is checked by the disk (both points) and by c3 (separation)
+    disk = DiskDomain(1.0)
+    with pytest.raises(DomainError):
+        disk.validate_point(1.5)
+    with pytest.raises(CoincidentPoints):
+        c3(disk.validate_point(0.2), disk.validate_point(0.2), 1, 1, 1.0)
+    a, b = disk.validate_point(0.0), disk.validate_point(0.5)
+    assert c3(a, b, 1, 1, 1.0) == pytest.approx(math.log(4.0))
 
 
 def test_c3_vectorized_matches_scalar():

@@ -344,8 +344,11 @@ def test_polydisc_non_finite_value_raises():
         apply_polydisc(nan, (0.1, 0.2), MultiIndex((1, 1)), MultiIndex((1, 1)), (8, 16))
 
 
-def test_disk_operators_reject_a_polydisc_field():
-    # the area rules and kernels are one-disk objects; a DiskDomain is centred at 0
+def test_disk_operators_reject_a_shifted_disk():
+    # the closed-form kernels assume the disk is centred at 0: a DiskDomain has
+    # no centre, and a field on any other domain is refused
+    with pytest.raises(TypeError):
+        DiskDomain(1.0, 0.5 + 0.2j)
     one = constant_field(1.0, PolydiscDomain(1, 1.0))
     zero = HolomorphicPolynomial.zero()
     solution = solve_pde(SolutionSpec(1, 1, one, (zero,), (zero,)))
