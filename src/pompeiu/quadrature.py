@@ -17,6 +17,7 @@ reproducible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -214,9 +215,9 @@ def integrate(rule: AreaRule | ContourRule, integrand) -> complex:
 
     The integrand must be vectorized: given the node array it returns a
     matching-shape array or a 0-d constant.  Any other shape raises
-    DomainError, and a NaN/Inf sample NonFiniteSample (the floating-point
-    warnings that produced it are silenced); whatever the integrand raises
-    propagates.
+    DomainError, and a NaN/Inf sample or weighted sum NonFiniteSample (the
+    floating-point warnings that produced it are silenced); whatever the
+    integrand raises propagates.
     """
     nodes = rule.nodes
     with np.errstate(all="ignore"):
@@ -227,4 +228,8 @@ def integrate(rule: AreaRule | ContourRule, integrand) -> complex:
         raise DomainError(f"integrand returned shape {vals.shape} for {nodes.shape} nodes")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
-    return complex(np.sum(rule.weights * vals))
+    with np.errstate(all="ignore"):
+        total = complex(np.sum(rule.weights * vals))
+    if not cmath.isfinite(total):
+        raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
+    return total

@@ -9,11 +9,12 @@ assembles all kernel groups at once.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NonRealRHS
+from .errors import DomainError, NonFiniteSample, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
 # solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
 from .kernels import c3, kernel  # noqa: F401
@@ -87,7 +88,8 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     (`kernels.kernel`): (j, 0) against g_j for j = 1..nu-1, (nu, i) against
     conj(f_i) for i = 0..mu-1, and (nu, mu) against A; the composition
     T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.  `domain`
-    is required when rhs is None and must equal rhs.domain otherwise.
+    is required when rhs is None and must equal rhs.domain otherwise.  A
+    NaN/Inf value raises NonFiniteSample.
     """
     mu, nu = spec.mu, spec.nu
     dom = domain if spec.rhs is None else spec.rhs.domain
@@ -110,7 +112,8 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
             return sum((kernel(z, w, *entry, dom.radius) * density(w) for entry, density in terms),
                        np.zeros(w.shape, dtype=complex))
 
-        return complex(spec.g_list[0](np.asarray(z)) + integrate(rule, integrand))
+        with np.errstate(all="ignore"):
+            return _finite(complex(spec.g_list[0](np.asarray(z)) + integrate(rule, integrand)))
 
     return u
 
@@ -121,7 +124,8 @@ def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
 
     u = Re(T^2 Tbar^2 rhs) / 16 + |z|^2 Re(h1(z)) + Re(h2(z)), since
     LaplacianSquared = 16 d^2 dbar^2; the harmonic parts are the real parts
-    of the supplied holomorphic polynomials.
+    of the supplied holomorphic polynomials.  A NaN/Inf value raises
+    NonFiniteSample.
     """
     dom = rhs.domain
     if not isinstance(dom, DiskDomain):
@@ -137,10 +141,18 @@ def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
 
     def u(z: complex) -> float:
         z = complex(z)
-        har = abs(z) ** 2 * complex(h1(np.asarray(z))).real + complex(h2(np.asarray(z))).real
-        return float(transform(real_rhs, z, 2, 2, resolution).real / 16 + har)
+        with np.errstate(all="ignore"):
+            har = abs(z) ** 2 * complex(h1(np.asarray(z))).real + complex(h2(np.asarray(z))).real
+            return float(_finite(transform(real_rhs, z, 2, 2, resolution).real / 16 + har))
 
     return u
+
+
+def _finite(value):
+    """`value`, or NonFiniteSample if it is NaN or infinite."""
+    if not cmath.isfinite(value):
+        raise NonFiniteSample("solution value is NaN/Inf")
+    return value
 
 
 def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points) -> np.ndarray:

@@ -343,13 +343,21 @@ def test_kernel_eval_rejects_points_outside_the_disk(capsys, kind, a, b):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv, threads", [
+SAMPLE = "integrand produced NaN/Inf at a quadrature node"
+
+
+@pytest.mark.parametrize("argv, threads, message", [
     (["op", "apply", "--op", "polydisc", "--n", "2", "--R", "1e150", "--f", "z1^3*z2^3",
-      "--z", "0,0", "--mu", "1,1", "--nu", "1,1"], "1"),
-    (["op", "apply", "--op", "T", "--R", "1e150", "--f", "z^3", "--z", "0"], "1"),
-    (["export", "--op", "mixed", "--R", "1e150", "--f", "z^3", "--grid", "3"], "2"),
-], ids=["polydisc", "T", "export-2-threads"])
-def test_numeric_failure_prints_only_the_error_line(argv, threads):
+      "--z", "0,0", "--mu", "1,1", "--nu", "1,1"], "1", SAMPLE),
+    (["op", "apply", "--op", "T", "--R", "1e150", "--f", "z^3", "--z", "0"], "1", SAMPLE),
+    (["export", "--op", "mixed", "--R", "1e150", "--f", "z^3", "--grid", "3"], "2", SAMPLE),
+    (["solve", "--biharmonic", "--rhs", "1", "--h2", "z^3", "--z", "1e120", "--R", "1e150"],
+     "1", "weighted sum of the integrand samples is NaN/Inf"),
+    (["solve", "--g", "z^3", "--z", "1e120", "--R", "1e150"], "1", "solution value is NaN/Inf"),
+    (["op", "apply", "--op", "2T", "--R", "1e150", "--f", "z^3", "--z", "1e120"], "1",
+     "field value at the target is NaN/Inf"),
+], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T"])
+def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr
     env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(pompeiu.__file__).resolve().parents[1]))
@@ -357,4 +365,4 @@ def test_numeric_failure_prints_only_the_error_line(argv, threads):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: integrand produced NaN/Inf at a quadrature node\n"
+    assert proc.stderr == f"error: {message}\n"

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,39 @@ def test_log_term_principal_branch():
     angles = np.linspace(0, 2 * np.pi, 200)
     vals = np.array([log_term(a, a + 0.3 * np.exp(1j * t), R) for t in angles])
     assert np.max(np.abs(np.diff(vals))) < 0.2
+
+
+def test_log_term_principal_branch_at_the_boundary():
+    # b on |b| = R and a next to the boundary: w = 1 - a*conj(b)/R^2 comes
+    # close to 0 inside the right half-plane, and the imaginary part is its
+    # principal argument (condition number 1/|w|)
+    radius = 2.5
+    b = radius * np.exp(1j * np.linspace(-np.pi, np.pi, 97))
+    for a in (0.999 * radius * np.exp(0.3j), 0.999999 * radius * np.exp(-1e-6j),
+              0.999 * radius * np.exp(1j * np.linspace(-np.pi, np.pi, 97) + 1e-3j)):
+        w = 1 - a * np.conj(b) / radius**2
+        got = log_term(a, b, radius)
+        assert np.all(np.abs(got.imag - np.angle(w)) <= 1e-15 / np.abs(w))
+        assert np.all(np.abs(got.imag) < np.pi / 2 + 1e-9)
+
+
+def _kernel_accuracy():
+    """scripts/kernel_accuracy.py, whose 50-digit mpmath reference of c3 this file shares."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "kernel_accuracy.py"
+    spec = importlib.util.spec_from_file_location("kernel_accuracy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0, 2.5, 10.0])
+def test_c3_matches_the_50_digit_reference(radius):
+    # mu, nu in 1..4 on 25 seeded pairs: targets up to |z| = 0.999 R (every
+    # fourth exactly there), separations from 1e-8 R up to the boundary
+    accuracy = _kernel_accuracy()
+    a, b = accuracy.sample_pairs(np.random.default_rng(0), radius, 25)
+    worst = accuracy.worst_errors(a, b, radius, 4)
+    assert max(worst.values()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def test_2T_matches_fd_derivative_of_T():
         assert apply_2T(f, z, RES) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def test_2T_non_finite_target_value_raises():
+    # f(z) itself overflows at the target, before any quadrature sample
+    f = field_from_expression("z^3", DiskDomain(1e150))
+    with pytest.raises(NonFiniteSample, match="at the target"):
+        apply_2T(f, 1e120)
+
+
 def test_2Tbar_mirrors_2T():
     rng = np.random.default_rng(14)
     poly = PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))

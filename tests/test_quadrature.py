@@ -123,6 +123,13 @@ def test_non_finite_sample_raises():
         integrate(rule, lambda w: 1.0 / (w - rule.nodes[0]))
 
 
+def test_non_finite_weighted_sum_raises():
+    # every sample is finite, their weighted sum overflows
+    rule = build_area_rule(DiskDomain(1.0), 0j, (16, 32))
+    with pytest.raises(NonFiniteSample, match="weighted sum"):
+        integrate(rule, lambda w: np.full(w.shape, 1e308))
+
+
 def test_integrand_must_be_vectorized():
     import math
     d = DiskDomain(1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pompeiu.errors import DomainError, NonRealRHS, StencilOutOfDomain
+from pompeiu.errors import DomainError, NonFiniteSample, NonRealRHS, StencilOutOfDomain
 from pompeiu.geometry import DiskDomain, wirtinger_split
 from pompeiu.operators import apply_mixed, constant_field, field_from_expression
 from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
@@ -175,6 +175,19 @@ def test_biharmonic_rejects_complex_rhs():
     u = solve_biharmonic(rhs, ZERO, ZERO)
     with pytest.raises(NonRealRHS):
         u(0.1 + 0.1j)
+
+
+def test_non_finite_solution_value_raises():
+    # the integral part is finite (zero right-hand side), the free polynomial
+    # overflows at the target
+    big = DiskDomain(1e150)
+    cube = HolomorphicPolynomial.monomial(3)
+    u = solve_biharmonic(constant_field(0.0, big), ZERO, cube)
+    with pytest.raises(NonFiniteSample, match="solution value"):
+        u(1e120)
+    spec = SolutionSpec(1, 1, constant_field(0.0, big), (cube,), (ZERO,))
+    with pytest.raises(NonFiniteSample, match="solution value"):
+        solve_pde(spec)(1e120)
 
 
 # ---------------------------------------------------------------------------
