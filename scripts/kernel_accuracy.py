@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Accuracy of the float64 kernel c3 against a 50-digit mpmath reference.
 
-For every mu, nu up to --max-order (default 20, the kernels' MAX_ORDER)
-prints the worst relative error |c3 - ref| / max(|ref|, R^(mu+nu-2)) over
-one seeded set of point pairs (default 32), at R = 1 and R = 2.5, then the
-worst error by order band.  The pairs put the target anywhere up to
-|a| = 0.999 R and separate b from it by 1e-8 R up to the boundary.  The
-reference evaluates the same closed form in mpmath, as literal sums, so the
-float64 cancellation in the c1 and c2 sums is what the table shows.
+For every mu, nu up to the kernels' MAX_ORDER (20) prints the worst
+relative error |c3 - ref| / max(|ref|, R^(mu+nu-2)) over one seeded set of
+PAIRS point pairs, at R = 1 and R = 2.5, then the worst error by order band.
+The pairs put the target anywhere up to |a| = 0.999 R and separate b from it
+by 1e-8 R up to the boundary.  The reference evaluates the same closed form
+in mpmath, as literal sums, so the float64 cancellation in the c1 and c2
+sums is what the table shows.
 
-    PYTHONPATH=src python3 scripts/kernel_accuracy.py [--max-order N] [--pairs N] [--seed N]
+    PYTHONPATH=src python3 scripts/kernel_accuracy.py [--seed N]
 """
 
 import argparse
@@ -21,6 +21,7 @@ import numpy as np
 from pompeiu.kernels import MAX_ORDER, c3
 
 DIGITS = 50
+PAIRS = 32
 RADII = (1.0, 2.5)
 #: (label, test on max(mu, nu))
 BANDS = (("mu, nu <= 4", lambda top: top <= 4),
@@ -113,17 +114,15 @@ def worst_errors(a, b, radius: float, max_order: int) -> dict:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-order", type=int, default=MAX_ORDER)
-    parser.add_argument("--pairs", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    orders = range(1, args.max_order + 1)
+    orders = range(1, MAX_ORDER + 1)
     for radius in RADII:
-        a, b = sample_pairs(np.random.default_rng(args.seed), radius, args.pairs)
-        worst = worst_errors(a, b, radius, args.max_order)
+        a, b = sample_pairs(np.random.default_rng(args.seed), radius, PAIRS)
+        worst = worst_errors(a, b, radius, MAX_ORDER)
         print(f"\nR = {radius:g}: worst relative error of c3 against {DIGITS}-digit mpmath, "
-              f"{args.pairs} point pairs (rows mu, columns nu)")
+              f"{PAIRS} point pairs (rows mu, columns nu)")
         print("mu\\nu " + "".join(f"{nu:>8}" for nu in orders))
         for mu in orders:
             print(f"{mu:>5} " + "".join(f"{worst[mu, nu]:8.1e}" for nu in orders))

@@ -78,12 +78,17 @@ def require_separated(a, b, radius: float):
             f"|a-b| below {COINCIDENCE_EPS:g}*R; kernel not defined at coincidence")
 
 
+def _power(x, n: int):
+    """x ** n, with x^0 the scalar 1 and x^1 = x (numpy takes complex
+    arrays to those two powers in a slow elementwise loop).  Above that
+    numpy's binary powering sets the rounding: complex array products round
+    differently, and the cancelling c1/c2 sums amplify that far above 1e-14."""
+    return 1 if n == 0 else x if n == 1 else x ** n
+
+
 def _powers(x, n: int) -> list:
-    """[x^0, x^1, ..., x^n] by repeated multiplication; x^0 is the scalar 1."""
-    table = [1, x]
-    for _ in range(n - 1):
-        table.append(table[-1] * x)
-    return table[:n + 1]
+    """[x^0, x^1, ..., x^n], each formed once by `_power`."""
+    return [_power(x, i) for i in range(n + 1)]
 
 
 def log_term(a, b, radius: float):
@@ -106,7 +111,8 @@ def c1(a, b, k: int):
     Double sum over l = 1..k-1 of (-b^l / l) * sum_j C(k-1, j)
     * a^(k-1-l-j) * (-b)^j, the residue-series coefficients of the boundary
     log expansion.  Each power of a and b is formed once, and the signs
-    and binomials fold into scalar factors.
+    fold into the scalar factors; a sign flip is exact, so each term rounds
+    as the literal formula does.
     """
     k = _check_order("k", k)
     a = np.asarray(a, dtype=complex)
@@ -117,6 +123,7 @@ def c1(a, b, k: int):
     for l in range(1, k):
         inner = sum(binomial(k - 1, j) * (-1) ** j * a_pow[k - 1 - l - j] * b_pow[j]
                     for j in range(k - l))
+        # numpy divides a complex array by l as a multiply by 1/l
         total = total + b_pow[l] * (-1.0 / l) * inner
     return total if total.shape else complex(total)
 
@@ -125,10 +132,9 @@ def c2(a, b, l: int, nu: int, radius: float):
     """Residue value of the boundary integral of (zb-bb)^l (z-b)^(nu-1)/(z-a).
 
     Sum over 0 <= p <= l, 0 <= q <= nu-1 with p <= q of
-    C(l,p) C(nu-1,q) R^(2p) (-conj(b))^(l-p) (-b)^(nu-1-q) a^(q-p), in that
-    order of (p, q).  Each power of a, b and conj(b) is formed once; the
-    signs, binomials and R^(2p) fold into one scalar, which meets the power
-    of a (a scalar at every quadrature call) before the node arrays.
+    C(l,p) C(nu-1,q) R^(2p) (-conj(b))^(l-p) (-b)^(nu-1-q) a^(q-p), each
+    term multiplied out in that order.  Each power of a, b and conj(b) is
+    formed once, and the signs fold into the scalar factor.
     """
     l = _check_order("l", l)
     nu = _check_order("nu", nu)
@@ -142,7 +148,7 @@ def c2(a, b, l: int, nu: int, radius: float):
         for q in range(p, nu):
             scale = (binomial(l, p) * binomial(nu - 1, q) * radius ** (2 * p)
                      * (-1) ** (l - p + nu - 1 - q))
-            total = total + scale * a_pow[q - p] * bb_pow[l - p] * b_pow[nu - 1 - q]
+            total = total + scale * bb_pow[l - p] * b_pow[nu - 1 - q] * a_pow[q - p]
     return total if total.shape else complex(total)
 
 
@@ -159,10 +165,11 @@ def c3(a, b, mu: int, nu: int, radius: float):
     b = np.asarray(b, dtype=complex)
     # powers of conj(b) - conj(a); (-diff_bar)^l is (-1)^l times its entry
     diff_bar = _powers(np.conj(b) - np.conj(a), mu - 1)
-    diff = _powers(a - b, nu - 1)[nu - 1]
+    diff = _power(a - b, nu - 1)
     total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * log_term(a, b, radius))
     for l in range(1, mu):
-        total = total + (binomial(mu - 1, l) / l * diff_bar[mu - 1 - l]
+        # (1.0 / l): numpy's division by l, at the cost of a multiply
+        total = total + (binomial(mu - 1, l) * diff_bar[mu - 1 - l] * (1.0 / l)
                          * (c2(a, b, l, nu, radius) - (-1) ** l * diff_bar[l] * diff))
     return total if total.shape else complex(total)
 
