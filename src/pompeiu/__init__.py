@@ -19,19 +19,18 @@ from .operators import (GridField, ScalarField, apply_2T, apply_2Tbar,
                         apply_Sbar, apply_T, apply_T_power, apply_Tbar,
                         apply_Tbar_power, constant_field, evaluate_on_grid,
                         field_from_expression, transform)
-from .quadrature import (AreaRule, ContourRule, build_area_rule, build_contour_rule,
-                         build_half_rule, integrate)
+from .quadrature import (Rule, build_area_rule, build_contour_rule, build_half_rule,
+                         integrate)
 from .solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
                      solve_biharmonic, solve_pde)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AREA_FACTOR", "AreaRule", "CoincidentPoints", "ContourRule", "DepthCap",
-    "DimensionCap", "DiskDomain", "DomainError", "GridField",
-    "HolomorphicPolynomial", "MultiIndex", "NonFiniteSample",
+    "AREA_FACTOR", "CoincidentPoints", "DepthCap", "DimensionCap", "DiskDomain",
+    "DomainError", "GridField", "HolomorphicPolynomial", "MultiIndex", "NonFiniteSample",
     "NonRealRHS", "OrderTooLarge", "ParseError", "PolydiscDomain",
-    "PompeiuError", "ResolutionTooLow", "ScalarField", "SolutionSpec",
+    "PompeiuError", "ResolutionTooLow", "Rule", "ScalarField", "SolutionSpec",
     "StencilOutOfDomain", "UnknownVariable", "WirtingerStencil",
     "apply_2T", "apply_2Tbar", "apply_S", "apply_Sbar", "apply_T",
     "apply_T_power", "apply_Tbar", "apply_Tbar_power", "apply_conjugate_dual",

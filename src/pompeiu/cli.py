@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import kernels, operators, oracle, solver
-from .errors import PompeiuError
+from .errors import NonFiniteSample, PompeiuError
 from .expressions import parse_complex, parse_expression, to_coefficients
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .operators import (POLYDISC_RESOLUTION, ScalarField, apply_2T, apply_2Tbar,
@@ -153,7 +153,12 @@ _KERNELS = {
 def _cmd_kernel(args) -> int:
     disk = DiskDomain(args.R)
     a, b = (disk.validate_point(parse_complex(text)) for text in (args.a, args.b))
-    _emit(format_complex(_KERNELS[args.kind](args, a, b, args.R)) + "\n", args.out)
+    # floating-point warnings are silenced here: a NaN/Inf value raises below
+    with np.errstate(all="ignore"):
+        value = _KERNELS[args.kind](args, a, b, args.R)
+    if not np.isfinite(value):
+        raise NonFiniteSample("kernel value is NaN/Inf")
+    _emit(format_complex(value) + "\n", args.out)
     return 0
 
 

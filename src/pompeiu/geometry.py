@@ -38,13 +38,14 @@ def require_finite(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class DiskDomain:
-    """Closed disk {z : |z| <= radius}, centred at 0 as the closed-form kernels assume."""
+    """Closed disk {z : |z| <= radius}, centred at 0 as the closed-form kernels assume;
+    R*R must be a finite normal float (about 1.5e-154 <= R <= 1.3e154)."""
 
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"disk radius must be positive and finite, got {self.radius}")
+        if not (self.radius > 0 and 2.0**-1022 <= self.radius * self.radius < math.inf):
+            raise DomainError(f"disk radius needs R > 0 and R*R a normal float, got {self.radius}")
 
     def contains(self, z: complex) -> bool:
         return abs(z) <= self.radius * (1.0 + MEMBERSHIP_RTOL)
@@ -66,8 +67,7 @@ class PolydiscDomain:
     def __post_init__(self):
         if not (isinstance(self.factors, int) and self.factors >= 1):
             raise DomainError(f"factor count must be a positive integer, got {self.factors}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"radius must be positive and finite, got {self.radius}")
+        DiskDomain(self.radius)  # validates the radius
 
     @property
     def factor_disk(self) -> DiskDomain:

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, DomainError, OrderTooLarge
+from .errors import CoincidentPoints, DomainError, NonFiniteSample, OrderTooLarge
 from .geometry import MultiIndex
 
 #: orders above this are rejected (factorials overflow usefulness at desk scale)
@@ -39,26 +39,6 @@ MAX_ORDER = 20
 COINCIDENCE_EPS = 1e-14
 
 TWO_PI_I = 2j * np.pi
-
-
-def _pascal_rows(n_max: int) -> list[list[int]]:
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return rows
-
-
-_PASCAL = _pascal_rows(MAX_ORDER)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient from the Pascal-recurrence table (n <= 20)."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"binomial order {n} exceeds cap {MAX_ORDER}")
-    return _PASCAL[n][k]
 
 
 def _check_order(name: str, value: int, minimum: int = 1) -> int:
@@ -121,7 +101,7 @@ def c1(a, b, k: int):
     b_pow = _powers(b, k - 1)
     total = np.zeros(np.broadcast(a, b).shape, dtype=complex)
     for l in range(1, k):
-        inner = sum(binomial(k - 1, j) * (-1) ** j * a_pow[k - 1 - l - j] * b_pow[j]
+        inner = sum(math.comb(k - 1, j) * (-1) ** j * a_pow[k - 1 - l - j] * b_pow[j]
                     for j in range(k - l))
         # numpy divides a complex array by l as a multiply by 1/l
         total = total + b_pow[l] * (-1.0 / l) * inner
@@ -134,7 +114,8 @@ def c2(a, b, l: int, nu: int, radius: float):
     Sum over 0 <= p <= l, 0 <= q <= nu-1 with p <= q of
     C(l,p) C(nu-1,q) R^(2p) (-conj(b))^(l-p) (-b)^(nu-1-q) a^(q-p), each
     term multiplied out in that order.  Each power of a, b and conj(b) is
-    formed once, and the signs fold into the scalar factor.
+    formed once, and the signs fold into the scalar factor.  An R^(2p)
+    beyond the float range raises NonFiniteSample.
     """
     l = _check_order("l", l)
     nu = _check_order("nu", nu)
@@ -144,11 +125,14 @@ def c2(a, b, l: int, nu: int, radius: float):
     b_pow = _powers(b, nu - 1)
     bb_pow = _powers(np.conj(b), l)
     total = np.zeros(np.broadcast(a, b).shape, dtype=complex)
-    for p in range(l + 1):
-        for q in range(p, nu):
-            scale = (binomial(l, p) * binomial(nu - 1, q) * radius ** (2 * p)
-                     * (-1) ** (l - p + nu - 1 - q))
-            total = total + scale * bb_pow[l - p] * b_pow[nu - 1 - q] * a_pow[q - p]
+    try:
+        for p in range(l + 1):
+            for q in range(p, nu):
+                scale = (math.comb(l, p) * math.comb(nu - 1, q) * radius ** (2 * p)
+                         * (-1) ** (l - p + nu - 1 - q))
+                total = total + scale * bb_pow[l - p] * b_pow[nu - 1 - q] * a_pow[q - p]
+    except OverflowError:
+        raise NonFiniteSample(f"R^(2p) in c2 overflows a float at R = {radius:g}") from None
     return total if total.shape else complex(total)
 
 
@@ -169,7 +153,7 @@ def c3(a, b, mu: int, nu: int, radius: float):
     total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * log_term(a, b, radius))
     for l in range(1, mu):
         # (1.0 / l): numpy's division by l, at the cost of a multiply
-        total = total + (binomial(mu - 1, l) * diff_bar[mu - 1 - l] * (1.0 / l)
+        total = total + (math.comb(mu - 1, l) * diff_bar[mu - 1 - l] * (1.0 / l)
                          * (c2(a, b, l, nu, radius) - (-1) ** l * diff_bar[l] * diff))
     return total if total.shape else complex(total)
 

@@ -31,8 +31,8 @@ from . import expressions
 from .errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .kernels import TWO_PI_I, c3, c8, kernel
-from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, AreaRule,
-                         build_area_rule, build_contour_rule, integrate)
+from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
+                         build_contour_rule, integrate)
 
 #: default per-factor resolution for polydisc tensor quadrature
 POLYDISC_RESOLUTION = (24, 48)
@@ -88,11 +88,11 @@ def field_from_expression(text: str, domain) -> ScalarField:
 
 @lru_cache(maxsize=256)
 def cached_area_rule(domain: DiskDomain, center: complex,
-                     resolution: tuple[int, int]) -> AreaRule:
+                     resolution: tuple[int, int]) -> Rule:
     return build_area_rule(domain, center, resolution)
 
 
-def _rule_for(domain, z: complex, resolution) -> AreaRule:
+def _rule_for(domain, z: complex, resolution) -> Rule:
     """The area rule centred at z on `domain`, which must be a disk."""
     if not isinstance(domain, DiskDomain):
         raise DomainError("disk operators need a ScalarField on a DiskDomain")

@@ -217,14 +217,6 @@ class NestedOracle:
         return _SINGLE_OPS[program[0]](field, complex(z), NESTED_TOP_RESOLUTION)
 
 
-def nested_apply(f: ScalarField, z, program):
-    """One-shot nested application; accepts a scalar or a sequence of targets."""
-    oracle = NestedOracle(f)
-    if np.ndim(z) == 0:
-        return oracle.evaluate(complex(z), program)
-    return np.array([oracle.evaluate(complex(w), program) for w in np.asarray(z).ravel()])
-
-
 # ---------------------------------------------------------------------------
 # Direct quadrature of the kernel lemmas' left-hand sides
 # ---------------------------------------------------------------------------
@@ -278,16 +270,6 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
 # Discrete Hoelder machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HoelderEstimate:
-    """Discrete sup estimate of a difference-quotient semi-norm (a lower bound)."""
-
-    alpha: float
-    order: int
-    value: float
-    budget: int
-
-
 def _disk_samples(rng, count: int, radius: float):
     u = rng.random(count)
     v = rng.random(count)
@@ -299,8 +281,8 @@ def _scalar(value) -> complex:
 
 
 def hoelder_seminorm(f: ScalarField, alpha: float, k: int = 1,
-                     sample_budget: int = 400, seed: int = 0) -> HoelderEstimate:
-    """Discrete k-th order Hoelder quotient sup over seeded sample tuples.
+                     sample_budget: int = 400, seed: int = 0) -> float:
+    """Discrete k-th order Hoelder quotient sup over seeded sample tuples (a lower bound).
 
     Pairs keep a minimum separation of 1e-6 R per perturbed factor.  The
     estimate is monotone non-decreasing in the budget for a fixed seed
@@ -317,7 +299,7 @@ def hoelder_seminorm(f: ScalarField, alpha: float, k: int = 1,
     if k == 0:
         pts = [_disk_samples(rng, sample_budget, radius) for _ in range(n)]
         vals = np.abs(f(*pts))
-        return HoelderEstimate(alpha, 0, float(np.max(vals)), sample_budget)
+        return float(np.max(vals))
 
     best = 0.0
     for _ in range(sample_budget):
@@ -342,14 +324,14 @@ def hoelder_seminorm(f: ScalarField, alpha: float, k: int = 1,
             total += sign * _scalar(f(*[np.asarray(p) for p in point]))
         denom = math.prod(abs(base[j] - primes[j]) ** alpha for j in idx)
         best = max(best, abs(total) / denom)
-    return HoelderEstimate(alpha, k, best, sample_budget)
+    return best
 
 
 def disk_norm_estimate(f: ScalarField, alpha: float, sample_budget: int = 400,
                        seed: int = 0) -> float:
     """Discrete sup|f| + (2R)^alpha * H_alpha[f] on the disk (a lower bound)."""
-    sup = hoelder_seminorm(f, alpha, k=0, sample_budget=sample_budget, seed=seed).value
-    hol = hoelder_seminorm(f, alpha, k=1, sample_budget=sample_budget, seed=seed + 1).value
+    sup = hoelder_seminorm(f, alpha, k=0, sample_budget=sample_budget, seed=seed)
+    hol = hoelder_seminorm(f, alpha, k=1, sample_budget=sample_budget, seed=seed + 1)
     return sup + (2 * f.domain.radius) ** alpha * hol
 
 
@@ -359,7 +341,7 @@ def polydisc_norm_estimate(f: ScalarField, alpha: float, sample_budget: int = 20
     n = f.factors
     total = 0.0
     for k in range(n + 1):
-        est = hoelder_seminorm(f, alpha, k=k, sample_budget=sample_budget, seed=seed + k).value
+        est = hoelder_seminorm(f, alpha, k=k, sample_budget=sample_budget, seed=seed + k)
         total += (2 * f.domain.radius) ** (k * alpha) / math.factorial(k) * est
     return total
 
@@ -373,9 +355,6 @@ class NormBoundReport:
     holds: bool
     lhs: float
     rhs: float
-    m: int
-    alpha: float
-    constants: tuple[float, float, float]
 
 
 def bound_constants(alpha: float) -> tuple[float, float, float]:
@@ -432,5 +411,4 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
                    for za, zb in zip(pair_a, pair_b)), default=0.0)
         lhs = max(lhs, sup + (2 * radius) ** alpha * hol)
 
-    return NormBoundReport(holds=lhs <= rhs, lhs=lhs, rhs=rhs, m=m,
-                           alpha=alpha, constants=(C0, C4, C5))
+    return NormBoundReport(holds=lhs <= rhs, lhs=lhs, rhs=rhs)

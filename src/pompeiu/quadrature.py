@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NonFiniteSample, ResolutionTooLow
+from .errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
 from .geometry import AREA_FACTOR, DiskDomain
 
 DEFAULT_RESOLUTION = (64, 128)
@@ -33,28 +33,12 @@ DEFAULT_CONTOUR_COUNT = 256
 
 
 @dataclass(frozen=True)
-class AreaRule:
-    """Nodes/weights for integrating f dzbar^dz over a disk.
-
-    `center` is the singularity location the radial grading points at.
-    `resolution` is the requested (n_radial, n_angular).
-    """
+class Rule:
+    """Nodes and weights: an area rule integrates f dzbar^dz over a disk, a
+    contour rule f dz counterclockwise around its circle."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    center: complex
-    resolution: tuple[int, int]
-    domain: DiskDomain
-
-
-@dataclass(frozen=True)
-class ContourRule:
-    """Nodes on the circle |z| = R with dz weights (counterclockwise)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    count: int
-    domain: DiskDomain
 
 
 @lru_cache(maxsize=64)
@@ -109,7 +93,7 @@ def _boundary_distance(domain: DiskDomain, center: complex,
 
 
 def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int],
-                directions) -> AreaRule:
+                directions) -> Rule:
     """Graded polar rule about `center`; `directions(center, n_angular)` gives
     the unit directions, their angular weights and the radial extent rho along each."""
     n_radial, n_angular = resolution
@@ -124,12 +108,11 @@ def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]
     # dA = r dr dtheta = rho^2 s ds dtheta
     weights = AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None]) * wt[None, :]
     nodes, weights = _drop_degenerate(nodes.ravel(), weights.ravel())
-    return AreaRule(nodes=nodes, weights=weights,
-                    center=center, resolution=(n_radial, n_angular), domain=domain)
+    return Rule(nodes=nodes, weights=weights)
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
-                    resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> AreaRule:
+                    resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
     """Polar rule centered at `singularity`, covering the whole disk.
 
     Angular rule: equispaced trapezoid (spectrally accurate since the radial
@@ -145,7 +128,7 @@ def build_area_rule(domain: DiskDomain, singularity: complex,
 
 
 def build_half_rule(domain: DiskDomain, center: complex, other: complex,
-                    resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> AreaRule:
+                    resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
     """Rule on the half of the disk nearer `center` than `other`.
 
     The disk is cut along the perpendicular bisector of [center, other]; the
@@ -158,7 +141,7 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
         o = domain.validate_point(other)
         sep = abs(o - center)
         if sep == 0:
-            raise ValueError("center and other must differ")
+            raise CoincidentPoints("a half rule needs center != other")
 
         u = (o - center) / sep
         iu = 1j * u
@@ -198,19 +181,19 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
     return _polar_rule(domain, center, resolution, directions)
 
 
-def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> ContourRule:
+def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rule:
     """Equispaced trapezoid rule on |z| = radius, weights carry dz."""
     if count < 8:
         raise ResolutionTooLow(f"contour rule needs count >= 8, got {count}")
-    domain = DiskDomain(radius)
+    DiskDomain(radius)  # validates the radius
     cos_t, sin_t = _symmetric_angles(count)
     unit = cos_t + 1j * sin_t
     nodes = radius * unit
     weights = 1j * radius * unit * (2 * np.pi / count)
-    return ContourRule(nodes=nodes, weights=weights, count=count, domain=domain)
+    return Rule(nodes=nodes, weights=weights)
 
 
-def integrate(rule: AreaRule | ContourRule, integrand) -> complex:
+def integrate(rule: Rule, integrand) -> complex:
     """Weighted sum of integrand samples at the rule nodes.
 
     The integrand must be vectorized: given the node array it returns a

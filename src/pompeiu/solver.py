@@ -40,10 +40,6 @@ class HolomorphicPolynomial:
     def zero(cls) -> "HolomorphicPolynomial":
         return cls((0j,))
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: complex = 1.0) -> "HolomorphicPolynomial":
-        return cls((0j,) * degree + (complex(coefficient),))
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)

@@ -1,16 +1,23 @@
 import argparse
+import cmath
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import pompeiu
 from pompeiu.cli import build_parser, format_complex, run_command
+from pompeiu.errors import DomainError
 from pompeiu.expressions import parse_complex
+from pompeiu.geometry import DiskDomain
 
 
 def run(capsys, *argv):
@@ -344,6 +351,7 @@ def test_kernel_eval_rejects_points_outside_the_disk(capsys, kind, a, b):
 
 
 SAMPLE = "integrand produced NaN/Inf at a quadrature node"
+RADIUS_ERROR = "disk radius needs R > 0 and R*R a normal float, got {}"
 
 
 @pytest.mark.parametrize("argv, threads, message", [
@@ -356,7 +364,19 @@ SAMPLE = "integrand produced NaN/Inf at a quadrature node"
     (["solve", "--g", "z^3", "--z", "1e120", "--R", "1e150"], "1", "solution value is NaN/Inf"),
     (["op", "apply", "--op", "2T", "--R", "1e150", "--f", "z^3", "--z", "1e120"], "1",
      "field value at the target is NaN/Inf"),
-], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T"])
+    # radii whose square leaves the normal float range, and an R^(2p) that overflows
+    (["kernel", "eval", "--kind", "c3", "--a", "0", "--b", "1e-171", "--R", "1e-170",
+      "--mu", "2", "--nu", "2"], "1", RADIUS_ERROR.format("1e-170")),
+    (["kernel", "eval", "--kind", "c3", "--a", "0", "--b", "1e154", "--R", "1e155",
+      "--mu", "2", "--nu", "2"], "1", RADIUS_ERROR.format("1e+155")),
+    (["op", "apply", "--op", "mixed", "--f", "1", "--z", "0", "--R", "1e155",
+      "--mu", "2", "--nu", "2"], "1", RADIUS_ERROR.format("1e+155")),
+    (["kernel", "eval", "--kind", "c3", "--a", "0", "--b", "1e9", "--R", "1e10",
+      "--mu", "20", "--nu", "20"], "1", "R^(2p) in c2 overflows a float at R = 1e+10"),
+    (["kernel", "eval", "--kind", "c2", "--a", "0", "--b", "1e9", "--R", "1e10",
+      "--l", "19", "--nu", "20"], "1", "R^(2p) in c2 overflows a float at R = 1e+10"),
+], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
+        "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38"])
 def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr
     env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",
@@ -366,3 +386,27 @@ def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+@given(st.floats(-200.0, 200.0))
+@example(154.1)  # (2,2)'s c2 sum 1.25 R^2 overflows there, though c3 ~ 0.4 R^2 does not
+def test_kernel_eval_across_radii_prints_a_finite_value_or_one_error_line(exponent):
+    # R log-uniform from 1e-200 to 1e200, with b halfway to the boundary
+    radius = 10.0 ** exponent
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(["kernel", "eval", "--kind", "c3", "--a", "0",
+                            "--b", repr(0.5 * radius), "--R", repr(radius),
+                            "--mu", "2", "--nu", "2"])
+    try:
+        DiskDomain(radius)
+    except DomainError:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == f"error: {RADIUS_ERROR.format(radius)}\n"
+        return
+    if code == 0:
+        assert err.getvalue() == ""
+        assert cmath.isfinite(parse_complex(out.getvalue().strip()))
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == "error: kernel value is NaN/Inf\n"

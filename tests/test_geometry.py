@@ -28,6 +28,20 @@ def test_disk_domain_validation():
         d.validate_point(1.5 + 1.5j)
 
 
+@pytest.mark.parametrize("radius", [1e-170, 1e-155, 1.4e154, 1e155, float("inf"), float("nan")])
+def test_disk_radius_outside_the_envelope_raises(radius):
+    # R*R must be a finite normal float
+    with pytest.raises(DomainError):
+        DiskDomain(radius)
+    with pytest.raises(DomainError):
+        PolydiscDomain(2, radius)
+
+
+@pytest.mark.parametrize("radius", [1.5e-154, 1e-100, 1e150, 1.3e154])
+def test_disk_radius_inside_the_envelope_is_accepted(radius):
+    assert DiskDomain(radius).radius == PolydiscDomain(2, radius).radius == radius
+
+
 def test_membership_tolerance_is_relative():
     d = DiskDomain(1.0)
     assert d.contains(1.0 + 1e-13)

@@ -8,9 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu.errors import CoincidentPoints, DomainError, OrderTooLarge
+from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, OrderTooLarge
 from pompeiu.geometry import DiskDomain, MultiIndex
-from pompeiu.kernels import (binomial, c1, c2, c3, c3_special_cases,
+from pompeiu.kernels import (c1, c2, c3, c3_special_cases,
                              c8, g_diag, g_mixed, kernel, log_term)
 
 R = 1.0
@@ -152,7 +152,7 @@ def test_c3_nu_one_uses_vanishing_c1():
         val = c3(a, b, mu, 1, R)
         explicit = (np.conj(b) - np.conj(a)) ** (mu - 1) * log_term(a, b, R)
         for l in range(1, mu):
-            explicit += (binomial(mu - 1, l) * (np.conj(b) - np.conj(a)) ** (mu - 1 - l) / l
+            explicit += (math.comb(mu - 1, l) * (np.conj(b) - np.conj(a)) ** (mu - 1 - l) / l
                          * (c2(a, b, l, 1, R) - (np.conj(a) - np.conj(b)) ** l))
         assert val == pytest.approx(explicit, abs=1e-15)
 
@@ -186,15 +186,17 @@ def test_c3_vectorized_matches_scalar():
 def test_order_caps():
     with pytest.raises(OrderTooLarge):
         c1(0.1, 0.2, 25)
-    with pytest.raises(OrderTooLarge):
-        binomial(21, 3)
     with pytest.raises(DomainError):
         c3(0.1, 0.2, 0, 1, R)
 
 
-@given(st.integers(0, 20), st.integers(0, 20))
-def test_binomial_matches_math_comb(n, k):
-    assert binomial(n, k) == (math.comb(n, k) if k <= n else 0)
+def test_c2_radius_power_overflow_raises():
+    # R^38 overflows a float; R^2 (the largest power a (19, 2) sum forms) does not
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteSample):
+        c2(0.0, 1e9, 19, 20, 1e10)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteSample):
+        c3(0.0, 1e9, 20, 20, 1e10)
+    assert np.isfinite(c2(0.0, 1e9, 19, 2, 1e10))
 
 
 def test_log_term_principal_branch():

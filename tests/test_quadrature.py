@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pompeiu.errors import DomainError, NonFiniteSample, ResolutionTooLow
+from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
 from pompeiu.geometry import DiskDomain
 from pompeiu.quadrature import (build_area_rule, build_contour_rule, build_half_rule,
                                 integrate)
@@ -192,3 +192,9 @@ def test_half_rules_tile_the_disk():
     # each half's nodes stay on its own side of the bisector
     assert np.all(np.abs(ra.nodes - a) <= np.abs(ra.nodes - b) + 1e-12)
     assert np.all(np.abs(rb.nodes - b) <= np.abs(rb.nodes - a) + 1e-12)
+
+
+def test_half_rule_with_coincident_centers_raises():
+    d = DiskDomain(1.0)
+    with pytest.raises(CoincidentPoints):
+        build_half_rule(d, 0.3 + 0.2j, 0.3 + 0.2j, (32, 64))
