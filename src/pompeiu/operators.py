@@ -170,10 +170,14 @@ def apply_2Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> co
 def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT) -> complex:
     """Sf(z) = 1/(2 pi i) * contour integral of f(w)/(w - z) dw (counterclockwise).
 
-    Trapezoid accuracy is spectral in the node count but decays as z
-    approaches the boundary; keep targets a few node spacings inside.
+    Envelope: n trapezoid nodes alias by about q^n/(1 - q^n) |f|, q = |z|/R;
+    q^n > 1e-10 (|z| > 0.914 R at the default n = 256) raises DomainError.
     """
     rule = build_contour_rule(f.domain.radius, contour_count)
+    limit = f.domain.radius * 1e-10 ** (1.0 / contour_count)
+    if abs(z) > limit:
+        raise DomainError(f"S target |z| = {abs(z):.6g} is outside |z| <= {limit:.6g} "
+                          f"(aliasing (|z|/R)^{contour_count} above 1e-10)")
     return complex(integrate(rule, lambda w: f(w) / (w - z)) / TWO_PI_I)
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import CoincidentPoints, DepthCap, DomainError
 from .geometry import DiskDomain, wirtinger_split
@@ -132,23 +131,57 @@ def exact_transform(field: PolynomialField, radius: float,
 # Nested operator application (the literal composition route)
 # ---------------------------------------------------------------------------
 
-class _PolarGridField:
-    """Complex field memoized on a polar grid with bicubic interpolation."""
+def _not_a_knot(n: int) -> np.ndarray:
+    """The map from n samples at unit spacing to their not-a-knot cubic
+    spline's second derivatives (third derivative continuous at 1 and n-2)."""
+    a, d = np.zeros((n, n)), np.zeros((n, n))
+    k = np.arange(1, n - 1)
+    a[k, k - 1] = a[k, k + 1] = d[k, k - 1] = d[k, k + 1] = 1.0
+    a[k, k], d[k, k] = 4.0, -2.0
+    a[0, :3] = a[-1, -3:] = (1.0, -2.0, 1.0)
+    return np.linalg.solve(a, 6.0 * d)
 
-    def __init__(self, domain: DiskDomain, radii, angles, values):
-        pad = 3
-        ang_ext = np.concatenate([angles[-pad:] - 2 * np.pi, angles, angles[:pad] + 2 * np.pi])
-        vals_ext = np.concatenate([values[:, -pad:], values, values[:, :pad]], axis=1)
+
+class _PolarGridField:
+    """Field sampled at radii i*h and angles 2 pi j/nt (nt even), held as its
+    trigonometric interpolant sum_m c_m(r) e^{i m theta} (Nyquist mode as a
+    cosine), each angular Fourier mode c_m a not-a-knot cubic spline in r."""
+
+    BLOCK = 128   # points per block: keeps the (points x modes) temporaries cache-sized
+
+    def __init__(self, domain: DiskDomain, values):
         self.domain = domain
-        self._re = RectBivariateSpline(radii, ang_ext, vals_ext.real, kx=3, ky=3)
-        self._im = RectBivariateSpline(radii, ang_ext, vals_ext.imag, kx=3, ky=3)
+        self._h = domain.radius / (len(values) - 1)
+        y = np.fft.fft(values, axis=1, norm="forward")
+        m2 = _not_a_knot(len(values)) @ y
+        # per radial interval, the cubic in t = r/h - k as Horner coefficients
+        self._cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
+                                y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
+
+    def _modes(self, z) -> np.ndarray:
+        """c_m(|z|) e^{i m arg z} for flat z, shape (z.size, nt), m in FFT order."""
+        x = np.minimum(np.abs(z), self.domain.radius) / self._h
+        k = np.minimum(x.astype(int), self._cubic.shape[1] - 1)
+        t = (x - k)[:, None]
+        a3, a2, a1, a0 = np.take(self._cubic, k, axis=1)
+        u = np.exp(1j * np.angle(z))[:, None]
+        powers = np.cumprod(np.broadcast_to(u, (z.size, a0.shape[1] // 2)), axis=1)
+        phase = np.concatenate([np.ones_like(u), powers[:, :-1], powers[:, -1:].real,
+                                np.conj(powers[:, -2::-1])], axis=1)
+        return (((a3 * t + a2) * t + a1) * t + a0) * phase
+
+    def _blockwise(self, z, finish) -> np.ndarray:
+        """`finish` of the modes of each BLOCK points of flat z, concatenated."""
+        return np.concatenate([finish(self._modes(z[i:i + self.BLOCK]))
+                               for i in range(0, z.size, self.BLOCK) or [0]])
+
+    def rotations(self, z) -> np.ndarray:
+        """Values at e^{2 pi i j/nt} z for every grid angle j, shape (nt, z.size)."""
+        return self._blockwise(z, lambda m: np.fft.ifft(m, axis=1, norm="forward")).T
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        r = np.minimum(np.abs(z), self.domain.radius)
-        theta = np.mod(np.angle(z), 2 * np.pi)
-        flat_r, flat_t = np.ravel(r), np.ravel(theta)
-        vals = self._re.ev(flat_r, flat_t) + 1j * self._im.ev(flat_r, flat_t)
+        vals = self._blockwise(np.ravel(z), lambda m: np.sum(m, axis=1))
         return vals.reshape(z.shape) if z.shape else complex(vals[0])
 
 
@@ -160,11 +193,11 @@ class NestedOracle:
 
     The outermost operator is quadrated directly at the requested target.
     Each deeper intermediate field is materialized once, on demand, on a
-    polar grid (one single-operator quadrature per grid node) and then
-    interpolated at the parent rule's nodes; the grids are memoized per
-    program suffix.  Exact per-node nesting costs O(N^depth) and is
-    unusable beyond depth 2, while the memoized route is linear in depth and
-    still never touches the closed-form kernels.
+    polar grid (one single-operator quadrature per grid node) and kept as
+    angular Fourier modes with a radial cubic spline per mode; the grids are
+    memoized per program suffix.  Exact per-node nesting costs O(N^depth)
+    and is unusable beyond depth 2, while the memoized route is linear in
+    depth and still never touches the closed-form kernels.
 
     The memo table is confined to this instance; share an instance across
     threads only for reads after warm-up.
@@ -183,26 +216,25 @@ class NestedOracle:
         return self._memo[suffix]
 
     def _materialize(self, op: str, inner_evaluator) -> _PolarGridField:
-        # One base rule per radius; rules at other angles are its rotations
-        # (the disk is rotation-invariant about 0), so each grid row is one
-        # batched quadrature:  1/(w - z) = e^{-i t}/(n0 - r)  with
-        # w = e^{i t} n0,  z = e^{i t} r.
+        # One base rule per radius; rules at the other grid angles are its
+        # rotations (the disk is rotation-invariant about 0), so each grid row is
+        # one batched quadrature: 1/(w - z) = e^{-i t}/(n0 - r), w = e^{i t} n0,
+        # z = e^{i t} r.  An inner grid field gives every rotation by one inverse FFT.
         nr, nt = NESTED_GRID_SHAPE
         radii = np.linspace(0.0, self.domain.radius, nr)
-        angles = 2 * np.pi * np.arange(nt) / nt
-        phases = np.exp(1j * angles)
+        phases = np.exp(2j * np.pi * np.arange(nt) / nt)
         values = np.empty((nr, nt), dtype=complex)
         for i, r in enumerate(radii):
             base = build_area_rule(self.domain, r, NESTED_RESOLUTION)
             n0 = base.nodes
-            nodes_all = phases[:, None] * n0[None, :]
-            fvals = np.asarray(inner_evaluator(nodes_all), dtype=complex)
-            if op == "T":
-                integrand = fvals / (phases[:, None] * (n0[None, :] - r))
+            if isinstance(inner_evaluator, _PolarGridField):
+                fvals = inner_evaluator.rotations(n0)
             else:
-                integrand = fvals / (np.conj(phases)[:, None] * (np.conj(n0)[None, :] - r))
-            values[i, :] = np.sum(base.weights[None, :] * integrand, axis=1) / (-2j * np.pi)
-        return _PolarGridField(self.domain, radii, angles, values)
+                fvals = np.asarray(inner_evaluator(phases[:, None] * n0[None, :]), dtype=complex)
+            pole = n0 - r if op == "T" else np.conj(n0) - r
+            values[i, :] = np.sum(fvals * (base.weights / pole), axis=1)
+        values *= (np.conj(phases) if op == "T" else phases) / (-2j * np.pi)
+        return _PolarGridField(self.domain, values)
 
     def evaluate(self, z: complex, program) -> complex:
         program = tuple(program)

@@ -375,8 +375,14 @@ RADIUS_ERROR = "disk radius needs R > 0 and R*R a normal float, got {}"
       "--mu", "20", "--nu", "20"], "1", "R^(2p) in c2 overflows a float at R = 1e+10"),
     (["kernel", "eval", "--kind", "c2", "--a", "0", "--b", "1e9", "--R", "1e10",
       "--l", "19", "--nu", "20"], "1", "R^(2p) in c2 overflows a float at R = 1e+10"),
+    # S targets outside the trapezoid aliasing envelope (q^n > 1e-10)
+    (["op", "apply", "--op", "S", "--f", "1+z*zbar", "--z", "0.999"], "1",
+     "S target |z| = 0.999 is outside |z| <= 0.913982 (aliasing (|z|/R)^256 above 1e-10)"),
+    (["op", "apply", "--op", "Sbar", "--f", "1+z*zbar", "--z", "0.5", "--contour-n", "8"],
+     "1", "S target |z| = 0.5 is outside |z| <= 0.0562341 (aliasing (|z|/R)^8 above 1e-10)"),
 ], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
-        "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38"])
+        "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38",
+        "S-0.999R", "Sbar-8-nodes"])
 def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr
     env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",

@@ -1,14 +1,20 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pompeiu.errors import DimensionCap, DomainError, NonFiniteSample
+from pompeiu.errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
                                apply_T, apply_T_power, apply_Tbar, apply_Tbar_power,
                                constant_field, evaluate_on_grid, field_from_expression,
                                transform, worker_count)
+from pompeiu.kernels import TWO_PI_I
 from pompeiu.oracle import PolynomialField, exact_transform
+from pompeiu.quadrature import build_contour_rule, integrate
 from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_pde
 
 DISK = DiskDomain(1.0)
@@ -87,6 +93,29 @@ def test_S_of_zbar_vanishes_inside():
 def test_Sbar_of_constant():
     one = constant_field(1.0, DISK)
     assert apply_Sbar(one, 0.3 - 0.2j) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_S_inside_its_envelope_is_the_plain_trapezoid_sum(R):
+    # the envelope check only refuses targets: accepted values are unchanged
+    f = field_from_expression("1+z*zbar", DiskDomain(R))
+    rule = build_contour_rule(R, 256)
+    for z in [q * R * cmath.exp(1j * t) for q in (0.6, 0.7) for t in (0.0, 1.1, 4.0)]:
+        want = complex(integrate(rule, lambda w: f(w) / (w - z)) / TWO_PI_I)
+        assert apply_S(f, z) == want
+
+
+@pytest.mark.parametrize("count", (8, 256))
+def test_S_refuses_targets_outside_its_aliasing_envelope(count):
+    f = field_from_expression("1+z*zbar", DiskDomain(2.5))
+    edge = 2.5 * 1e-10 ** (1.0 / count)   # where the aliasing factor (|z|/R)^count is 1e-10
+    assert cmath.isfinite(apply_S(f, 0.999 * edge, count))
+    for op in (apply_S, apply_Sbar):
+        with pytest.raises(DomainError):
+            op(f, 1.001 * edge * 1j, count)
+    # at 256 nodes the edge is 0.914 R; at 0.999 R the trapezoid sum reads 8.85 for the exact 2
+    with pytest.raises(DomainError):
+        apply_S(field_from_expression("1+z*zbar", DISK), 0.999)
 
 
 def test_2T_of_zbar_vanishes():
@@ -393,3 +422,16 @@ def test_grid_csv_shape():
     assert len(lines) == 1 + 9
     # all grid points lie inside the closed disk
     assert np.all(np.abs(grid.xs[None, :] + 1j * grid.ys[:, None]) <= DISK.radius)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(1, 0), (1, 1), (2, 2)]), st.sampled_from([1.0, 2.5]),
+       st.floats(0.99, 1.0), st.floats(0.0, 2 * np.pi))
+def test_transform_next_to_the_boundary_is_finite_or_raises(order, R, q, angle):
+    # targets at |z| in [0.99 R, R]; one a rounding step outside raises DomainError
+    f = field_from_expression("1+z*zbar-2i*z^2", DiskDomain(R))
+    try:
+        value = transform(f, q * R * cmath.exp(1j * angle), *order)
+    except PompeiuError:
+        return
+    assert cmath.isfinite(value)

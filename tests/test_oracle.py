@@ -8,9 +8,11 @@ from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_s
 from pompeiu.kernels import c1, c2, c3, log_term
 from pompeiu.operators import (ScalarField, apply_mixed, apply_polydisc, apply_T,
                                constant_field, field_from_expression)
-from pompeiu.oracle import (NestedOracle, PolynomialField, bound_constants,
-                            check_norm_bound, disk_norm_estimate, exact_transform,
-                            hoelder_seminorm, lemma_lhs_quadrature, polydisc_norm_estimate)
+from pompeiu.oracle import (NESTED_GRID_SHAPE, NESTED_RESOLUTION, NestedOracle,
+                            PolynomialField, bound_constants, check_norm_bound,
+                            disk_norm_estimate, exact_transform, hoelder_seminorm,
+                            lemma_lhs_quadrature, polydisc_norm_estimate)
+from pompeiu.quadrature import build_area_rule
 
 DISK = DiskDomain(1.0)
 A, B = 0.31 + 0.12j, -0.22 + 0.41j
@@ -62,6 +64,47 @@ def test_nested_matches_closed_forms_depth_2():
         mixed = apply_mixed(f, z, 1, 1)
         nested = oracle.evaluate(z, ["T", "Tbar"])
         assert abs(nested - mixed) <= 1e-5 * max(1.0, abs(mixed))
+
+
+def test_grid_field_rotations_match_pointwise_evaluation():
+    # materializing reads the inner field at every grid rotation of a base
+    # rule's nodes through one inverse FFT; pointwise evaluation sums the
+    # same modes directly
+    rng = np.random.default_rng(22)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    field = NestedOracle(poly.to_field(DISK))._field_for(("T",))
+    nt = NESTED_GRID_SHAPE[1]
+    phases = np.exp(2j * np.pi * np.arange(nt) / nt)
+    for r in (0.0, 0.37, 0.9):
+        n0 = build_area_rule(DISK, r, NESTED_RESOLUTION).nodes
+        rotated = field.rotations(n0)
+        pointwise = field(phases[:, None] * n0[None, :])
+        assert rotated.shape == pointwise.shape == (nt, n0.size)
+        assert np.max(np.abs(rotated - pointwise)) <= 1e-13
+
+
+NESTED_WORDS = (("T",), ("Tbar",), ("T", "Tbar"), ("T", "T", "Tbar"), ("T", "Tbar", "Tbar"),
+                ("T", "T", "Tbar", "Tbar"), ("T", "T", "T", "T"))
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_nested_words_up_to_depth_4_match_exact_transforms(R):
+    # a (4,4) polynomial in z/R, so T^k of it has size about R^k on any disk;
+    # the error is relative to max(R^k, |value|), criterion 4's measure at R = 1
+    rng = np.random.default_rng(23)
+    degrees = np.add.outer(np.arange(4), np.arange(4))
+    poly = PolynomialField((rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                           / R ** degrees)
+    oracle = NestedOracle(poly.to_field(DiskDomain(R)))
+    for word in NESTED_WORDS:
+        exact = poly
+        for op in reversed(word):
+            exact = exact_transform(exact, R, conjugate=op == "Tbar")
+        for q in (0.0, 0.3, 0.7, 0.9):
+            z = q * R * np.exp(0.7j)
+            want = complex(exact(np.asarray(z)))
+            got = oracle.evaluate(z, word)
+            assert abs(got - want) <= 1e-5 * max(R ** len(word), abs(want))
 
 
 def test_nested_oracle_memoizes_suffix_grids():
