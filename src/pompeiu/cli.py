@@ -305,7 +305,7 @@ def _suite_operators(args, report) -> int:
     f = poly.to_field(domain)
     dbar = poly.wirtinger(0, 1).to_field(domain)
     for _ in range(3):
-        z = _interior_point(rng, 0.6 * R)
+        z = _interior_point(rng, min(0.6 * R, operators.S_envelope(R, args.contour_n)))
         got = apply_T(dbar, z, res) + apply_S(f, z, args.contour_n)
         err = abs(got - complex(poly(np.asarray(z))))
         failures += report(err <= 1e-7, "T dbar f + S f = f", err)

@@ -7,6 +7,11 @@ Conventions fixed here and relied on everywhere else:
 * Area element: dzbar ^ dz = 2i dx dy.  Quadrature weights carry the 2i
   factor so operator formulas can be transcribed literally.
 * Boundary contours are oriented counterclockwise.
+* Exclusion radius: points closer than COINCIDENCE_EPS * R coincide.  The
+  kernels refuse such a pair (`require_separated` raises CoincidentPoints),
+  and area and half rules drop every node that close to their center, so
+  each node a rule produces is one the kernels accept.  `g_diag`, which has
+  no radius, refuses only an exact zero gap.
 
 All types are immutable after construction and safe for concurrent reads.
 """
@@ -19,13 +24,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StencilOutOfDomain
+from .errors import CoincidentPoints, DomainError, StencilOutOfDomain
 
 #: dzbar ^ dz = AREA_FACTOR * dx dy
 AREA_FACTOR = 2j
 
 #: relative tolerance for membership in the closed disk
 MEMBERSHIP_RTOL = 1e-12
+
+#: |a - b| below COINCIDENCE_EPS * R is a coincidence
+COINCIDENCE_EPS = 1e-14
 
 
 def require_finite(z: complex) -> complex:
@@ -34,6 +42,14 @@ def require_finite(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"non-finite complex value {z!r}")
     return z
+
+
+def require_separated(a, b, radius: float):
+    """Raise CoincidentPoints where |a - b| is below COINCIDENCE_EPS * R."""
+    gap = np.abs(np.asarray(a) - np.asarray(b))
+    if np.any(gap < COINCIDENCE_EPS * radius):
+        raise CoincidentPoints(
+            f"|a-b| below {COINCIDENCE_EPS:g}*R; kernel not defined at coincidence")
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,10 @@ import math
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, NonFiniteSample, OrderTooLarge
-from .geometry import MultiIndex
+from .geometry import MultiIndex, require_separated
 
 #: orders above this are rejected (factorials overflow usefulness at desk scale)
 MAX_ORDER = 20
-
-#: |a - b| below COINCIDENCE_EPS * R raises CoincidentPoints
-COINCIDENCE_EPS = 1e-14
 
 TWO_PI_I = 2j * np.pi
 
@@ -48,14 +45,6 @@ def _check_order(name: str, value: int, minimum: int = 1) -> int:
     if value > MAX_ORDER:
         raise OrderTooLarge(f"{name}={value} exceeds cap {MAX_ORDER}")
     return value
-
-
-def require_separated(a, b, radius: float):
-    """Raise CoincidentPoints where |a - b| is below COINCIDENCE_EPS * R."""
-    gap = np.abs(np.asarray(a) - np.asarray(b))
-    if np.any(gap < COINCIDENCE_EPS * radius):
-        raise CoincidentPoints(
-            f"|a-b| below {COINCIDENCE_EPS:g}*R; kernel not defined at coincidence")
 
 
 def _power(x, n: int):

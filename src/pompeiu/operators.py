@@ -167,14 +167,20 @@ def apply_2Tbar(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> co
     return complex(np.conj(apply_2T(f.conjugate(), z, resolution)))
 
 
+def S_envelope(radius: float, contour_count: int) -> float:
+    """Largest |z| that `apply_S` accepts with `contour_count` nodes on the
+    R-circle: n trapezoid nodes alias by about q^n/(1 - q^n) |f|, q = |z|/R,
+    and the envelope is q^n <= 1e-10 (0.914 R at n = 256, 0.056 R at 8)."""
+    return radius * 1e-10 ** (1.0 / contour_count)
+
+
 def apply_S(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_COUNT) -> complex:
     """Sf(z) = 1/(2 pi i) * contour integral of f(w)/(w - z) dw (counterclockwise).
 
-    Envelope: n trapezoid nodes alias by about q^n/(1 - q^n) |f|, q = |z|/R;
-    q^n > 1e-10 (|z| > 0.914 R at the default n = 256) raises DomainError.
+    A target outside `S_envelope` raises DomainError.
     """
     rule = build_contour_rule(f.domain.radius, contour_count)
-    limit = f.domain.radius * 1e-10 ** (1.0 / contour_count)
+    limit = S_envelope(f.domain.radius, contour_count)
     if abs(z) > limit:
         raise DomainError(f"S target |z| = {abs(z):.6g} is outside |z| <= {limit:.6g} "
                           f"(aliasing (|z|/R)^{contour_count} above 1e-10)")

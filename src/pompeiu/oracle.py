@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints, DepthCap, DomainError
-from .geometry import DiskDomain, wirtinger_split
-from .kernels import COINCIDENCE_EPS
+from .errors import DepthCap, DomainError
+from .geometry import DiskDomain, require_separated, wirtinger_split
 from .operators import ScalarField, apply_mixed, apply_T, apply_Tbar
 from .quadrature import build_area_rule, build_contour_rule, build_half_rule, integrate
 
@@ -270,21 +269,15 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
                          resolution=(64, 128), contour_count: int = 256) -> complex:
     """Direct numeric value of a kernel identity's defining integral.
 
-    kind 'lem4': area integral of (z-b)^(k-1) / ((z-a)(zbar-bbar)), indices=k.
     kind 'lem5': contour integral of (zbar-bbar)^l (z-b)^(nu-1)/(z-a), indices=(l, nu).
     kind 'lem6': area integral of (zbar-abar)^(mu-1)(z-b)^(nu-1)/((z-a)(zbar-bbar)),
-                 indices=(mu, nu).
+                 indices=(mu, nu); lemma 4's integrand is its mu = 1 case.
     """
     a, b = complex(a), complex(b)
-    if abs(a - b) < COINCIDENCE_EPS * radius:
-        raise CoincidentPoints("lemma left-hand sides need a != b")
+    require_separated(a, b, radius)
     domain = DiskDomain(radius)
     bb = np.conj(b)
 
-    if kind == "lem4":
-        k = int(indices) if np.ndim(indices) == 0 else int(indices[0])
-        func = lambda z: (z - b) ** (k - 1) / ((z - a) * (np.conj(z) - bb))
-        return two_center_integrate(func, domain, a, b, resolution)
     if kind == "lem5":
         l, nu = (int(i) for i in indices)
         rule = build_contour_rule(radius, contour_count)

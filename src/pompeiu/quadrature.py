@@ -5,7 +5,10 @@ integrand: the polar Jacobian r cancels a 1/|z - center| singularity exactly,
 and quadratic radial grading (panel edges at (k/P)^2) tames r*log(r).  The
 radial extent is rescaled per angle to the distance from the center to the
 disk boundary, so every panel integrand stays smooth in the normalized
-(s, theta) coordinates.
+(s, theta) coordinates.  Area and half rules drop every node closer to
+their center than the exclusion radius COINCIDENCE_EPS * R, which `geometry`
+owns: below that gap the kernels raise CoincidentPoints, so every node a rule
+keeps is one the kernels accept.
 
 Weights carry the 2i area factor (dzbar ^ dz = 2i dx dy), and contour weights
 carry dz = i R e^{i theta} dtheta, so operator formulas transcribe literally.
@@ -25,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
-from .geometry import AREA_FACTOR, DiskDomain
+from .errors import DomainError, NonFiniteSample, ResolutionTooLow
+from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separated
 
 DEFAULT_RESOLUTION = (64, 128)
 DEFAULT_CONTOUR_COUNT = 256
@@ -42,10 +45,9 @@ class Rule:
 
 
 @lru_cache(maxsize=64)
-def _graded_radial_rule(n_radial: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1] with panel edges at (k/P)^2."""
-    order = 8 if n_radial >= 16 else 4
-    panels = max(1, n_radial // order)
+def _graded_radial_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1]: `panels` panels of `order`
+    nodes, with panel edges at (k/P)^2."""
     edges = (np.arange(panels + 1) / panels) ** 2
     x, w = leggauss(order)
     s = np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * x
@@ -69,21 +71,6 @@ def _symmetric_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _drop_degenerate(nodes: np.ndarray, weights: np.ndarray):
-    """Drop zero-weight nodes (directions with zero radial extent collapse
-    onto the rule center, where singular integrands are undefined)."""
-    keep = weights != 0
-    if np.all(keep):
-        return nodes, weights
-    return nodes[keep], weights[keep]
-
-
-def _snap_tiny(rho: np.ndarray, radius: float) -> np.ndarray:
-    """Zero out radial extents so small their nodes would round onto the
-    center; their weights (~rho^2) are far below quadrature accuracy."""
-    return np.where(rho < radius * 1e-12, 0.0, rho)
-
-
 def _boundary_distance(domain: DiskDomain, center: complex,
                        cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
     """Distance from `center` to the circle along each direction."""
@@ -99,16 +86,24 @@ def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]
     n_radial, n_angular = resolution
     if n_radial < 4 or n_angular < 8:
         raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
+    # radial panels of `order` Gauss nodes; a partial panel is refused, not dropped
+    order = 8 if n_radial >= 16 else 4
+    if n_radial % order:
+        raise ResolutionTooLow(f"n_radial must be a multiple of 4 below 16 and of 8 from 16 up, "
+                               f"got {n_radial}")
     center = domain.validate_point(center)
     unit, wt, rho = directions(center, n_angular)
-    rho = _snap_tiny(rho, domain.radius)
-    s, ws = _graded_radial_rule(n_radial)
+    s, ws = _graded_radial_rule(n_radial // order, order)
 
-    nodes = center + (rho[None, :] * s[:, None]) * unit[None, :]
+    nodes = (center + (rho[None, :] * s[:, None]) * unit[None, :]).ravel()
     # dA = r dr dtheta = rho^2 s ds dtheta
-    weights = AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None]) * wt[None, :]
-    nodes, weights = _drop_degenerate(nodes.ravel(), weights.ravel())
-    return Rule(nodes=nodes, weights=weights)
+    weights = (AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None])
+               * wt[None, :]).ravel()
+    # the expression require_separated evaluates, so every kept node passes it
+    keep = np.abs(center - nodes) >= COINCIDENCE_EPS * domain.radius
+    if np.all(keep):
+        return Rule(nodes=nodes, weights=weights)
+    return Rule(nodes=nodes[keep], weights=weights[keep])
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
@@ -139,10 +134,8 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
     """
     def directions(center, n_angular):
         o = domain.validate_point(other)
+        require_separated(center, o, domain.radius)
         sep = abs(o - center)
-        if sep == 0:
-            raise CoincidentPoints("a half rule needs center != other")
-
         u = (o - center) / sep
         iu = 1j * u
         m0 = (center + o) / 2

@@ -283,6 +283,23 @@ def test_radius_flag_sets_the_disk(capsys):
     assert parse_complex(out.strip()) == pytest.approx(0.9**2 / 2, abs=1e-8)
 
 
+def test_solve_within_the_exclusion_radius_of_the_boundary(capsys):
+    # 1e-11 R from the boundary, the rule's first radial nodes lie inside
+    # the kernels' exclusion radius; the rule drops them
+    code, out = run(capsys, "solve", "--mu", "2", "--nu", "2", "--rhs", "1",
+                    "--z", "0.99999999999")
+    assert code == 0
+    assert cmath.isfinite(parse_complex(out.strip()))
+
+
+def test_verify_operators_draws_S_targets_inside_its_envelope(capsys):
+    # at 8 contour nodes S accepts |z| <= 0.056 R, below the usual 0.6 R draws
+    code, out = run(capsys, "verify", "--suite", "operators", "--contour-n", "8")
+    assert code == 0
+    assert len(out.splitlines()) == 7
+    assert out.count("PASS T dbar f + S f = f") == 3
+
+
 def test_verify_exits_nonzero_on_failure(capsys):
     # the minimum resolution is far too coarse for the golden tolerance
     code = run_command(["verify", "--suite", "operators", "--nr", "4", "--ntheta", "8"])
@@ -380,9 +397,12 @@ RADIUS_ERROR = "disk radius needs R > 0 and R*R a normal float, got {}"
      "S target |z| = 0.999 is outside |z| <= 0.913982 (aliasing (|z|/R)^256 above 1e-10)"),
     (["op", "apply", "--op", "Sbar", "--f", "1+z*zbar", "--z", "0.5", "--contour-n", "8"],
      "1", "S target |z| = 0.5 is outside |z| <= 0.0562341 (aliasing (|z|/R)^8 above 1e-10)"),
+    # a partial radial panel is refused, not rounded down to 16 nodes
+    (["op", "apply", "--op", "T", "--f", "1+z*zbar", "--z", "0.3", "--nr", "20"], "1",
+     "n_radial must be a multiple of 4 below 16 and of 8 from 16 up, got 20"),
 ], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
         "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38",
-        "S-0.999R", "Sbar-8-nodes"])
+        "S-0.999R", "Sbar-8-nodes", "nr-20"])
 def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr
     env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",

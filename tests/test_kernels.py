@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, OrderTooLarge
-from pompeiu.geometry import DiskDomain, MultiIndex
+from pompeiu.geometry import COINCIDENCE_EPS, DiskDomain, MultiIndex
 from pompeiu.kernels import (c1, c2, c3, c3_special_cases,
                              c8, g_diag, g_mixed, kernel, log_term)
 
@@ -162,6 +162,21 @@ def test_c3_coincidence_raises():
         c3(0.3, 0.3, 1, 1, R)
     with pytest.raises(CoincidentPoints):
         c3(0.3, 0.3 + 1e-16, 2, 2, R)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]), st.sampled_from([1.0, 2.5]),
+       st.floats(0.0, 0.9), st.floats(0.0, 2 * np.pi), st.floats(-16.0, -12.0),
+       st.floats(0.0, 2 * np.pi))
+def test_c3_raises_exactly_inside_the_exclusion_radius(order, radius, q, angle, exponent, turn):
+    # separations log-uniform over 1e-16..1e-12 R, straddling COINCIDENCE_EPS * R
+    a = q * radius * np.exp(1j * angle)
+    b = a + 10.0**exponent * radius * np.exp(1j * turn)
+    if np.abs(a - b) < COINCIDENCE_EPS * radius:
+        with pytest.raises(CoincidentPoints):
+            c3(a, b, *order, radius)
+    else:
+        assert np.isfinite(c3(a, b, *order, radius))
 
 
 def test_kernel_query_validation():

@@ -435,3 +435,18 @@ def test_transform_next_to_the_boundary_is_finite_or_raises(order, R, q, angle):
     except PompeiuError:
         return
     assert cmath.isfinite(value)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from([1.0, 2.5]), st.floats(-13.0, -9.0), st.floats(0.0, 2 * np.pi))
+def test_transforms_within_the_exclusion_radius_of_the_boundary(R, exponent, angle):
+    # |z| = R(1 - d), d log-uniform over [1e-13, 1e-9]: the rule drops the
+    # nodes the kernels refuse, so every transform returns and T stays exact;
+    # the field 1 + |z/R|^2 - 2i (z/R)^2 keeps |Tf| <= 4 R on every disk
+    poly = PolynomialField.from_dict({(0, 0): 1, (1, 1): R**-2, (2, 0): -2j * R**-2})
+    f = poly.to_field(DiskDomain(R))
+    z = R * (1 - 10.0**exponent) * cmath.exp(1j * angle)
+    for order in ((1, 0), (2, 0), (1, 1), (2, 2)):
+        assert cmath.isfinite(transform(f, z, *order))
+    want = complex(exact_transform(poly, R)(np.asarray(z)))
+    assert abs(transform(f, z, 1, 0) - want) <= 1e-13 * R

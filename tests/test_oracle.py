@@ -122,14 +122,14 @@ def test_nested_oracle_memoizes_suffix_grids():
 # ---------------------------------------------------------------------------
 
 def test_lem4_k1_is_pure_log():
-    got = lemma_lhs_quadrature("lem4", A, B, 1, 1.0)
+    got = lemma_lhs_quadrature("lem6", A, B, (1, 1), 1.0)
     want = 2j * np.pi * log_term(A, B, 1.0)
     assert abs(got - want) <= 1e-5 * abs(want)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_lem4_matches_c1_plus_log(k):
-    got = lemma_lhs_quadrature("lem4", A, B, k, 1.0)
+    got = lemma_lhs_quadrature("lem6", A, B, (1, k), 1.0)
     want = 2j * np.pi * (c1(A, B, k) + (A - B) ** (k - 1) * log_term(A, B, 1.0))
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
-from pompeiu.geometry import DiskDomain
+from pompeiu.geometry import DiskDomain, require_separated
 from pompeiu.quadrature import (build_area_rule, build_contour_rule, build_half_rule,
                                 integrate)
 
@@ -54,6 +54,10 @@ def test_resolution_floor():
         build_area_rule(d, 0j, (3, 64))
     with pytest.raises(ResolutionTooLow):
         build_area_rule(d, 0j, (16, 7))
+    # a partial radial panel: multiples of 4 below 16, of 8 from 16 up
+    for n_radial in (6, 20, 23):
+        with pytest.raises(ResolutionTooLow):
+            build_area_rule(d, 0j, (n_radial, 64))
     with pytest.raises(ResolutionTooLow):
         build_contour_rule(1.0, 7)
 
@@ -192,6 +196,21 @@ def test_half_rules_tile_the_disk():
     # each half's nodes stay on its own side of the bisector
     assert np.all(np.abs(ra.nodes - a) <= np.abs(ra.nodes - b) + 1e-12)
     assert np.all(np.abs(rb.nodes - b) <= np.abs(rb.nodes - a) + 1e-12)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([1.0, 2.5]), st.floats(-13.0, -9.0), st.floats(0.0, 2 * np.pi))
+def test_rules_next_to_the_boundary_keep_only_separated_nodes(R, exponent, angle):
+    # |center| = R(1 - d), d log-uniform over [1e-13, 1e-9]: the first radial
+    # nodes of the outward directions fall inside the exclusion radius
+    d = DiskDomain(R)
+    center = R * (1 - 10.0**exponent) * np.exp(1j * angle)
+    rule = build_area_rule(d, center)
+    require_separated(center, rule.nodes, R)
+    other = 0.3 * R * np.exp(1j * (angle + 2.0))
+    half = build_half_rule(d, center, other)
+    require_separated(center, half.nodes, R)
+    require_separated(other, half.nodes, R)
 
 
 def test_half_rule_with_coincident_centers_raises():
