@@ -51,8 +51,21 @@ def _add_contour_count(p: argparse.ArgumentParser) -> None:
                    help="contour rule node count")
 
 
-def _multi_index(text: str) -> MultiIndex:
-    return MultiIndex(tuple(int(part) for part in text.split(",")))
+def _orders(text: str) -> tuple[int, ...]:
+    """`--mu`/`--nu`: one order, or a comma list (the polydisc and c8)."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers separated by commas, got {text!r}")
+
+
+def _single(args, *names: str) -> list[int]:
+    """The one order each flag in `names` holds, for a disk kernel or operator."""
+    for name in names:
+        if len(getattr(args, name)) != 1:
+            raise PompeiuError(f"--{name} takes one order here, got "
+                               f"{','.join(map(str, getattr(args, name)))}")
+    return [getattr(args, name)[0] for name in names]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--kind", choices=["c1", "c2", "c3", "c8", "gdiag", "gmixed"], default="c3")
     ke.add_argument("--a", default="0", help="target point (z)")
     ke.add_argument("--b", default="0", help="source point (eta/zeta)")
-    ke.add_argument("--mu", default="1")
-    ke.add_argument("--nu", default="1")
+    ke.add_argument("--mu", type=_orders, default="1")
+    ke.add_argument("--nu", type=_orders, default="1")
     ke.add_argument("--k", type=int, default=1, help="order for c1/gdiag")
     ke.add_argument("--l", type=int, default=1, help="first order for c2")
     _add_radius_and_out(ke)
@@ -79,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     oa.add_argument("--f", required=True, help="field expression")
     oa.add_argument("--z", required=True, help="target point (comma list on the polydisc)")
     oa.add_argument("--power", type=int, default=1, help="iterate T/Tbar this many times")
-    oa.add_argument("--mu", default="1")
-    oa.add_argument("--nu", default="1")
+    oa.add_argument("--mu", type=_orders, default="1")
+    oa.add_argument("--nu", type=_orders, default="1")
     oa.add_argument("--n", type=int, default=1, help="polydisc factor count")
     _add_radius_and_out(oa)
     _add_resolution(oa)
@@ -114,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--f", required=True, help="field expression")
     ex.add_argument("--op", default=None,
                     choices=["T", "Tbar", "mixed"], help="transform to apply at each grid point")
-    ex.add_argument("--mu", type=int, default=1)
-    ex.add_argument("--nu", type=int, default=1)
+    ex.add_argument("--mu", type=_orders, default="1")
+    ex.add_argument("--nu", type=_orders, default="1")
     ex.add_argument("--grid", type=int, default=17)
     ex.add_argument("--extent", type=float, default=0.95)
     ex.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -142,11 +155,11 @@ def _emit(text: str, out: str | None) -> None:
 #: (k, 0) and (mu, nu >= 1) entries of the normalized kernel table
 _KERNELS = {
     "c1": lambda args, a, b, R: kernels.c1(a, b, args.k),
-    "c2": lambda args, a, b, R: kernels.c2(a, b, args.l, int(args.nu), R),
-    "c3": lambda args, a, b, R: kernels.c3(a, b, int(args.mu), int(args.nu), R),
-    "c8": lambda args, a, b, R: kernels.c8(_multi_index(args.mu), _multi_index(args.nu)),
+    "c2": lambda args, a, b, R: kernels.c2(a, b, args.l, *_single(args, "nu"), R),
+    "c3": lambda args, a, b, R: kernels.c3(a, b, *_single(args, "mu", "nu"), R),
+    "c8": lambda args, a, b, R: kernels.c8(MultiIndex(args.mu), MultiIndex(args.nu)),
     "gdiag": lambda args, a, b, R: kernels.g_diag(a, b, args.k),
-    "gmixed": lambda args, a, b, R: kernels.g_mixed(a, b, int(args.mu), int(args.nu), R),
+    "gmixed": lambda args, a, b, R: kernels.g_mixed(a, b, *_single(args, "mu", "nu"), R),
 }
 
 
@@ -168,8 +181,8 @@ def _cmd_kernel(args) -> int:
 _DISK_OPS = {
     "T": lambda f, z, args, res: transform(f, z, args.power, 0, res),
     "Tbar": lambda f, z, args, res: transform(f, z, 0, args.power, res),
-    "mixed": lambda f, z, args, res: transform(f, z, int(args.mu), int(args.nu), res),
-    "dual": lambda f, z, args, res: apply_conjugate_dual(f, z, int(args.mu), int(args.nu), res),
+    "mixed": lambda f, z, args, res: transform(f, z, *_single(args, "mu", "nu"), res),
+    "dual": lambda f, z, args, res: apply_conjugate_dual(f, z, *_single(args, "mu", "nu"), res),
     "2T": lambda f, z, args, res: apply_2T(f, z, res),
     "2Tbar": lambda f, z, args, res: apply_2Tbar(f, z, res),
     "S": lambda f, z, args, res: apply_S(f, z, args.contour_n),
@@ -182,7 +195,7 @@ def _cmd_op(args) -> int:
         f = field_from_expression(args.f, PolydiscDomain(args.n, args.R))
         z = tuple(parse_complex(part) for part in args.z.split(","))
         # per-factor rules default smaller than the disk's
-        value = apply_polydisc(f, z, _multi_index(args.mu), _multi_index(args.nu),
+        value = apply_polydisc(f, z, MultiIndex(args.mu), MultiIndex(args.nu),
                                _resolution(args, POLYDISC_RESOLUTION))
     else:
         f = field_from_expression(args.f, DiskDomain(args.R))
@@ -368,24 +381,13 @@ def _cmd_verify(args) -> int:
 def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    # freeing a 1 MiB block lifts glibc's mmap/trim thresholds, so the 128 KiB
-    # arrays of 8192-node rules are reused instead of mapped and faulted anew
-    np.empty(1 << 17)
+    command = {"kernel": _cmd_kernel, "op": _cmd_op, "solve": _cmd_solve,
+               "verify": _cmd_verify, "export": _cmd_export}[args.command]
     try:
-        if args.command == "kernel":
-            return _cmd_kernel(args)
-        if args.command == "op":
-            return _cmd_op(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "export":
-            return _cmd_export(args)
+        return command(args)
     except PompeiuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

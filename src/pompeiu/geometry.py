@@ -115,9 +115,6 @@ class MultiIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def order(self) -> int:
         return sum(self.entries)

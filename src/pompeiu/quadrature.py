@@ -34,6 +34,10 @@ from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separate
 DEFAULT_RESOLUTION = (64, 128)
 DEFAULT_CONTOUR_COUNT = 256
 
+# freeing a 1 MiB block lifts glibc's mmap/trim thresholds, so the 128 KiB
+# arrays of 8192-node rules are reused instead of mapped and faulted anew
+np.empty(1 << 17)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -83,6 +87,9 @@ def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]
                 directions) -> Rule:
     """Graded polar rule about `center`; `directions(center, n_angular)` gives
     the unit directions, their angular weights and the radial extent rho along each."""
+    if not isinstance(domain, DiskDomain):
+        raise DomainError(f"area rules need a DiskDomain, got {domain!r}")
+    center = domain.validate_point(center)
     n_radial, n_angular = resolution
     if n_radial < 4 or n_angular < 8:
         raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
@@ -91,7 +98,6 @@ def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]
     if n_radial % order:
         raise ResolutionTooLow(f"n_radial must be a multiple of 4 below 16 and of 8 from 16 up, "
                                f"got {n_radial}")
-    center = domain.validate_point(center)
     unit, wt, rho = directions(center, n_angular)
     s, ws = _graded_radial_rule(n_radial // order, order)
 

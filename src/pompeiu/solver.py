@@ -18,8 +18,8 @@ from .errors import DomainError, NonFiniteSample, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
 # solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
 from .kernels import c3, kernel  # noqa: F401
-from .operators import ScalarField, _rule_for, transform
-from .quadrature import DEFAULT_RESOLUTION, integrate
+from .operators import ScalarField, transform
+from .quadrature import DEFAULT_RESOLUTION, build_area_rule, integrate
 
 BIHARMONIC_IMAG_TOL = 1e-12
 
@@ -102,7 +102,7 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
 
     def u(z: complex) -> complex:
         z = complex(z)
-        rule = _rule_for(dom, z, resolution)
+        rule = build_area_rule(dom, z, resolution)
 
         def integrand(w):
             return sum((kernel(z, w, *entry, dom.radius) * density(w) for entry, density in terms),

@@ -356,6 +356,23 @@ def test_removed_flags_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "--kind", "c3", "--mu", "x", "--a", "0", "--b", "0.5"],
+    ["kernel", "eval", "--kind", "c8", "--mu", "1,x", "--nu", "1,1"],
+    ["kernel", "eval", "--kind", "c3", "--nu", "", "--a", "0", "--b", "0.5"],
+    ["op", "apply", "--op", "mixed", "--f", "z", "--z", "0.1", "--mu", "1.5"],
+    ["export", "--f", "z", "--op", "mixed", "--grid", "2", "--mu", "one"],
+    ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1", "--z", "0,0",
+     "--mu", "1,1", "--nu", "1,"],
+], ids=["c3-mu-x", "c8-mu-1,x", "c3-nu-empty", "mixed-mu-1.5", "export-mu-one",
+     "polydisc-nu-1,"])
+def test_non_integer_orders_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    assert "expected integers separated by commas" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["c1", "c2", "c3", "gdiag", "gmixed"])
 @pytest.mark.parametrize("a, b", [("1.5", "0.2"), ("0.2", "2"), ("0.2", "nan")])
 def test_kernel_eval_rejects_points_outside_the_disk(capsys, kind, a, b):
@@ -369,6 +386,7 @@ def test_kernel_eval_rejects_points_outside_the_disk(capsys, kind, a, b):
 
 SAMPLE = "integrand produced NaN/Inf at a quadrature node"
 RADIUS_ERROR = "disk radius needs R > 0 and R*R a normal float, got {}"
+GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
 
 
 @pytest.mark.parametrize("argv, threads, message", [
@@ -400,9 +418,33 @@ RADIUS_ERROR = "disk radius needs R > 0 and R*R a normal float, got {}"
     # a partial radial panel is refused, not rounded down to 16 nodes
     (["op", "apply", "--op", "T", "--f", "1+z*zbar", "--z", "0.3", "--nr", "20"], "1",
      "n_radial must be a multiple of 4 below 16 and of 8 from 16 up, got 20"),
+    # grids need a point on each axis and corners inside the closed disk
+    (["export", "--f", "z", "--grid", "-3"], "1", GRID_ERROR.format(-3, 0.95)),
+    (["solve", "--rhs", "1", "--grid", "-2"], "1", GRID_ERROR.format(-2, 0.95)),
+    (["export", "--f", "z", "--grid", "0"], "1", GRID_ERROR.format(0, 0.95)),
+    (["export", "--f", "z", "--grid", "2", "--extent", "2"], "1", GRID_ERROR.format(2, 2.0)),
+    (["export", "--f", "z", "--op", "T", "--grid", "2", "--extent", "2"], "1",
+     GRID_ERROR.format(2, 2.0)),
+    (["export", "--f", "z", "--grid", "2", "--extent", "nan"], "1",
+     GRID_ERROR.format(2, "nan")),
+    # disk kernels and operators take one order per flag
+    (["op", "apply", "--op", "mixed", "--f", "z", "--z", "0.1", "--mu", "1,2"], "1",
+     "--mu takes one order here, got 1,2"),
+    (["op", "apply", "--op", "dual", "--f", "z", "--z", "0.1", "--nu", "1,3"], "1",
+     "--nu takes one order here, got 1,3"),
+    (["kernel", "eval", "--kind", "c3", "--a", "0", "--b", "0.5", "--nu", "2,2"], "1",
+     "--nu takes one order here, got 2,2"),
+    (["kernel", "eval", "--kind", "c2", "--a", "0", "--b", "0.5", "--nu", "1,3"], "1",
+     "--nu takes one order here, got 1,3"),
+    (["kernel", "eval", "--kind", "gmixed", "--a", "0", "--b", "0.5", "--mu", "2,2"], "1",
+     "--mu takes one order here, got 2,2"),
+    (["export", "--f", "z", "--op", "mixed", "--grid", "2", "--nu", "1,1"], "1",
+     "--nu takes one order here, got 1,1"),
 ], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
         "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38",
-        "S-0.999R", "Sbar-8-nodes", "nr-20"])
+        "S-0.999R", "Sbar-8-nodes", "nr-20", "export-grid-3", "solve-grid-2", "grid-0",
+        "extent-2", "T-extent-2", "extent-nan", "mixed-mu-list", "dual-nu-list",
+        "c3-nu-list", "c2-nu-list", "gmixed-mu-list", "export-nu-list"])
 def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
     # a fresh interpreter, so numpy's floating-point warnings would reach stderr
     env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",

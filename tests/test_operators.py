@@ -1,10 +1,16 @@
 import cmath
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pompeiu
 from pompeiu.errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
@@ -392,6 +398,44 @@ def test_disk_operators_reject_a_shifted_disk():
                      lambda: apply_2T(one, 0.1), lambda: solution(0.1)):
         with pytest.raises(DomainError, match="DiskDomain"):
             evaluate()
+
+
+def test_disk_values_retain_no_rules():
+    # each target's rule is built for it and dropped when the value is done
+    f = field_from_expression("1+z*zbar", DISK)
+    zero = HolomorphicPolynomial.zero()
+    u = solve_pde(SolutionSpec(1, 1, f, (zero,), (zero,)))
+    evaluators = (lambda z: transform(f, z, 2, 2), lambda z: apply_2T(f, z), u)
+    for evaluate in evaluators:
+        evaluate(0.05)
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            for evaluate in evaluators:
+                evaluate(0.5 * cmath.exp(2j * cmath.pi * k / 20))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts Linux faults")
+def test_library_transforms_reuse_freed_pages():
+    # a fresh interpreter that never enters the CLI: importing the package is
+    # enough for the 128 KiB rule arrays to come from reused heap pages
+    code = ("import cmath, resource\n"
+            "from pompeiu import DiskDomain, field_from_expression, transform\n"
+            "f = field_from_expression('1+z*zbar', DiskDomain(1.0))\n"
+            "transform(f, 0.05, 2, 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for k in range(20):\n"
+            "    transform(f, 0.5 * cmath.exp(2j * cmath.pi * k / 20), 2, 2)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pompeiu.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 # ---------------------------------------------------------------------------

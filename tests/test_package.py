@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,16 @@ def test_cli_import_loads_no_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a `_`-prefixed name belongs to its module; siblings use the public surface
+    package = Path(pompeiu.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "pompeiu"):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

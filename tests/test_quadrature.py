@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
-from pompeiu.geometry import DiskDomain, require_separated
+from pompeiu.geometry import DiskDomain, PolydiscDomain, require_separated
 from pompeiu.quadrature import (build_area_rule, build_contour_rule, build_half_rule,
                                 integrate)
 
@@ -46,6 +46,14 @@ def test_all_nodes_inside_closed_disk():
     d = DiskDomain(1.5)
     rule = build_area_rule(d, 0.9 + 0.4j, (16, 32))
     assert np.all(np.abs(rule.nodes) <= d.radius * (1 + 1e-12))
+
+
+def test_rules_refuse_non_disk_domains():
+    polydisc = PolydiscDomain(1, 1.0)
+    with pytest.raises(DomainError, match="DiskDomain"):
+        build_area_rule(polydisc, 0.1)
+    with pytest.raises(DomainError, match="DiskDomain"):
+        build_half_rule(polydisc, 0.1, -0.1)
 
 
 def test_resolution_floor():
