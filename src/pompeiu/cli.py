@@ -16,11 +16,11 @@ import numpy as np
 
 from . import kernels, operators, oracle, solver
 from .errors import NonFiniteSample, PompeiuError
-from .expressions import parse_complex, parse_expression, to_coefficients
+from .expressions import parse_complex, parse_expression, pretty, to_coefficients
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .operators import (POLYDISC_RESOLUTION, ScalarField, apply_2T, apply_2Tbar,
-                        apply_conjugate_dual, apply_polydisc, apply_S, apply_Sbar, apply_T,
-                        evaluate_on_grid, field_from_expression, transform)
+from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
+                        apply_polydisc, apply_S, apply_Sbar, apply_T, evaluate_on_grid,
+                        field_from_expression, transform)
 from .quadrature import DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION
 
 
@@ -36,19 +36,34 @@ def _add_radius_and_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_resolution(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nr", type=int, default=None, help="radial quadrature nodes")
-    p.add_argument("--ntheta", type=int, default=None, help="angular quadrature nodes")
+    p.add_argument("--nr", type=int, default=DEFAULT_RESOLUTION[0],
+                   help="radial quadrature nodes")
+    p.add_argument("--ntheta", type=int, default=DEFAULT_RESOLUTION[1],
+                   help="angular quadrature nodes")
 
 
-def _resolution(args, default=DEFAULT_RESOLUTION) -> tuple[int, int]:
-    """(--nr, --ntheta), each flag left out taking its entry of `default`."""
-    return (default[0] if args.nr is None else args.nr,
-            default[1] if args.ntheta is None else args.ntheta)
+#: the `op apply`/`export` flags that only some ops read, with their defaults;
+#: both parsers default them to None, so `_unread_flag` can tell which were given
+_OP_FLAGS = {"mu": (1,), "nu": (1,), "power": 1, "n": 1, "nr": DEFAULT_RESOLUTION[0],
+             "ntheta": DEFAULT_RESOLUTION[1], "contour_n": DEFAULT_CONTOUR_COUNT}
+
+#: --op (None: `export` samples the field) -> the flags of _OP_FLAGS it reads
+_OP_READS = {"T": {"power", "nr", "ntheta"}, "Tbar": {"power", "nr", "ntheta"},
+             "mixed": {"mu", "nu", "nr", "ntheta"}, "dual": {"mu", "nu", "nr", "ntheta"},
+             "2T": {"nr", "ntheta"}, "2Tbar": {"nr", "ntheta"}, "S": {"contour_n"},
+             "Sbar": {"contour_n"}, "polydisc": {"n", "mu", "nu", "nr", "ntheta"}, None: set()}
 
 
-def _add_contour_count(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--contour-n", dest="contour_n", type=int, default=DEFAULT_CONTOUR_COUNT,
-                   help="contour rule node count")
+def _unread_flag(args) -> str | None:
+    """The refusal of the first flag given that `args.op` never reads, else None
+    with the defaults of the flags left out filled in."""
+    for name, default in _OP_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _OP_READS[args.op]:
+            op = f"--op {args.op}" if args.op else "export without --op"
+            return f"--{name.replace('_', '-')} is not read by {op}"
+    return None
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -91,13 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["T", "Tbar", "S", "Sbar", "2T", "2Tbar", "mixed", "dual", "polydisc"])
     oa.add_argument("--f", required=True, help="field expression")
     oa.add_argument("--z", required=True, help="target point (comma list on the polydisc)")
-    oa.add_argument("--power", type=int, default=1, help="iterate T/Tbar this many times")
-    oa.add_argument("--mu", type=_orders, default="1")
-    oa.add_argument("--nu", type=_orders, default="1")
-    oa.add_argument("--n", type=int, default=1, help="polydisc factor count")
+    oa.add_argument("--power", type=int, help="iterate T/Tbar this many times")
+    oa.add_argument("--mu", type=_orders)
+    oa.add_argument("--nu", type=_orders)
+    oa.add_argument("--n", type=int, help="polydisc factor count")
     _add_radius_and_out(oa)
     _add_resolution(oa)
-    _add_contour_count(oa)
+    oa.add_argument("--contour-n", dest="contour_n", type=int, help="contour rule node count")
+    oa.set_defaults(**dict.fromkeys(_OP_FLAGS))
 
     so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
     so.add_argument("--mu", type=int, default=1)
@@ -121,21 +137,22 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--seed", type=int, default=0)
     _add_radius_and_out(ve)
     _add_resolution(ve)
-    _add_contour_count(ve)
+    ve.add_argument("--contour-n", dest="contour_n", type=int, default=DEFAULT_CONTOUR_COUNT,
+                    help="contour rule node count")
 
     ex = sub.add_parser("export", help="sample a field or transform on a grid")
     ex.add_argument("--f", required=True, help="field expression")
     ex.add_argument("--op", default=None,
                     choices=["T", "Tbar", "mixed"], help="transform to apply at each grid point")
-    ex.add_argument("--mu", type=_orders, default="1")
-    ex.add_argument("--nu", type=_orders, default="1")
+    ex.add_argument("--mu", type=_orders)
+    ex.add_argument("--nu", type=_orders)
     ex.add_argument("--grid", type=int, default=17)
     ex.add_argument("--extent", type=float, default=0.95)
     ex.add_argument("--format", choices=["csv", "json"], default="csv")
     ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
-    ex.set_defaults(power=1)   # export applies single T/Tbar
     _add_radius_and_out(ex)
     _add_resolution(ex)
+    ex.set_defaults(**dict.fromkeys(_OP_FLAGS))
     return top
 
 
@@ -191,15 +208,14 @@ _DISK_OPS = {
 
 
 def _cmd_op(args) -> int:
+    res = (args.nr, args.ntheta)
     if args.op == "polydisc":
         f = field_from_expression(args.f, PolydiscDomain(args.n, args.R))
         z = tuple(parse_complex(part) for part in args.z.split(","))
-        # per-factor rules default smaller than the disk's
-        value = apply_polydisc(f, z, MultiIndex(args.mu), MultiIndex(args.nu),
-                               _resolution(args, POLYDISC_RESOLUTION))
+        value = apply_polydisc(f, z, MultiIndex(args.mu), MultiIndex(args.nu), res)
     else:
         f = field_from_expression(args.f, DiskDomain(args.R))
-        value = _DISK_OPS[args.op](f, parse_complex(args.z), args, _resolution(args))
+        value = _DISK_OPS[args.op](f, parse_complex(args.z), args, res)
     _emit(format_complex(value) + "\n", args.out)
     return 0
 
@@ -210,7 +226,7 @@ def _grid_text(grid, fmt: str) -> str:
 
 def _cmd_solve(args) -> int:
     domain = DiskDomain(args.R)
-    res = _resolution(args)
+    res = (args.nr, args.ntheta)
     if args.biharmonic:
         if args.rhs is None:
             raise PompeiuError("--biharmonic needs --rhs")
@@ -257,14 +273,14 @@ def _poly_from_expression(text: str) -> solver.HolomorphicPolynomial:
 
 def _cmd_export(args) -> int:
     domain = DiskDomain(args.R)
-    res = _resolution(args)
+    res = (args.nr, args.ntheta)
     f = field_from_expression(args.f, domain)
     if args.op is None:
         func = lambda z: complex(f(np.asarray(z)))
     else:
         func = lambda z: _DISK_OPS[args.op](f, z, args, res)
     config_echo = {"radius": args.R, "resolution": list(res), "seed": args.seed,
-                   "field": f.description, "op": args.op or "none", "command": "export"}
+                   "field": pretty(f.expression), "op": args.op or "none", "command": "export"}
     grid = evaluate_on_grid(func, domain, args.grid, args.extent, config=config_echo)
     _emit(_grid_text(grid, args.format), args.out)
     return 0
@@ -281,7 +297,7 @@ def _suite_kernels(args, report) -> int:
     for trial in range(4):
         a, b = _separated_pair(rng, R)
         for mu, nu in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            lhs = oracle.lemma_lhs_quadrature("lem6", a, b, (mu, nu), R, _resolution(args))
+            lhs = oracle.lemma_lhs_quadrature("lem6", a, b, (mu, nu), R, (args.nr, args.ntheta))
             rhs = 2j * np.pi * kernels.c3(a, b, mu, nu, R)
             err = abs(lhs - rhs) / max(1.0, abs(lhs))
             failures += report(err <= 1e-4, f"kernel c3({mu},{nu}) vs quadrature", err)
@@ -304,12 +320,12 @@ def _suite_kernels(args, report) -> int:
 def _suite_operators(args, report) -> int:
     rng = np.random.default_rng(args.seed)
     R = args.R
-    res = _resolution(args)
+    res = (args.nr, args.ntheta)
     domain = DiskDomain(R)
     failures = 0
     for l in range(4):
         z = _interior_point(rng, 0.7 * R)
-        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain, f"zbar^{l}")
+        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain)
         got = apply_T(f, z, res)
         want = np.conj(z) ** (l + 1) / (l + 1)
         err = abs(got - want) / max(1.0, abs(want))
@@ -332,7 +348,7 @@ def _suite_pde(args, report) -> int:
     rhs = operators.constant_field(4.0, domain)
     spec = solver.SolutionSpec(1, 1, rhs, (solver.HolomorphicPolynomial.zero(),),
                                (solver.HolomorphicPolynomial.zero(),))
-    u = solver.solve_pde(spec, resolution=_resolution(args))
+    u = solver.solve_pde(spec, resolution=(args.nr, args.ntheta))
     pts = [_interior_point(rng, 0.5 * args.R) for _ in range(3)]
     res = solver.fd_residual(u, 1, 1, rhs, pts)
     failures += report(float(np.max(res)) <= 4e-2, "d dbar u = 4 residual", float(np.max(res)))
@@ -380,7 +396,10 @@ def _cmd_verify(args) -> int:
 
 def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("op", "export") and (unread := _unread_flag(args)):
+        parser.exit(2, f"pmp: error: {unread}\n")
     command = {"kernel": _cmd_kernel, "op": _cmd_op, "solve": _cmd_solve,
                "verify": _cmd_verify, "export": _cmd_export}[args.command]
     try:

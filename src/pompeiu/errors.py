@@ -10,7 +10,7 @@ class CoincidentPoints(PompeiuError):
 
 
 class OrderTooLarge(PompeiuError):
-    """Combinatorial order exceeds the integer-arithmetic cap."""
+    """An order, or a polynomial expansion, exceeds its cap."""
 
 
 class ResolutionTooLow(PompeiuError):

@@ -23,7 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, UnknownVariable
+from .errors import OrderTooLarge, ParseError, UnknownVariable
+
+#: most monomial products (a*b to multiply a by b terms) one `to_coefficients`
+#: forms, about 2 s: prod_j (1+z_j+zbar_j) on 9 factors forms 29,520, (z+zbar)^999 999,000
+MAX_MONOMIALS = 1_000_000
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)(?P<imag>i)?
@@ -288,11 +292,18 @@ def evaluate(node: Node, factor_values) -> np.ndarray | complex:
 
 
 def to_coefficients(node: Node, factors: int) -> dict[tuple[tuple[int, int], ...], complex]:
-    """Exact coefficients: key[j] = (power of z_j, power of conj(z_j))."""
+    """Exact coefficients: key[j] = (power of z_j, power of conj(z_j)); forming
+    more than MAX_MONOMIALS monomial products raises OrderTooLarge."""
     validate_variables(node, factors)
     zero = tuple((0, 0) for _ in range(factors))
+    formed = 0
 
     def mul(da, db):
+        nonlocal formed
+        formed += len(da) * len(db)
+        if formed > MAX_MONOMIALS:
+            raise OrderTooLarge(f"expanding the expression forms more than {MAX_MONOMIALS} "
+                                "monomial products (expressions.MAX_MONOMIALS)")
         out: dict = {}
         for ka, va in da.items():
             for kb, vb in db.items():

@@ -1,15 +1,16 @@
-"""The disk transform family.
+"""The disk transform family and the polydisc transform.
 
 `transform(f, z, mu, nu)` is the one core: T^mu Tbar^nu f(z) as a single
 quadrature against entry (mu, nu) of the kernel table `kernels.kernel`, where
 an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
 (0, k)).  `apply_T`, `apply_Tbar`, the powers and `apply_mixed` are aliases
-of it.  `apply_S`, `apply_2T` and `apply_polydisc` have kernels of their own;
-`apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
+of it.  `apply_S` and `apply_2T` have kernels of their own; `apply_Sbar`,
+`apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
 closed-form kernels assume, and build each target's area rule afresh with
-`build_area_rule` (targets rarely repeat).  Nothing here nests integrals:
-that is the oracle module's route.
+`build_area_rule` (targets rarely repeat).  `apply_polydisc` sums one-disk
+moments of an expression field's monomials.  Nothing here nests integrals or
+samples a polydisc tensor grid: those are the oracle module's routes.
 
 Operator application is pure given (field, rule): batch evaluation over
 target grids is data-parallel (PMP_THREADS workers, a positive integer)
@@ -24,7 +25,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,9 +36,6 @@ from .kernels import TWO_PI_I, c3, c8, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
                          build_contour_rule, integrate)
 
-#: default per-factor resolution for polydisc tensor quadrature
-POLYDISC_RESOLUTION = (24, 48)
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -46,11 +44,12 @@ class ScalarField:
     `evaluator` must be total on the closed domain and vectorized: it takes
     one complex array per domain factor, the arrays broadcastable against
     each other, and returns an array of their broadcast shape or a 0-d value.
+    `expression`, if any, is the parsed polynomial it computes (`apply_polydisc`).
     """
 
     evaluator: object
     domain: DiskDomain | PolydiscDomain
-    description: str = ""
+    expression: expressions.Node | None = None
 
     @property
     def factors(self) -> int:
@@ -61,8 +60,7 @@ class ScalarField:
 
     def conjugate(self) -> "ScalarField":
         ev = self.evaluator
-        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain,
-                           f"conj({self.description})" if self.description else "")
+        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain)
 
 
 def constant_field(value: complex, domain) -> ScalarField:
@@ -72,15 +70,14 @@ def constant_field(value: complex, domain) -> ScalarField:
         shape = np.broadcast(*[np.asarray(z) for z in zs]).shape
         return np.full(shape, value) if shape else value
 
-    return ScalarField(ev, domain, str(value))
+    return ScalarField(ev, domain, expressions.Lit(value))
 
 
 def field_from_expression(text: str, domain) -> ScalarField:
     ast = expressions.parse_expression(text)
     n = domain.factors if isinstance(domain, PolydiscDomain) else 1
     expressions.validate_variables(ast, n)
-    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain,
-                       expressions.pretty(ast))
+    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain, ast)
 
 
 # ---------------------------------------------------------------------------
@@ -186,42 +183,39 @@ def cached_area_rule(domain: DiskDomain, center: complex,
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
-                   resolution=POLYDISC_RESOLUTION) -> complex:
-    """Tensor-product transform on the polydisc (n <= 3 at desk scale).
+                   resolution=DEFAULT_RESOLUTION) -> complex:
+    """T^mu Tbar^nu f(z) on the polydisc, as n one-disk moment sums.
 
-    Per-factor rules are centered on the matching component of the target;
-    the integrand is the product of per-factor kernels times f on the tensor
-    grid.  The first factor is streamed one node at a time, and the other
-    factors reach f as sparse broadcastable axes, to bound memory.
-    """
+    With kernel c8 * prod_j c3(z_j, w_j) and f = sum_m c_m prod_j w_j^p conj(w_j)^q
+    (`expressions.to_coefficients`), the tensor-product quadrature is
+    c8 * sum_m c_m prod_j M_j(p, q), M_j(p, q) = sum_k W_jk w_jk^p conj(w_jk)^q,
+    W_j = factor j's rule weights about z_j times c3.  Each distinct moment is
+    formed once: n * monomials * N work, not N^n samples.  The round-off is about
+    u |c8| sum_m |c_m| prod_j sum_k |W_jk| |w_jk|^(p+q) (u = 2^-53), the size of
+    the terms summed.  A field with no expression raises DomainError: see
+    `oracle.polydisc_tensor`."""
     domain = f.domain
     if not isinstance(domain, PolydiscDomain):
         raise DomainError("apply_polydisc needs a ScalarField on a PolydiscDomain")
     n = domain.factors
-    if n > 3:
-        raise DimensionCap(f"polydisc operators capped at 3 factors, got {n}")
+    if n > 9:   # the expression grammar names z1..z9
+        raise DimensionCap(f"polydisc operators capped at 9 factors, got {n}")
+    if f.expression is None:
+        raise DomainError("apply_polydisc expands a field's expression and this field has "
+                          "none; oracle.polydisc_tensor integrates a callable field")
     mu.require_length(n)
     nu.require_length(n)
     z = domain.validate_point(z)
-
-    disk = domain.factor_disk
-    rules = [cached_area_rule(disk, z[j], tuple(resolution)) for j in range(n)]
-    kernels = [c3(z[j], rules[j].nodes, mu.entries[j], nu.entries[j], domain.radius)
-               for j in range(n)]
-    wk = [rules[j].weights * kernels[j] for j in range(n)]
-
+    coefficients = expressions.to_coefficients(f.expression, n)
+    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution)) for w in z]
+    wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius)
+          for j, rule in enumerate(rules)]
     # floating-point warnings are silenced here: a NaN/Inf total raises below
     with np.errstate(all="ignore"):
-        if n == 1:
-            total = np.sum(wk[0] * f(rules[0].nodes))
-        else:
-            tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
-            tail_wk = reduce(np.multiply.outer, wk[1:])
-            total = 0j
-            # each first-factor node as a shape-(1,) array, not a numpy scalar:
-            # scalar z**2 can differ from array z**2 in the last bit
-            for w0, node0 in zip(wk[0], rules[0].nodes[:, None]):
-                total += w0 * np.sum(tail_wk * f(node0, *tail_nodes))
+        moments = [{(p, q): np.sum(wk[j] * rules[j].nodes ** p * np.conj(rules[j].nodes) ** q)
+                    for p, q in {key[j] for key in coefficients}} for j in range(n)]
+        total = sum(c * math.prod(m[pq] for m, pq in zip(moments, key))
+                    for key, c in coefficients.items())
     if not np.isfinite(total):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
     return complex(c8(mu, nu) * total)

@@ -1,10 +1,11 @@
 """Independent brute-force references for the closed-form machinery.
 
-Nothing here touches the closed-form kernels: nested operator application
-composes single-operator quadratures at the fixed NESTED_* resolutions, the
-lemma left-hand sides are quadrated directly from their defining integrals
-with two-center singular rules, and polynomial test fields carry exact
-coefficient-level Wirtinger calculus.
+Nested operator application composes single-operator quadratures at the
+fixed NESTED_* resolutions, the lemma left-hand sides are quadrated directly
+from their defining integrals with two-center singular rules, and polynomial
+test fields carry exact coefficient-level Wirtinger calculus: none of these
+touches the closed-form kernels.  `polydisc_tensor` uses the per-factor
+kernels, which the disk checks cover, to check `apply_polydisc`'s separation.
 
 Discrete Hoelder/semi-norm estimators are sups over finite seeded samples and
 therefore lower bounds of the continuum quantities; they are only ever used
@@ -16,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import DepthCap, DomainError
-from .geometry import DiskDomain, require_separated, wirtinger_split
+from .errors import DepthCap, DimensionCap, DomainError, NonFiniteSample
+from .geometry import DiskDomain, MultiIndex, PolydiscDomain, require_separated, wirtinger_split
+from .kernels import c3, c8
 from .operators import ScalarField, apply_mixed, apply_T, apply_Tbar
 from .quadrature import build_area_rule, build_contour_rule, build_half_rule, integrate
 
@@ -90,7 +93,7 @@ class PolynomialField:
         return PolynomialField(c)
 
     def to_field(self, domain: DiskDomain) -> ScalarField:
-        return ScalarField(self, domain, "polynomial")
+        return ScalarField(self, domain)
 
     def __repr__(self):
         terms = [f"({v:g})z^{p}zb^{q}" for (p, q), v in np.ndenumerate(self.coeffs) if v != 0]
@@ -246,6 +249,36 @@ class NestedOracle:
                 raise DomainError(f"unknown operator {op!r}; expected 'T' or 'Tbar'")
         field = ScalarField(self._field_for(program[1:]), self.domain)
         return _SINGLE_OPS[program[0]](field, complex(z), NESTED_TOP_RESOLUTION)
+
+
+def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolution) -> complex:
+    """T^mu Tbar^nu f(z) on the polydisc (n <= 3): any callable f on the whole
+    N^n grid of per-factor rules about z, against the product of the kernels.
+    The first factor streams one node at a time and the others reach f as
+    sparse broadcastable axes, to bound memory."""
+    if not isinstance(f.domain, PolydiscDomain):
+        raise DomainError("polydisc_tensor needs a ScalarField on a PolydiscDomain")
+    n = f.domain.factors
+    if n > 3:
+        raise DimensionCap(f"the polydisc tensor grid is capped at 3 factors, got {n}")
+    mu.require_length(n)
+    nu.require_length(n)
+    z = f.domain.validate_point(z)
+    rules = [build_area_rule(f.domain.factor_disk, w, resolution) for w in z]
+    wk = [rule.weights * c3(w, rule.nodes, m, k, f.domain.radius)
+          for rule, w, m, k in zip(rules, z, mu.entries, nu.entries)]
+    tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
+    tail_wk = reduce(np.multiply.outer, wk[1:], np.ones(()))
+    total = 0j
+    # floating-point warnings are silenced here: a NaN/Inf total raises below
+    with np.errstate(all="ignore"):
+        # each first-factor node as a shape-(1,) array, not a numpy scalar:
+        # scalar z**2 can differ from array z**2 in the last bit
+        for w0, node0 in zip(wk[0], rules[0].nodes[:, None]):
+            total += w0 * np.sum(tail_wk * f(node0, *tail_nodes))
+    if not np.isfinite(total):
+        raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
+    return complex(c8(mu, nu) * total)
 
 
 # ---------------------------------------------------------------------------

@@ -133,18 +133,30 @@ def test_op_apply_polydisc(capsys):
 
 
 def test_polydisc_single_resolution_flag_is_honoured(capsys):
-    # each of --nr / --ntheta replaces its own entry of the (24, 48) default
+    # each of --nr / --ntheta replaces its own entry of the (64, 128) default
     base = ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1*z1bar*z2",
             "--z", "0.3,0.1i", "--mu", "1,1", "--nu", "1,1"]
     outs = {}
-    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "48"),
-                  ("--ntheta", "16"), ("--nr", "24", "--ntheta", "16")):
+    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "128"),
+                  ("--ntheta", "16"), ("--nr", "64", "--ntheta", "16")):
         code, outs[extra] = run(capsys, *base, *extra)
         assert code == 0
     assert outs[("--nr", "8")] != outs[()]
-    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "48")]
+    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "128")]
     assert outs[("--ntheta", "16")] != outs[()]
-    assert outs[("--ntheta", "16")] == outs[("--nr", "24", "--ntheta", "16")]
+    assert outs[("--ntheta", "16")] == outs[("--nr", "64", "--ntheta", "16")]
+
+
+def test_polydisc_nine_factors(capsys):
+    # T Tbar of prod_j z_j is prod_j T Tbar(z)(z_j) = prod_j (z_j^2 zbar_j - z_j)/2
+    z = [0.1 * k - 0.3j for k in range(1, 10)]
+    code, out = run(capsys, "op", "apply", "--op", "polydisc", "--n", "9",
+                    "--f", "*".join(f"z{k}" for k in range(1, 10)),
+                    "--z", ",".join(f"{w.real:g}{w.imag:+g}i" for w in z),
+                    "--mu", ",".join("1" * 9), "--nu", ",".join("1" * 9))
+    assert code == 0
+    want = np.prod([(w * w * np.conj(w) - w) / 2 for w in z])
+    assert parse_complex(out.strip()) == pytest.approx(want, rel=1e-6)
 
 
 def test_solve_point_value(capsys):
@@ -354,6 +366,36 @@ def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag, op", [
+    (["op", "apply", "--op", "T", "--f", "zbar", "--z", "0.1", "--mu", "1,2"], "--mu", "--op T"),
+    (["op", "apply", "--op", "Tbar", "--f", "z", "--z", "0.1", "--nu", "1"], "--nu", "--op Tbar"),
+    (["op", "apply", "--op", "2T", "--f", "z", "--z", "0.1", "--power", "2"], "--power",
+     "--op 2T"),
+    (["op", "apply", "--op", "mixed", "--f", "z", "--z", "0.1", "--n", "1"], "--n",
+     "--op mixed"),
+    (["op", "apply", "--op", "dual", "--f", "z", "--z", "0.1", "--contour-n", "64"],
+     "--contour-n", "--op dual"),
+    (["op", "apply", "--op", "S", "--f", "z", "--z", "0.1", "--nr", "16"], "--nr", "--op S"),
+    (["op", "apply", "--op", "Sbar", "--f", "z", "--z", "0.1", "--ntheta", "32"], "--ntheta",
+     "--op Sbar"),
+    (["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1", "--z", "0,0", "--mu", "1,1",
+      "--nu", "1,1", "--power", "3"], "--power", "--op polydisc"),
+    (["op", "apply", "--op", "polydisc", "--f", "z1", "--z", "0", "--contour-n", "9"],
+     "--contour-n", "--op polydisc"),
+    (["export", "--f", "z", "--grid", "2", "--mu", "7"], "--mu", "export without --op"),
+    (["export", "--f", "z", "--grid", "2", "--nr", "16"], "--nr", "export without --op"),
+    (["export", "--f", "z", "--grid", "2", "--op", "T", "--nu", "2"], "--nu", "--op T"),
+], ids=["T-mu", "Tbar-nu", "2T-power", "mixed-n", "dual-contour-n", "S-nr", "Sbar-ntheta",
+        "polydisc-power", "polydisc-contour-n", "export-mu", "export-nr", "export-T-nu"])
+def test_flags_the_op_never_reads_are_usage_errors(argv, flag, op, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pmp: error: {flag} is not read by {op}\n"
 
 
 @pytest.mark.parametrize("argv", [

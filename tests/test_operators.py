@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pompeiu
-from pompeiu.errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
+from pompeiu.errors import (DimensionCap, DomainError, NonFiniteSample, OrderTooLarge,
+                            PompeiuError)
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
@@ -19,7 +20,7 @@ from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjuga
                                constant_field, evaluate_on_grid, field_from_expression,
                                transform, worker_count)
 from pompeiu.kernels import TWO_PI_I
-from pompeiu.oracle import PolynomialField, exact_transform
+from pompeiu.oracle import PolynomialField, exact_transform, polydisc_tensor
 from pompeiu.quadrature import build_contour_rule, integrate
 from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_pde
 
@@ -28,8 +29,7 @@ RES = (64, 128)
 
 
 def zbar_power_field(l):
-    return ScalarField(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l,
-                       DISK, f"zbar^{l}")
+    return ScalarField(lambda w: np.conj(np.asarray(w, dtype=complex)) ** l, DISK)
 
 
 def interior_points(seed, count, radius):
@@ -338,7 +338,7 @@ def test_polydisc_constant_at_origin():
 
 
 def test_polydisc_three_factors_streams():
-    # n = 3 streams the first factor; check against per-factor products
+    # n = 3 against per-factor products
     p3 = PolydiscDomain(3, 1.0)
     f3 = field_from_expression("z1*z2bar*z3", p3)
     parts = [field_from_expression(t, DISK) for t in ("z", "zbar", "z")]
@@ -352,10 +352,11 @@ def test_polydisc_three_factors_streams():
 
 
 def test_polydisc_dimension_cap():
-    p4 = PolydiscDomain(4, 1.0)
-    one = constant_field(1.0, p4)
+    # the expression grammar names z1..z9
+    one = constant_field(1.0, PolydiscDomain(10, 1.0))
+    ones = MultiIndex((1,) * 10)
     with pytest.raises(DimensionCap):
-        apply_polydisc(one, (0, 0, 0, 0), MultiIndex((1, 1, 1, 1)), MultiIndex((1, 1, 1, 1)))
+        apply_polydisc(one, (0,) * 10, ones, ones)
 
 
 def test_polydisc_multi_index_validation():
@@ -375,15 +376,86 @@ def test_polydisc_callable_may_ignore_a_factor():
     z = (0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j)
     ignoring = ScalarField(lambda z1, z2, z3: z1 * z3, p3)
     full = ScalarField(lambda z1, z2, z3: z1 * z3 + 0 * z2, p3)
-    assert (apply_polydisc(ignoring, z, ones, ones, (8, 16))
-            == apply_polydisc(full, z, ones, ones, (8, 16)))
+    assert (polydisc_tensor(ignoring, z, ones, ones, (8, 16))
+            == polydisc_tensor(full, z, ones, ones, (8, 16)))
 
 
 def test_polydisc_non_finite_value_raises():
     p2 = PolydiscDomain(2, 1.0)
     nan = ScalarField(lambda z1, z2: np.where(np.abs(z1 * z2) < 0.5, z1 * z2, np.nan), p2)
     with pytest.raises(NonFiniteSample):
-        apply_polydisc(nan, (0.1, 0.2), MultiIndex((1, 1)), MultiIndex((1, 1)), (8, 16))
+        polydisc_tensor(nan, (0.1, 0.2), MultiIndex((1, 1)), MultiIndex((1, 1)), (8, 16))
+
+
+#: n -> (fields of degree <= 4 per factor, (mu, nu) pairs, resolution, targets)
+SEPARABLE_CASES = {
+    1: (["1", "z1^4-2i*z1bar^3*z1+0.5", "(z1-z1bar)^4", "(0.3-0.7i)*z1bar^2"],
+        [((1,), (1,)), ((2,), (1,)), ((2,), (2,))], (24, 48), [(0.31 - 0.42j,), (-0.9 + 0.1j,)]),
+    2: (["z1*z2bar", "(z1-z2)^4", "3-2i*z1bar^2*z2^2+z1^4*z2bar^4", "(z1+z2bar)^2*(z1bar-z2)^2"],
+        [((1, 1), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (2, 2))], (24, 48),
+        [(0.2 + 0.1j, -0.3 + 0.25j), (0.6j, -0.5)]),
+    3: (["z1*z2bar*z3+1", "(z1+z2bar+z3)^2*z1bar^2", "(z1-z2)^4*z3bar"],
+        [((1, 1, 1), (1, 1, 1)), ((2, 1, 2), (1, 2, 2))], (8, 16),
+        [(0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j)]),
+}
+
+
+@pytest.mark.parametrize("n", SEPARABLE_CASES)
+def test_polydisc_moment_sums_match_the_tensor_grid(n):
+    # the same rules and kernels summed in another order: only round-off moves
+    texts, orders, res, targets = SEPARABLE_CASES[n]
+    domain = PolydiscDomain(n, 1.0)
+    for text in texts:
+        f = field_from_expression(text, domain)
+        for mu, nu in orders:
+            for z in targets:
+                want = polydisc_tensor(f, z, MultiIndex(mu), MultiIndex(nu), res)
+                got = apply_polydisc(f, z, MultiIndex(mu), MultiIndex(nu), res)
+                assert abs(got - want) <= 1e-12 * abs(want), (text, mu, nu, z)
+
+
+def test_polydisc_up_to_nine_factors_matches_exact_factor_products():
+    # prod_j g_j(z_j) is carried to prod_j T^mu_j Tbar^nu_j g_j (z_j), each
+    # factor by exact polynomial calculus (no kernels); criterion 8's 1e-3
+    rng = np.random.default_rng(0)
+    for n in range(4, 10):
+        mu, nu = (tuple(int(k) for k in rng.integers(1, 3, n)) for _ in range(2))
+        z = interior_points(n, n, 0.8)
+        texts, want = [], 1.0
+        for j in range(n):
+            a, b, c = np.round(rng.standard_normal(3) + 1j * rng.standard_normal(3), 3)
+            g = PolynomialField.from_dict({(0, 0): a, (1, 0): b, (0, 1): c})
+            for _ in range(nu[j]):
+                g = exact_transform(g, 1.0, conjugate=True)
+            for _ in range(mu[j]):
+                g = exact_transform(g, 1.0)
+            want *= complex(g(np.asarray(z[j])))
+            texts.append(f"(({a.real}{a.imag:+}i)+({b.real}{b.imag:+}i)*z{j + 1}"
+                         f"+({c.real}{c.imag:+}i)*zbar{j + 1})")
+        f = field_from_expression("*".join(texts), PolydiscDomain(n, 1.0))
+        got = apply_polydisc(f, z, MultiIndex(mu), MultiIndex(nu))
+        assert abs(got - want) <= 1e-3 * abs(want), n
+
+
+def test_polydisc_callable_field_names_the_tensor_route():
+    p2 = PolydiscDomain(2, 1.0)
+    ones = MultiIndex((1, 1))
+    f = ScalarField(lambda z1, z2: z1 * np.conj(z2), p2)
+    with pytest.raises(DomainError, match="oracle.polydisc_tensor"):
+        apply_polydisc(f, (0.1, 0.2), ones, ones)
+    with pytest.raises(DomainError, match="oracle.polydisc_tensor"):
+        apply_polydisc(field_from_expression("z1", p2).conjugate(), (0.1, 0.2), ones, ones)
+    assert polydisc_tensor(f, (0.1, 0.2), ones, ones, (8, 16)) == pytest.approx(
+        apply_polydisc(field_from_expression("z1*z2bar", p2), (0.1, 0.2), ones, ones, (8, 16)),
+        rel=1e-12)
+
+
+def test_polydisc_expansion_cap_raises():
+    p3 = PolydiscDomain(3, 1.0)
+    ones = MultiIndex((1, 1, 1))
+    f = field_from_expression("((z1+z1bar+z2+z2bar+z3+z3bar)^6)^999", p3)
+    with pytest.raises(OrderTooLarge, match="MAX_MONOMIALS"):
+        apply_polydisc(f, (0.1, 0.2, 0.3), ones, ones, (8, 16))
 
 
 def test_disk_operators_reject_a_shifted_disk():
