@@ -21,7 +21,7 @@ from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                         apply_polydisc, apply_S, apply_Sbar, apply_T, evaluate_on_grid,
                         field_from_expression, transform)
-from .quadrature import DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION
+from .quadrature import DEFAULT_CONTOUR_COUNT
 
 
 def format_complex(z: complex) -> str:
@@ -36,33 +36,43 @@ def _add_radius_and_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_resolution(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nr", type=int, default=DEFAULT_RESOLUTION[0],
-                   help="radial quadrature nodes")
-    p.add_argument("--ntheta", type=int, default=DEFAULT_RESOLUTION[1],
-                   help="angular quadrature nodes")
+    p.add_argument("--nr", type=int, help="radial quadrature nodes (default: per target)")
+    p.add_argument("--ntheta", type=int, help="angular quadrature nodes (default: per target)")
 
 
-#: the `op apply`/`export` flags that only some ops read, with their defaults;
-#: both parsers default them to None, so `_unread_flag` can tell which were given
-_OP_FLAGS = {"mu": (1,), "nu": (1,), "power": 1, "n": 1, "nr": DEFAULT_RESOLUTION[0],
-             "ntheta": DEFAULT_RESOLUTION[1], "contour_n": DEFAULT_CONTOUR_COUNT}
+#: the flags only some --op, --suite or --kind choices read, with their defaults
+#: (a None count comes from `quadrature.RESOLUTION_TABLE` per target); parsers
+#: leave them None, so `_unread_flag` can tell which were given
+_OPTIONAL = {"mu": (1,), "nu": (1,), "power": 1, "n": 1, "k": 1, "l": 1, "nr": None,
+             "ntheta": None, "contour_n": DEFAULT_CONTOUR_COUNT}
 
-#: --op (None: `export` samples the field) -> the flags of _OP_FLAGS it reads
+#: subcommand -> (the flag that picks what runs, pick -> the flags of _OPTIONAL
+#: it reads); --op None: `export` samples the field
 _OP_READS = {"T": {"power", "nr", "ntheta"}, "Tbar": {"power", "nr", "ntheta"},
              "mixed": {"mu", "nu", "nr", "ntheta"}, "dual": {"mu", "nu", "nr", "ntheta"},
              "2T": {"nr", "ntheta"}, "2Tbar": {"nr", "ntheta"}, "S": {"contour_n"},
              "Sbar": {"contour_n"}, "polydisc": {"n", "mu", "nu", "nr", "ntheta"}, None: set()}
+_READS = {
+    "op": ("op", _OP_READS), "export": ("op", _OP_READS),
+    "verify": ("suite", {"kernels": {"nr", "ntheta", "contour_n"},
+                         "operators": {"nr", "ntheta", "contour_n"},
+                         "pde": {"nr", "ntheta"}, "norms": set()}),
+    "kernel": ("kind", {"c1": {"k"}, "c2": {"l", "nu"}, "c3": {"mu", "nu"}, "c8": {"mu", "nu"},
+                        "gdiag": {"k"}, "gmixed": {"mu", "nu"}}),
+}
 
 
 def _unread_flag(args) -> str | None:
-    """The refusal of the first flag given that `args.op` never reads, else None
-    with the defaults of the flags left out filled in."""
-    for name, default in _OP_FLAGS.items():
-        if getattr(args, name) is None:
+    """The refusal of the first flag given that the chosen --op, --suite or --kind
+    never reads, else None with the defaults of the flags left out filled in."""
+    choice, reads = _READS[args.command]
+    picked = getattr(args, choice)
+    for name, default in _OPTIONAL.items():
+        if getattr(args, name, None) is None:   # not given, or not a flag of this parser
             setattr(args, name, default)
-        elif name not in _OP_READS[args.op]:
-            op = f"--op {args.op}" if args.op else "export without --op"
-            return f"--{name.replace('_', '-')} is not read by {op}"
+        elif name not in reads[picked]:
+            by = f"--{choice} {picked}" if picked else "export without --op"
+            return f"--{name.replace('_', '-')} is not read by {by}"
     return None
 
 
@@ -93,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--kind", choices=["c1", "c2", "c3", "c8", "gdiag", "gmixed"], default="c3")
     ke.add_argument("--a", default="0", help="target point (z)")
     ke.add_argument("--b", default="0", help="source point (eta/zeta)")
-    ke.add_argument("--mu", type=_orders, default="1")
-    ke.add_argument("--nu", type=_orders, default="1")
-    ke.add_argument("--k", type=int, default=1, help="order for c1/gdiag")
-    ke.add_argument("--l", type=int, default=1, help="first order for c2")
+    ke.add_argument("--mu", type=_orders)
+    ke.add_argument("--nu", type=_orders)
+    ke.add_argument("--k", type=int, help="order for c1/gdiag")
+    ke.add_argument("--l", type=int, help="first order for c2")
     _add_radius_and_out(ke)
 
     op = sub.add_parser("op", help="apply transforms to a field")
@@ -113,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_radius_and_out(oa)
     _add_resolution(oa)
     oa.add_argument("--contour-n", dest="contour_n", type=int, help="contour rule node count")
-    oa.set_defaults(**dict.fromkeys(_OP_FLAGS))
 
     so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
     so.add_argument("--mu", type=int, default=1)
@@ -137,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--seed", type=int, default=0)
     _add_radius_and_out(ve)
     _add_resolution(ve)
-    ve.add_argument("--contour-n", dest="contour_n", type=int, default=DEFAULT_CONTOUR_COUNT,
-                    help="contour rule node count")
+    ve.add_argument("--contour-n", dest="contour_n", type=int, help="contour rule node count")
 
     ex = sub.add_parser("export", help="sample a field or transform on a grid")
     ex.add_argument("--f", required=True, help="field expression")
@@ -152,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
     _add_radius_and_out(ex)
     _add_resolution(ex)
-    ex.set_defaults(**dict.fromkeys(_OP_FLAGS))
     return top
 
 
@@ -398,7 +405,7 @@ def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("op", "export") and (unread := _unread_flag(args)):
+    if args.command in _READS and (unread := _unread_flag(args)):
         parser.exit(2, f"pmp: error: {unread}\n")
     command = {"kernel": _cmd_kernel, "op": _cmd_op, "solve": _cmd_solve,
                "verify": _cmd_verify, "export": _cmd_export}[args.command]

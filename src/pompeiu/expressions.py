@@ -26,7 +26,7 @@ import numpy as np
 from .errors import OrderTooLarge, ParseError, UnknownVariable
 
 #: most monomial products (a*b to multiply a by b terms) one `to_coefficients`
-#: forms, about 2 s: prod_j (1+z_j+zbar_j) on 9 factors forms 29,520, (z+zbar)^999 999,000
+#: forms, about 2 s: prod_j (1+z_j+zbar_j) on 9 factors forms 29,520, (z+zbar)^999 414,688
 MAX_MONOMIALS = 1_000_000
 
 _TOKEN_RE = re.compile(r"""
@@ -334,10 +334,11 @@ def to_coefficients(node: Node, factors: int) -> dict[tuple[tuple[int, int], ...
         if isinstance(n, Mul):
             return mul(go(n.left), go(n.right))
         if isinstance(n, Pow):
-            out = {zero: 1.0 + 0j}
-            base = go(n.base)
-            for _ in range(n.exponent):
-                out = mul(out, base)
+            out, square, k = {zero: 1.0 + 0j}, go(n.base), n.exponent
+            while k:    # binary powering: multiply in the squares k's bits select
+                out = mul(out, square) if k & 1 else out
+                k >>= 1
+                square = mul(square, square) if k else square
             return out
         raise TypeError(f"not an AST node: {n!r}")
 

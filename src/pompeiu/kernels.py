@@ -125,11 +125,13 @@ def c2(a, b, l: int, nu: int, radius: float):
     return total if total.shape else complex(total)
 
 
-def c3(a, b, mu: int, nu: int, radius: float):
+def c3(a, b, mu: int, nu: int, radius: float, log_shift=0.0):
     """Kernel of the single-integral form of T^mu Tbar^nu.
 
     2*pi*i * c3(a, b, mu, nu) equals the area integral over the R-disk of
     (zb - ab)^(mu-1) (z - b)^(nu-1) / ((z - a)(zb - bb)) dzbar^dz.
+    On the nodes b of a polar rule about a, pass the rule's `log_shift`:
+    log_term - 2 log_shift integrates the log by product weights.
     """
     mu = _check_order("mu", mu)
     nu = _check_order("nu", nu)
@@ -139,7 +141,7 @@ def c3(a, b, mu: int, nu: int, radius: float):
     # powers of conj(b) - conj(a); (-diff_bar)^l is (-1)^l times its entry
     diff_bar = _powers(np.conj(b) - np.conj(a), mu - 1)
     diff = _power(a - b, nu - 1)
-    total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * log_term(a, b, radius))
+    total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * (log_term(a, b, radius) - 2 * log_shift))
     for l in range(1, mu):
         # (1.0 / l): numpy's division by l, at the cost of a multiply
         total = total + (math.comb(mu - 1, l) * diff_bar[mu - 1 - l] * (1.0 / l)
@@ -168,19 +170,19 @@ def g_diag(z, zeta, l: int):
     return out if out.shape else complex(out)
 
 
-def g_mixed(z, zeta, mu: int, nu: int, radius: float):
-    """Kernel of the mixed power T^mu Tbar^nu (first index = T order)."""
+def g_mixed(z, zeta, mu: int, nu: int, radius: float, log_shift=0.0):
+    """Kernel of T^mu Tbar^nu (first index = T order); `log_shift` as for `c3`."""
     mu = _check_order("mu", mu)
     nu = _check_order("nu", nu)
     sign = -1.0 if mu % 2 else 1.0
     scale = sign / (TWO_PI_I * math.factorial(mu - 1) * math.factorial(nu - 1))
-    out = scale * np.asarray(c3(z, zeta, mu, nu, radius))
+    out = scale * np.asarray(c3(z, zeta, mu, nu, radius, log_shift))
     return out if out.shape else complex(out)
 
 
-def kernel(z, zeta, mu: int, nu: int, radius: float):
+def kernel(z, zeta, mu: int, nu: int, radius: float, log_shift=0.0):
     """Entry (mu, nu) of the normalized kernel table: T^mu Tbar^nu f(z) is
-    the area integral of kernel(z, w; mu, nu) f(w) dwbar^dw.
+    the area integral of kernel(z, w; mu, nu) f(w) dwbar^dw; `log_shift` as for `c3`.
 
     An index of 0 is the identity in that variable: (k, 0) is T^k (`g_diag`),
     (0, k) is Tbar^k = -conj(g_diag) (conjugation flips the 2i of the area
@@ -190,7 +192,7 @@ def kernel(z, zeta, mu: int, nu: int, radius: float):
     mu = _check_order("mu", mu, minimum=0)
     nu = _check_order("nu", nu, minimum=0)
     if mu and nu:
-        return g_mixed(z, zeta, mu, nu, radius)
+        return g_mixed(z, zeta, mu, nu, radius, log_shift)
     if mu:
         return g_diag(z, zeta, mu)
     if nu:

@@ -7,10 +7,12 @@ an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
 of it.  `apply_S` and `apply_2T` have kernels of their own; `apply_Sbar`,
 `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
-closed-form kernels assume, and build each target's area rule afresh with
-`build_area_rule` (targets rarely repeat).  `apply_polydisc` sums one-disk
-moments of an expression field's monomials.  Nothing here nests integrals or
-samples a polydisc tensor grid: those are the oracle module's routes.
+closed-form kernels assume, build each target's area rule afresh with
+`build_area_rule` (targets rarely repeat; a None count comes from
+`quadrature.RESOLUTION_TABLE`) and pass its `log_shift` to the kernel, which
+integrates the mixed kernels' log by product weights.  `apply_polydisc` sums
+one-disk moments of an expression field's monomials.  Nothing here nests
+integrals or samples a polydisc tensor grid: those are the oracle's routes.
 
 Operator application is pure given (field, rule): batch evaluation over
 target grids is data-parallel (PMP_THREADS workers, a positive integer)
@@ -90,10 +92,11 @@ def transform(f: ScalarField, z: complex, mu: int, nu: int,
 
     T^k is (k, 0) and Tbar^k is (0, k); (0, 0) and negative orders raise
     DomainError.  The kernel's only non-smooth point is its singularity at
-    the target, which the graded rule centered at z absorbs.
+    the target, which the polar rule centered at z and its `log_shift` absorb.
     """
     r = build_area_rule(f.domain, z, resolution)
-    return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius) * f(w)))
+    return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius, r.log_shift)
+                             * f(w)))
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
@@ -189,10 +192,10 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     With kernel c8 * prod_j c3(z_j, w_j) and f = sum_m c_m prod_j w_j^p conj(w_j)^q
     (`expressions.to_coefficients`), the tensor-product quadrature is
     c8 * sum_m c_m prod_j M_j(p, q), M_j(p, q) = sum_k W_jk w_jk^p conj(w_jk)^q,
-    W_j = factor j's rule weights about z_j times c3.  Each distinct moment is
-    formed once: n * monomials * N work, not N^n samples.  The round-off is about
-    u |c8| sum_m |c_m| prod_j sum_k |W_jk| |w_jk|^(p+q) (u = 2^-53), the size of
-    the terms summed.  A field with no expression raises DomainError: see
+    W_j = factor j's rule weights about z_j times c3 (with its log_shift).  Each
+    distinct moment is formed once: n * monomials * N work, not N^n samples.
+    The round-off is about u |c8| sum_m |c_m| prod_j sum_k |W_jk| |w_jk|^(p+q)
+    (u = 2^-53), the size of the terms summed.  A field with no expression raises DomainError: see
     `oracle.polydisc_tensor`."""
     domain = f.domain
     if not isinstance(domain, PolydiscDomain):
@@ -208,8 +211,8 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
     rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution)) for w in z]
-    wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius)
-          for j, rule in enumerate(rules)]
+    wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius,
+                            rule.log_shift) for j, rule in enumerate(rules)]
     # floating-point warnings are silenced here: a NaN/Inf total raises below
     with np.errstate(all="ignore"):
         moments = [{(p, q): np.sum(wk[j] * rules[j].nodes ** p * np.conj(rules[j].nodes) ** q)

@@ -222,19 +222,19 @@ class NestedOracle:
         # rotations (the disk is rotation-invariant about 0), so each grid row is
         # one batched quadrature: 1/(w - z) = e^{-i t}/(n0 - r), w = e^{i t} n0,
         # z = e^{i t} r.  An inner grid field gives every rotation by one inverse FFT.
+        # Nodes go in blocks: (nt, BLOCK) temporaries reuse freed pages (under 1 MiB).
         nr, nt = NESTED_GRID_SHAPE
-        radii = np.linspace(0.0, self.domain.radius, nr)
+        block = _PolarGridField.BLOCK
         phases = np.exp(2j * np.pi * np.arange(nt) / nt)
-        values = np.empty((nr, nt), dtype=complex)
-        for i, r in enumerate(radii):
+        rotations = (inner_evaluator.rotations if isinstance(inner_evaluator, _PolarGridField)
+                     else lambda n0: inner_evaluator(phases[:, None] * n0[None, :]))
+        values = np.zeros((nr, nt), dtype=complex)
+        for i, r in enumerate(np.linspace(0.0, self.domain.radius, nr)):
             base = build_area_rule(self.domain, r, NESTED_RESOLUTION)
-            n0 = base.nodes
-            if isinstance(inner_evaluator, _PolarGridField):
-                fvals = inner_evaluator.rotations(n0)
-            else:
-                fvals = np.asarray(inner_evaluator(phases[:, None] * n0[None, :]), dtype=complex)
-            pole = n0 - r if op == "T" else np.conj(n0) - r
-            values[i, :] = np.sum(fvals * (base.weights / pole), axis=1)
+            density = base.weights / (base.nodes - r if op == "T" else np.conj(base.nodes) - r)
+            for lo in range(0, base.nodes.size, block):
+                values[i, :] += np.sum(rotations(base.nodes[lo:lo + block])
+                                       * density[lo:lo + block], axis=1)
         values *= (np.conj(phases) if op == "T" else phases) / (-2j * np.pi)
         return _PolarGridField(self.domain, values)
 
@@ -253,7 +253,8 @@ class NestedOracle:
 
 def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolution) -> complex:
     """T^mu Tbar^nu f(z) on the polydisc (n <= 3): any callable f on the whole
-    N^n grid of per-factor rules about z, against the product of the kernels.
+    N^n grid of per-factor rules about z, against the product of the kernels
+    with each rule's log_shift (`apply_polydisc`'s factor weights).
     The first factor streams one node at a time and the others reach f as
     sparse broadcastable axes, to bound memory."""
     if not isinstance(f.domain, PolydiscDomain):
@@ -265,7 +266,7 @@ def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolutio
     nu.require_length(n)
     z = f.domain.validate_point(z)
     rules = [build_area_rule(f.domain.factor_disk, w, resolution) for w in z]
-    wk = [rule.weights * c3(w, rule.nodes, m, k, f.domain.radius)
+    wk = [rule.weights * c3(w, rule.nodes, m, k, f.domain.radius, rule.log_shift)
           for rule, w, m, k in zip(rules, z, mu.entries, nu.entries)]
     tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)
     tail_wk = reduce(np.multiply.outer, wk[1:], np.ones(()))

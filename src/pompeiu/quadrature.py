@@ -1,20 +1,18 @@
 """Deterministic quadrature for weakly singular disk integrals and contours.
 
-Area rules are polar rules centered at the singularity of the intended
-integrand: the polar Jacobian r cancels a 1/|z - center| singularity exactly,
-and quadratic radial grading (panel edges at (k/P)^2) tames r*log(r).  The
-radial extent is rescaled per angle to the distance from the center to the
-disk boundary, so every panel integrand stays smooth in the normalized
-(s, theta) coordinates.  Area and half rules drop every node closer to
-their center than the exclusion radius COINCIDENCE_EPS * R, which `geometry`
-owns: below that gap the kernels raise CoincidentPoints, so every node a rule
-keeps is one the kernels accept.
+Area rules are polar about the singularity of the intended integrand: along
+each ray |w - center| = rho(theta) s, s in [0, 1], with rho the distance to
+the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
+is one Gauss-Legendre panel in s.  A rule's per-node `log_shift` turns the
+-2 log s of a kernel's log|w - center|^2 into product integration
+(`kernels.c3`).  A count left as None comes from RESOLUTION_TABLE at
+|center|/R.  Area and half rules drop every node closer to their center than
+the exclusion radius COINCIDENCE_EPS * R, which `geometry` owns: below that
+gap the kernels raise CoincidentPoints.
 
 Weights carry the 2i area factor (dzbar ^ dz = 2i dx dy), and contour weights
 carry dz = i R e^{i theta} dtheta, so operator formulas transcribe literally.
-
-Rule construction is side-effect free; node evaluation is vectorized and
-reduced with numpy's pairwise summation in a fixed order, so results are
+Rules are side-effect free and reduced in a fixed order, so results are
 reproducible.
 """
 
@@ -26,12 +24,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import DomainError, NonFiniteSample, ResolutionTooLow
 from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separated
 
-DEFAULT_RESOLUTION = (64, 128)
+#: (|center|/R edge, (n_radial, n_angular)), measured by scripts/rule_table.py:
+#: an area rule's default counts are those of the first row whose edge is >= |center|/R
+RESOLUTION_TABLE = ((0.5, (16, 32)), (0.8, (16, 48)), (0.9, (24, 64)), (0.95, (24, 96)),
+                    (0.98, (32, 128)), (1.0, (64, 128)))
+#: both counts chosen by RESOLUTION_TABLE
+DEFAULT_RESOLUTION = (None, None)
 DEFAULT_CONTOUR_COUNT = 256
 
 # freeing a 1 MiB block lifts glibc's mmap/trim thresholds, so the 128 KiB
@@ -42,23 +45,28 @@ np.empty(1 << 17)
 @dataclass(frozen=True)
 class Rule:
     """Nodes and weights: an area rule integrates f dzbar^dz over a disk, a
-    contour rule f dz counterclockwise around its circle."""
+    contour rule f dz counterclockwise around its circle.  `log_shift` is a
+    polar rule's per-node correction of log|w - center| (0 on a contour)."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    log_shift: np.ndarray | float = 0.0
 
 
 @lru_cache(maxsize=64)
-def _graded_radial_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1]: `panels` panels of `order`
-    nodes, with panel edges at (k/P)^2."""
-    edges = (np.arange(panels + 1) / panels) ** 2
-    x, w = leggauss(order)
-    s = np.concatenate([(e0 + e1) / 2 + (e1 - e0) / 2 * x
-                        for e0, e1 in zip(edges[:-1], edges[1:])])
-    ws = np.concatenate([(e1 - e0) / 2 * w
-                         for e0, e1 in zip(edges[:-1], edges[1:])])
-    return s, ws
+def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes s and weights w on [0, 1], and log_shift = v/w - log s.
+
+    The product weights v_k = w_k sum_m (2m+1) P~_m(s_k) M_m integrate
+    p(s) log s exactly for p of degree < n (Atkinson, The Numerical Solution
+    of Integral Equations of the Second Kind, 1997): P~_m are the shifted
+    Legendre polynomials, M_m = int_0^1 P~_m log s ds = (-1)^(m+1)/(m(m+1)), M_0 = -1.
+    """
+    x, w = leggauss(n)
+    m = np.arange(1, n)
+    moments = np.concatenate([[-1.0], (-1.0) ** (m + 1) / (m * (m + 1))])
+    s = (x + 1) / 2
+    return s, w / 2, legval(x, (2 * np.arange(n) + 1) * moments) - np.log(s)
 
 
 @lru_cache(maxsize=64)
@@ -83,42 +91,42 @@ def _boundary_distance(domain: DiskDomain, center: complex,
     return np.maximum(-x + np.sqrt(np.maximum(under, 0.0)), 0.0)
 
 
-def _polar_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int],
-                directions) -> Rule:
-    """Graded polar rule about `center`; `directions(center, n_angular)` gives
-    the unit directions, their angular weights and the radial extent rho along each."""
+def _polar_rule(domain: DiskDomain, center: complex, resolution, directions,
+                outer: bool = False) -> Rule:
+    """Polar rule about `center`; `directions(center, n_angular)` gives the
+    unit directions, their angular weights and the radial extent rho along
+    each.  None counts come from the table row of |center|/R (`outer`: the last)."""
     if not isinstance(domain, DiskDomain):
         raise DomainError(f"area rules need a DiskDomain, got {domain!r}")
     center = domain.validate_point(center)
-    n_radial, n_angular = resolution
+    ratio = 1.0 if outer else min(abs(center) / domain.radius, 1.0)
+    row = next(counts for edge, counts in RESOLUTION_TABLE if ratio <= edge)
+    n_radial, n_angular = resolution = tuple(row[i] if count is None else count
+                                             for i, count in enumerate(resolution))
     if n_radial < 4 or n_angular < 8:
         raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
-    # radial panels of `order` Gauss nodes; a partial panel is refused, not dropped
-    order = 8 if n_radial >= 16 else 4
-    if n_radial % order:
-        raise ResolutionTooLow(f"n_radial must be a multiple of 4 below 16 and of 8 from 16 up, "
-                               f"got {n_radial}")
     unit, wt, rho = directions(center, n_angular)
-    s, ws = _graded_radial_rule(n_radial // order, order)
+    s, ws, shift = _radial_rule(n_radial)
 
     nodes = (center + (rho[None, :] * s[:, None]) * unit[None, :]).ravel()
     # dA = r dr dtheta = rho^2 s ds dtheta
     weights = (AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None])
                * wt[None, :]).ravel()
+    log_shift = np.repeat(shift, n_angular)
     # the expression require_separated evaluates, so every kept node passes it
     keep = np.abs(center - nodes) >= COINCIDENCE_EPS * domain.radius
     if np.all(keep):
-        return Rule(nodes=nodes, weights=weights)
-    return Rule(nodes=nodes[keep], weights=weights[keep])
+        return Rule(nodes, weights, log_shift)
+    return Rule(nodes[keep], weights[keep], log_shift[keep])
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
-                    resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
+                    resolution=DEFAULT_RESOLUTION) -> Rule:
     """Polar rule centered at `singularity`, covering the whole disk.
 
     Angular rule: equispaced trapezoid (spectrally accurate since the radial
-    extent is a smooth periodic function of the angle).  Radial rule: graded
-    Gauss-Legendre panels on [0, rho(theta)].
+    extent is a smooth periodic function of the angle).  Radial rule: one
+    Gauss-Legendre panel on [0, rho(theta)].
     """
     def directions(center, n_angular):
         cos_t, sin_t = _symmetric_angles(n_angular)
@@ -130,7 +138,8 @@ def build_area_rule(domain: DiskDomain, singularity: complex,
 
 def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                     resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
-    """Rule on the half of the disk nearer `center` than `other`.
+    """Rule on the half of the disk nearer `center` than `other`; None counts
+    are RESOLUTION_TABLE's outer row, which serves every center.
 
     The disk is cut along the perpendicular bisector of [center, other]; the
     piece containing `center` gets a polar rule centered on it.  The angular
@@ -177,7 +186,7 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                              np.inf)
         return cos_t + 1j * sin_t, np.concatenate(wt_parts), np.minimum(rho_d, rho_b)
 
-    return _polar_rule(domain, center, resolution, directions)
+    return _polar_rule(domain, center, resolution, directions, outer=True)
 
 
 def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rule:
@@ -189,7 +198,7 @@ def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rul
     unit = cos_t + 1j * sin_t
     nodes = radius * unit
     weights = 1j * radius * unit * (2 * np.pi / count)
-    return Rule(nodes=nodes, weights=weights)
+    return Rule(nodes, weights)
 
 
 def integrate(rule: Rule, integrand) -> complex:

@@ -105,8 +105,8 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
         rule = build_area_rule(dom, z, resolution)
 
         def integrand(w):
-            return sum((kernel(z, w, *entry, dom.radius) * density(w) for entry, density in terms),
-                       np.zeros(w.shape, dtype=complex))
+            return sum((kernel(z, w, *entry, dom.radius, rule.log_shift) * density(w)
+                        for entry, density in terms), np.zeros(w.shape, dtype=complex))
 
         with np.errstate(all="ignore"):
             return _finite(complex(spec.g_list[0](np.asarray(z)) + integrate(rule, integrand)))

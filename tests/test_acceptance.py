@@ -152,16 +152,18 @@ def test_criterion_7_pde_residuals_and_trend():
     pts = [0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.15j]
     rhs_smooth = field_from_expression("1+z*zbar", DISK)
 
-    # mu = nu = 1 at the working resolution
+    # mu = nu = 1 at the working resolution; the log-weighted rule reaches the
+    # finite-difference floor (about 1e-9) from (8, 16) on, so the trend is
+    # taken below it
     spec11 = SolutionSpec(1, 1, rhs_smooth, (ZERO,), (ZERO,))
     res11 = {}
-    for resolution in ((16, 32), (32, 64), (64, 128)):
+    for resolution in ((4, 8), (8, 16), (64, 128)):
         u = solve_pde(spec11, resolution=resolution)
         r = fd_residual(u, 1, 1, rhs_smooth, pts)
         res11[resolution] = max(rel(v, complex(rhs_smooth(np.asarray(z))))
                                 for v, z in zip(r, pts))
     ok11 = res11[(64, 128)] <= 1e-2
-    trend11 = res11[(32, 64)] <= 0.5 * res11[(16, 32)]
+    trend11 = res11[(8, 16)] <= 0.5 * res11[(4, 8)]
 
     # mu = nu = 2, including the bilaplacian identity on the (2,2) transform
     spec22 = SolutionSpec(2, 2, rhs_smooth, (ZERO, ZERO), (ZERO, ZERO))
@@ -183,7 +185,7 @@ def test_criterion_7_pde_residuals_and_trend():
     ok = ok11 and trend11 and ok22 and trend22 and okbi
     assert report(
         7, "solution residuals with resolution trend", ok,
-        f"m=2 res {res11[(64, 128)]:.2e} trend x{res11[(16, 32)] / res11[(32, 64)]:.1f}, "
+        f"m=2 res {res11[(64, 128)]:.2e} trend x{res11[(4, 8)] / res11[(8, 16)]:.1f}, "
         f"m=4 res {res22[(64, 128)]:.2e} trend x{res22[(8, 16)] / res22[(16, 32)]:.1f}, "
         f"bilaplacian {max(r / 16.0 for r in rbi):.2e}")
 

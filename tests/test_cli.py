@@ -133,18 +133,19 @@ def test_op_apply_polydisc(capsys):
 
 
 def test_polydisc_single_resolution_flag_is_honoured(capsys):
-    # each of --nr / --ntheta replaces its own entry of the (64, 128) default
+    # each of --nr / --ntheta replaces its own entry of the table default,
+    # (16, 32) for both factors at |z_j| <= 0.5 R
     base = ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1*z1bar*z2",
             "--z", "0.3,0.1i", "--mu", "1,1", "--nu", "1,1"]
     outs = {}
-    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "128"),
-                  ("--ntheta", "16"), ("--nr", "64", "--ntheta", "16")):
+    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "32"),
+                  ("--ntheta", "16"), ("--nr", "16", "--ntheta", "16")):
         code, outs[extra] = run(capsys, *base, *extra)
         assert code == 0
     assert outs[("--nr", "8")] != outs[()]
-    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "128")]
+    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "32")]
     assert outs[("--ntheta", "16")] != outs[()]
-    assert outs[("--ntheta", "16")] == outs[("--nr", "64", "--ntheta", "16")]
+    assert outs[("--ntheta", "16")] == outs[("--nr", "16", "--ntheta", "16")]
 
 
 def test_polydisc_nine_factors(capsys):
@@ -238,10 +239,15 @@ def test_export_with_operator(tmp_path):
     assert complex(re, im) == pytest.approx(np.conj(z) ** 2 / 2, abs=1e-8)
 
 
-@pytest.mark.parametrize("suite", ["kernels", "operators", "pde", "norms"])
+#: verify suite -> the flags it reads, at coarser settings than their defaults
+VERIFY_FLAGS = {"kernels": ("--nr", "32", "--ntheta", "64", "--contour-n", "128"),
+                "operators": ("--nr", "32", "--ntheta", "64", "--contour-n", "128"),
+                "pde": ("--nr", "32", "--ntheta", "64"), "norms": ()}
+
+
+@pytest.mark.parametrize("suite", VERIFY_FLAGS)
 def test_verify_suites_pass(capsys, suite):
-    code, out = run(capsys, "verify", "--suite", suite, "--seed", "7",
-                    "--nr", "32", "--ntheta", "64")
+    code, out = run(capsys, "verify", "--suite", suite, "--seed", "7", *VERIFY_FLAGS[suite])
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
@@ -387,8 +393,26 @@ def test_removed_flags_are_usage_errors(argv):
     (["export", "--f", "z", "--grid", "2", "--mu", "7"], "--mu", "export without --op"),
     (["export", "--f", "z", "--grid", "2", "--nr", "16"], "--nr", "export without --op"),
     (["export", "--f", "z", "--grid", "2", "--op", "T", "--nu", "2"], "--nu", "--op T"),
+    (["verify", "--suite", "norms", "--nr", "8"], "--nr", "--suite norms"),
+    (["verify", "--suite", "norms", "--ntheta", "8"], "--ntheta", "--suite norms"),
+    (["verify", "--suite", "norms", "--contour-n", "8"], "--contour-n", "--suite norms"),
+    (["verify", "--suite", "pde", "--contour-n", "8"], "--contour-n", "--suite pde"),
+    (["kernel", "eval", "--kind", "c1", "--a", "0.1", "--b", "0.5", "--k", "3", "--mu", "7"],
+     "--mu", "--kind c1"),
+    (["kernel", "eval", "--kind", "c1", "--a", "0.1", "--b", "0.5", "--l", "5"], "--l",
+     "--kind c1"),
+    (["kernel", "eval", "--kind", "c2", "--a", "0.1", "--b", "0.5", "--mu", "2"], "--mu",
+     "--kind c2"),
+    (["kernel", "eval", "--a", "0.1", "--b", "0.5", "--k", "2"], "--k", "--kind c3"),
+    (["kernel", "eval", "--kind", "c8", "--l", "2"], "--l", "--kind c8"),
+    (["kernel", "eval", "--kind", "gdiag", "--a", "0.1", "--b", "0.5", "--nu", "2"], "--nu",
+     "--kind gdiag"),
+    (["kernel", "eval", "--kind", "gmixed", "--a", "0.1", "--b", "0.5", "--k", "2"], "--k",
+     "--kind gmixed"),
 ], ids=["T-mu", "Tbar-nu", "2T-power", "mixed-n", "dual-contour-n", "S-nr", "Sbar-ntheta",
-        "polydisc-power", "polydisc-contour-n", "export-mu", "export-nr", "export-T-nu"])
+        "polydisc-power", "polydisc-contour-n", "export-mu", "export-nr", "export-T-nu",
+        "norms-nr", "norms-ntheta", "norms-contour-n", "pde-contour-n", "c1-mu", "c1-l",
+        "c2-mu", "c3-k", "c8-l", "gdiag-nu", "gmixed-k"])
 def test_flags_the_op_never_reads_are_usage_errors(argv, flag, op, capsys):
     with pytest.raises(SystemExit) as exc:
         run_command(argv)
@@ -457,9 +481,9 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
      "S target |z| = 0.999 is outside |z| <= 0.913982 (aliasing (|z|/R)^256 above 1e-10)"),
     (["op", "apply", "--op", "Sbar", "--f", "1+z*zbar", "--z", "0.5", "--contour-n", "8"],
      "1", "S target |z| = 0.5 is outside |z| <= 0.0562341 (aliasing (|z|/R)^8 above 1e-10)"),
-    # a partial radial panel is refused, not rounded down to 16 nodes
-    (["op", "apply", "--op", "T", "--f", "1+z*zbar", "--z", "0.3", "--nr", "20"], "1",
-     "n_radial must be a multiple of 4 below 16 and of 8 from 16 up, got 20"),
+    # below the radial floor; the table fills in the angular count of |z| = 0.3
+    (["op", "apply", "--op", "T", "--f", "1+z*zbar", "--z", "0.3", "--nr", "3"], "1",
+     "need n_radial >= 4 and n_angular >= 8, got (3, 32)"),
     # grids need a point on each axis and corners inside the closed disk
     (["export", "--f", "z", "--grid", "-3"], "1", GRID_ERROR.format(-3, 0.95)),
     (["solve", "--rhs", "1", "--grid", "-2"], "1", GRID_ERROR.format(-2, 0.95)),
@@ -484,7 +508,7 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
      "--nu takes one order here, got 1,1"),
 ], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
         "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38",
-        "S-0.999R", "Sbar-8-nodes", "nr-20", "export-grid-3", "solve-grid-2", "grid-0",
+        "S-0.999R", "Sbar-8-nodes", "nr-3", "export-grid-3", "solve-grid-2", "grid-0",
         "extent-2", "T-extent-2", "extent-nan", "mixed-mu-list", "dual-nu-list",
         "c3-nu-list", "c2-nu-list", "gmixed-mu-list", "export-nu-list"])
 def test_numeric_failure_prints_only_the_error_line(argv, threads, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,21 @@ from pompeiu.expressions import (Add, Lit, Mul, Pow, Var, evaluate, parse_comple
 def coeffs1(text):
     # flatten the 1-factor key ((p, q),) -> (p, q)
     return {key[0]: v for key, v in to_coefficients(parse_expression(text), 1).items()}
+
+
+@pytest.mark.parametrize("k", range(18))
+def test_powers_expand_to_binomial_coefficients(k):
+    # every bit pattern of the exponent up to 17; the integers stay exact
+    c = coeffs1(f"(z+2*zbar)^{k}")
+    assert c == {(p, k - p): complex(math.comb(k, p) * 2 ** (k - p)) for p in range(k + 1)}
+
+
+def test_high_power_expands_under_the_product_cap():
+    # squaring forms 414,688 products where repeated multiplication formed
+    # 999,000; binomials above 2^53 round
+    c = coeffs1("(z+zbar)^999")
+    assert len(c) == 1000
+    assert max(abs(c[(p, 999 - p)] / math.comb(999, p) - 1) for p in range(1000)) <= 1e-14
 
 
 def test_spec_example_coefficients():

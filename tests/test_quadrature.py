@@ -58,16 +58,47 @@ def test_rules_refuse_non_disk_domains():
 
 def test_resolution_floor():
     d = DiskDomain(1.0)
-    with pytest.raises(ResolutionTooLow):
-        build_area_rule(d, 0j, (3, 64))
-    with pytest.raises(ResolutionTooLow):
-        build_area_rule(d, 0j, (16, 7))
-    # a partial radial panel: multiples of 4 below 16, of 8 from 16 up
-    for n_radial in (6, 20, 23):
-        with pytest.raises(ResolutionTooLow):
+    for n_radial in (1, 2, 3):
+        with pytest.raises(ResolutionTooLow, match="n_radial >= 4"):
             build_area_rule(d, 0j, (n_radial, 64))
     with pytest.raises(ResolutionTooLow):
+        build_area_rule(d, 0j, (16, 7))
+    # one Gauss panel takes any count from the floor up
+    for n_radial in (4, 6, 20, 23):
+        assert build_area_rule(d, 0j, (n_radial, 64)).nodes.size == n_radial * 64
+    with pytest.raises(ResolutionTooLow):
         build_contour_rule(1.0, 7)
+
+
+@pytest.mark.parametrize("n_radial", [4, 7, 16, 24, 32, 64])
+def test_product_weights_integrate_s_power_times_log_s(n_radial):
+    # about 0 on the unit disk every ray has rho = 1 and |w| = s, so summing
+    # |w|^(j-1) (log|w| + log_shift) with the area weights gives
+    # 2i * 2 pi * sum_k v_k s_k^j, and v integrates s^j log s to -1/(j+1)^2
+    rule = build_area_rule(DiskDomain(1.0), 0j, (n_radial, 8))
+    s = np.abs(rule.nodes)
+    for j in range(n_radial):
+        got = np.sum(rule.weights * s ** (j - 1) * (np.log(s) + rule.log_shift)) / (4j * np.pi)
+        assert abs(got + 1 / (j + 1) ** 2) <= 1e-14, j
+
+
+@pytest.mark.parametrize("ratio, counts", [
+    (0.0, (16, 32)), (0.5, (16, 32)), (0.50001, (16, 48)), (0.8, (16, 48)), (0.85, (24, 64)),
+    (0.95, (24, 96)), (0.97, (32, 128)), (0.99, (64, 128)), (0.9999, (64, 128))])
+def test_default_counts_come_from_the_table_by_distance(ratio, counts):
+    d = DiskDomain(2.5)
+    center = 2.5 * ratio * np.exp(0.7j)
+    assert build_area_rule(d, center).nodes.size == counts[0] * counts[1]
+    # a given count is used as it is, the other still comes from the table
+    assert build_area_rule(d, center, (8, None)).nodes.size == 8 * counts[1]
+    assert build_area_rule(d, center, (None, 40)).nodes.size == counts[0] * 40
+
+
+def test_half_rules_default_to_the_outer_table_row():
+    d = DiskDomain(1.0)
+    a, b = 0.1 + 0.05j, -0.2 + 0.1j
+    outer = build_half_rule(d, a, b, (64, 128))
+    assert np.array_equal(build_half_rule(d, a, b).nodes, outer.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,3 +22,18 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_rule_table_smoke(capsys):
+    spec = importlib.util.spec_from_file_location("scripts_rule_table",
+                                                  SCRIPTS[0].parent / "rule_table.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--ratios", "0.5", "--resolutions", "default,8x16", "--ops", "T,2T,1x1",
+                 "--degree", "1", "--angles", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[2].split()[:3] == ["0.5", "default", "16x32"]
+    assert lines[3].split()[:2] == ["0.5", "8x16"]
+    # the table's default reaches round-off on a degree-1 field
+    assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
