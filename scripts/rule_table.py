@@ -2,14 +2,16 @@
 """Error of the disk area transforms by target distance and rule resolution.
 
 The measurement behind `quadrature.RESOLUTION_TABLE`.  For each |z|/R and
-each resolution (`default` is the table's own choice at that distance),
-prints one row: the worst absolute error of every op over ANGLES targets at
-that distance, against `oracle.exact_transform` compositions, which never
-touch the kernels.  The ops are T = (1,0), 2T (the regularized square kernel,
-d/dz T) and the mixed T^mu Tbar^nu.  The field is a degree-(d, d)
-polynomial in z and conj(z) with seeded unit-modulus coefficients on the
-unit disk, so values are O(1); d plus the largest order must stay within
-the reference's `oracle.MAX_POLY_DEGREE` (8).
+each resolution, prints one row: the worst absolute error of every op over
+ANGLES targets at that distance, against `oracle.exact_transform`
+compositions, which never touch the kernels.  The ops are T = (1,0), 2T (the
+regularized square kernel, d/dz T) and the mixed T^mu Tbar^nu.  The field is
+a degree-(d, d) polynomial in z and conj(z) with seeded unit-modulus
+coefficients on the unit disk, so values are O(1); d plus the largest order
+must stay within the reference's `oracle.MAX_POLY_DEGREE` (8).  `default`
+is the table row printed while the field's total degree 2d plus the op's
+orders (2 for 2T) is at most `quadrature.TABLE_DEGREE`, and at least 64x128
+above it (`--degree 4` with 2x2, for one).
 
     PYTHONPATH=src python3 scripts/rule_table.py [--ratios 0.5,0.9] \\
         [--resolutions default,16x32,64x128] [--ops T,2T,1x1,2x2] \\

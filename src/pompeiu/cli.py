@@ -332,7 +332,7 @@ def _suite_operators(args, report) -> int:
     failures = 0
     for l in range(4):
         z = _interior_point(rng, 0.7 * R)
-        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain)
+        f = ScalarField(lambda w, l=l: np.conj(w) ** l, domain, degree=l)
         got = apply_T(f, z, res)
         want = np.conj(z) ** (l + 1) / (l + 1)
         err = abs(got - want) / max(1.0, abs(want))

@@ -261,6 +261,18 @@ def variable_indices(node: Node) -> set[int | None]:
     return variable_indices(node.left) | variable_indices(node.right)
 
 
+def degree(node: Node) -> int:
+    """An upper bound on the total degree in every z_j and conj(z_j)."""
+    if isinstance(node, (Lit, Var)):
+        return int(isinstance(node, Var))
+    if isinstance(node, Neg):
+        return degree(node.operand)
+    if isinstance(node, Pow):
+        return degree(node.base) * node.exponent
+    join = sum if isinstance(node, Mul) else max
+    return join((degree(node.left), degree(node.right)))
+
+
 def validate_variables(node: Node, factors: int) -> None:
     for index in variable_indices(node):
         if index is None:

@@ -9,10 +9,11 @@ of it.  `apply_S` and `apply_2T` have kernels of their own; `apply_Sbar`,
 Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
 closed-form kernels assume, build each target's area rule afresh with
 `build_area_rule` (targets rarely repeat; a None count comes from
-`quadrature.RESOLUTION_TABLE`) and pass its `log_shift` to the kernel, which
-integrates the mixed kernels' log by product weights.  `apply_polydisc` sums
-one-disk moments of an expression field's monomials.  Nothing here nests
-integrals or samples a polydisc tensor grid: those are the oracle's routes.
+`quadrature.RESOLUTION_TABLE`, by |z|/R and the field's `degree` plus the
+kernel's orders) and pass its `log_shift` to the kernel, which integrates
+the mixed kernels' log by product weights.  `apply_polydisc` sums one-disk
+moments of an expression field's monomials.  Nothing here nests integrals or
+samples a polydisc tensor grid: those are the oracle's routes.
 
 Operator application is pure given (field, rule): batch evaluation over
 target grids is data-parallel (PMP_THREADS workers, a positive integer)
@@ -47,11 +48,13 @@ class ScalarField:
     one complex array per domain factor, the arrays broadcastable against
     each other, and returns an array of their broadcast shape or a 0-d value.
     `expression`, if any, is the parsed polynomial it computes (`apply_polydisc`).
+    `degree` bounds its total degree in every w_j and conj(w_j) (inf: unknown).
     """
 
     evaluator: object
     domain: DiskDomain | PolydiscDomain
     expression: expressions.Node | None = None
+    degree: float = math.inf
 
     @property
     def factors(self) -> int:
@@ -62,7 +65,7 @@ class ScalarField:
 
     def conjugate(self) -> "ScalarField":
         ev = self.evaluator
-        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain)
+        return ScalarField(lambda *zs: np.conj(ev(*zs)), self.domain, degree=self.degree)
 
 
 def constant_field(value: complex, domain) -> ScalarField:
@@ -72,14 +75,15 @@ def constant_field(value: complex, domain) -> ScalarField:
         shape = np.broadcast(*[np.asarray(z) for z in zs]).shape
         return np.full(shape, value) if shape else value
 
-    return ScalarField(ev, domain, expressions.Lit(value))
+    return ScalarField(ev, domain, expressions.Lit(value), 0)
 
 
 def field_from_expression(text: str, domain) -> ScalarField:
     ast = expressions.parse_expression(text)
     n = domain.factors if isinstance(domain, PolydiscDomain) else 1
     expressions.validate_variables(ast, n)
-    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain, ast)
+    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain, ast,
+                       expressions.degree(ast))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,7 @@ def transform(f: ScalarField, z: complex, mu: int, nu: int,
     DomainError.  The kernel's only non-smooth point is its singularity at
     the target, which the polar rule centered at z and its `log_shift` absorb.
     """
-    r = build_area_rule(f.domain, z, resolution)
+    r = build_area_rule(f.domain, z, resolution, f.degree + mu + nu)
     return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius, r.log_shift)
                              * f(w)))
 
@@ -138,7 +142,7 @@ def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
 
 def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Regularized square kernel: -1/(2 pi i) * int (f(w)-f(z))/(w-z)^2 dwbar^dw."""
-    r = build_area_rule(f.domain, z, resolution)
+    r = build_area_rule(f.domain, z, resolution, f.degree + 2)
     with np.errstate(all="ignore"):
         fz = complex(f(np.asarray(complex(z))))
     if not cmath.isfinite(fz):
@@ -179,10 +183,10 @@ def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_
 
 @lru_cache(maxsize=256)
 def cached_area_rule(domain: DiskDomain, center: complex,
-                     resolution: tuple[int, int]) -> Rule:
+                     resolution: tuple[int, int], degree: float) -> Rule:
     """`build_area_rule` for `apply_polydisc`'s factors; the LRU stays only
     because `perfbench/workloads.py` reads its `cache_clear`/`cache_info`."""
-    return build_area_rule(domain, center, resolution)
+    return build_area_rule(domain, center, resolution, degree)
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
@@ -210,7 +214,8 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     nu.require_length(n)
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
-    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution)) for w in z]
+    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution), f.degree + m + k)
+             for w, m, k in zip(z, mu.entries, nu.entries)]
     wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius,
                             rule.log_shift) for j, rule in enumerate(rules)]
     # floating-point warnings are silenced here: a NaN/Inf total raises below

@@ -93,7 +93,8 @@ class PolynomialField:
         return PolynomialField(c)
 
     def to_field(self, domain: DiskDomain) -> ScalarField:
-        return ScalarField(self, domain)
+        degree = max((p + q for (p, q), c in np.ndenumerate(self.coeffs) if c != 0), default=0)
+        return ScalarField(self, domain, degree=degree)
 
     def __repr__(self):
         terms = [f"({v:g})z^{p}zb^{q}" for (p, q), v in np.ndenumerate(self.coeffs) if v != 0]
@@ -265,7 +266,8 @@ def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolutio
     mu.require_length(n)
     nu.require_length(n)
     z = f.domain.validate_point(z)
-    rules = [build_area_rule(f.domain.factor_disk, w, resolution) for w in z]
+    rules = [build_area_rule(f.domain.factor_disk, w, resolution, f.degree + m + k)
+             for w, m, k in zip(z, mu.entries, nu.entries)]
     wk = [rule.weights * c3(w, rule.nodes, m, k, f.domain.radius, rule.log_shift)
           for rule, w, m, k in zip(rules, z, mu.entries, nu.entries)]
     tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)

@@ -6,9 +6,9 @@ the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
 is one Gauss-Legendre panel in s.  A rule's per-node `log_shift` turns the
 -2 log s of a kernel's log|w - center|^2 into product integration
 (`kernels.c3`).  A count left as None comes from RESOLUTION_TABLE at
-|center|/R.  Area and half rules drop every node closer to their center than
-the exclusion radius COINCIDENCE_EPS * R, which `geometry` owns: below that
-gap the kernels raise CoincidentPoints.
+|center|/R and the integrand's degree.  Area and half rules drop every node
+closer to their center than the exclusion radius COINCIDENCE_EPS * R, which
+`geometry` owns: below that gap the kernels raise CoincidentPoints.
 
 Weights carry the 2i area factor (dzbar ^ dz = 2i dx dy), and contour weights
 carry dz = i R e^{i theta} dtheta, so operator formulas transcribe literally.
@@ -30,9 +30,13 @@ from .errors import DomainError, NonFiniteSample, ResolutionTooLow
 from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separated
 
 #: (|center|/R edge, (n_radial, n_angular)), measured by scripts/rule_table.py:
-#: an area rule's default counts are those of the first row whose edge is >= |center|/R
+#: an area rule's default counts are those of the first row whose edge is >= |center|/R,
+#: raised to at least (64, 128) above TABLE_DEGREE, the largest integrand degree
+#: (the field's total degree in w, conj w plus the kernel's orders mu + nu) the
+#: rows serve: one degree more, (16, 32) reads 1.4e-13 where (64, 128) reads 1.8e-15
 RESOLUTION_TABLE = ((0.5, (16, 32)), (0.8, (16, 48)), (0.9, (24, 64)), (0.95, (24, 96)),
-                    (0.98, (32, 128)), (1.0, (64, 128)))
+                    (0.98, (32, 128)), (1.0, (64, 160)))
+TABLE_DEGREE = 11
 #: both counts chosen by RESOLUTION_TABLE
 DEFAULT_RESOLUTION = (None, None)
 DEFAULT_CONTOUR_COUNT = 256
@@ -92,15 +96,17 @@ def _boundary_distance(domain: DiskDomain, center: complex,
 
 
 def _polar_rule(domain: DiskDomain, center: complex, resolution, directions,
-                outer: bool = False) -> Rule:
+                degree: float) -> Rule:
     """Polar rule about `center`; `directions(center, n_angular)` gives the
     unit directions, their angular weights and the radial extent rho along
-    each.  None counts come from the table row of |center|/R (`outer`: the last)."""
+    each.  None counts come from the table for an integrand of `degree`."""
     if not isinstance(domain, DiskDomain):
         raise DomainError(f"area rules need a DiskDomain, got {domain!r}")
     center = domain.validate_point(center)
-    ratio = 1.0 if outer else min(abs(center) / domain.radius, 1.0)
+    ratio = min(abs(center) / domain.radius, 1.0)
     row = next(counts for edge, counts in RESOLUTION_TABLE if ratio <= edge)
+    if degree > TABLE_DEGREE:
+        row = (max(row[0], 64), max(row[1], 128))
     n_radial, n_angular = resolution = tuple(row[i] if count is None else count
                                              for i, count in enumerate(resolution))
     if n_radial < 4 or n_angular < 8:
@@ -121,8 +127,9 @@ def _polar_rule(domain: DiskDomain, center: complex, resolution, directions,
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
-                    resolution=DEFAULT_RESOLUTION) -> Rule:
-    """Polar rule centered at `singularity`, covering the whole disk.
+                    resolution=DEFAULT_RESOLUTION, degree: float = math.inf) -> Rule:
+    """Polar rule centered at `singularity`, covering the whole disk; None
+    counts are the table's for an integrand of `degree` (inf: unknown).
 
     Angular rule: equispaced trapezoid (spectrally accurate since the radial
     extent is a smooth periodic function of the angle).  Radial rule: one
@@ -133,13 +140,13 @@ def build_area_rule(domain: DiskDomain, singularity: complex,
         return (cos_t + 1j * sin_t, np.full(n_angular, 2 * np.pi / n_angular),
                 _boundary_distance(domain, center, cos_t, sin_t))
 
-    return _polar_rule(domain, singularity, resolution, directions)
+    return _polar_rule(domain, singularity, resolution, directions, degree)
 
 
 def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                     resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
     """Rule on the half of the disk nearer `center` than `other`; None counts
-    are RESOLUTION_TABLE's outer row, which serves every center.
+    are those of an integrand of unknown degree, which serve every kernel.
 
     The disk is cut along the perpendicular bisector of [center, other]; the
     piece containing `center` gets a polar rule centered on it.  The angular
@@ -186,7 +193,7 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                              np.inf)
         return cos_t + 1j * sin_t, np.concatenate(wt_parts), np.minimum(rho_d, rho_b)
 
-    return _polar_rule(domain, center, resolution, directions, outer=True)
+    return _polar_rule(domain, center, resolution, directions, math.inf)
 
 
 def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rule:

@@ -99,10 +99,13 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
               for i, f in enumerate(spec.f_list) if not f.is_zero]
     if spec.rhs is not None:
         terms.append(((nu, mu), spec.rhs))
+    # bounds every term's density degree plus its orders, for the rule's default counts
+    degree = mu + nu + max([len(p.coefficients) - 1 for p in spec.g_list[1:] + spec.f_list]
+                           + [0 if spec.rhs is None else spec.rhs.degree])
 
     def u(z: complex) -> complex:
         z = complex(z)
-        rule = build_area_rule(dom, z, resolution)
+        rule = build_area_rule(dom, z, resolution, degree)
 
         def integrand(w):
             return sum((kernel(z, w, *entry, dom.radius, rule.log_shift) * density(w)

@@ -154,7 +154,7 @@ def test_criterion_7_pde_residuals_and_trend():
 
     # mu = nu = 1 at the working resolution; the log-weighted rule reaches the
     # finite-difference floor (about 1e-9) from (8, 16) on, so the trend is
-    # taken below it
+    # taken on the way down to it (5.7e-6 -> 5.2e-10)
     spec11 = SolutionSpec(1, 1, rhs_smooth, (ZERO,), (ZERO,))
     res11 = {}
     for resolution in ((4, 8), (8, 16), (64, 128)):
@@ -165,16 +165,18 @@ def test_criterion_7_pde_residuals_and_trend():
     ok11 = res11[(64, 128)] <= 1e-2
     trend11 = res11[(8, 16)] <= 0.5 * res11[(4, 8)]
 
-    # mu = nu = 2, including the bilaplacian identity on the (2,2) transform
+    # mu = nu = 2, including the bilaplacian identity on the (2,2) transform;
+    # the floor is about 1e-7 here, so the trend is again taken above it
+    # (9.4e-3 -> 3.1e-7)
     spec22 = SolutionSpec(2, 2, rhs_smooth, (ZERO, ZERO), (ZERO, ZERO))
     res22 = {}
-    for resolution in ((8, 16), (16, 32), (64, 128)):
+    for resolution in ((4, 8), (8, 16), (64, 128)):
         u = solve_pde(spec22, resolution=resolution)
         r = fd_residual(u, 2, 2, rhs_smooth, pts)
         res22[resolution] = max(rel(v, complex(rhs_smooth(np.asarray(z))))
                                 for v, z in zip(r, pts))
     ok22 = res22[(64, 128)] <= 5e-2
-    trend22 = res22[(16, 32)] <= 0.5 * res22[(8, 16)]
+    trend22 = res22[(8, 16)] <= 0.5 * res22[(4, 8)]
 
     # Delta^2 (T^2 Tbar^2 A) = 16 A, via FD on the closed-form transform
     rhs16 = constant_field(16.0, DISK)
@@ -186,7 +188,7 @@ def test_criterion_7_pde_residuals_and_trend():
     assert report(
         7, "solution residuals with resolution trend", ok,
         f"m=2 res {res11[(64, 128)]:.2e} trend x{res11[(4, 8)] / res11[(8, 16)]:.1f}, "
-        f"m=4 res {res22[(64, 128)]:.2e} trend x{res22[(8, 16)] / res22[(16, 32)]:.1f}, "
+        f"m=4 res {res22[(64, 128)]:.2e} trend x{res22[(4, 8)] / res22[(8, 16)]:.1f}, "
         f"bilaplacian {max(r / 16.0 for r in rbi):.2e}")
 
 

@@ -239,9 +239,9 @@ def test_export_with_operator(tmp_path):
     assert complex(re, im) == pytest.approx(np.conj(z) ** 2 / 2, abs=1e-8)
 
 
-#: verify suite -> the flags it reads, at coarser settings than their defaults
-VERIFY_FLAGS = {"kernels": ("--nr", "32", "--ntheta", "64", "--contour-n", "128"),
-                "operators": ("--nr", "32", "--ntheta", "64", "--contour-n", "128"),
+#: verify suite -> the area-rule flags it reads, at coarser settings than their defaults
+VERIFY_FLAGS = {"kernels": ("--nr", "32", "--ntheta", "64"),
+                "operators": ("--nr", "32", "--ntheta", "64"),
                 "pde": ("--nr", "32", "--ntheta", "64"), "norms": ()}
 
 

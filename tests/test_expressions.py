@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pompeiu.errors import ParseError, UnknownVariable
-from pompeiu.expressions import (Add, Lit, Mul, Pow, Var, evaluate, parse_complex,
+from pompeiu.expressions import (Add, Lit, Mul, Pow, Var, degree, evaluate, parse_complex,
                                  parse_expression, pretty, to_coefficients,
                                  validate_variables)
 
@@ -139,3 +139,11 @@ def test_coefficients_match_evaluation():
     direct = complex(evaluate(ast, [np.asarray(z)]))
     summed = sum(v * z**p * np.conj(z) ** q for (p, q), v in coeffs.items())
     assert direct == pytest.approx(summed)
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("2-3i", 0), ("2^3", 0), ("z", 1), ("-zbar", 1), ("z*zbar + z^3", 3),
+    ("(z + zbar)^33", 33), ("(1 + z1*z2bar)^3 * z3", 7), ("z^2 - z^2", 2)])
+def test_degree_bounds_the_total_degree(text, bound):
+    # an upper bound: the cancelling z^2 - z^2 still reads 2
+    assert degree(parse_expression(text)) == bound

@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -510,43 +511,23 @@ def test_library_transforms_reuse_freed_pages():
     assert int(proc.stdout) < 500
 
 
-#: |z|/R at each RESOLUTION_TABLE row's outer edge (1 - 1e-6 for the last row)
-#: -> the worst absolute error over three angles of T, 2T, (1,1), (2,2) and
-#: (3,1) at the default resolution, as scripts/rule_table.py --angles 3
-#: measured them; round-off cells (all below 5e-15) read 1e-14
-TABLE_EDGE_ERRORS = {
-    0.5: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
-    0.8: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
-    0.9: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
-    0.95: (1e-14, 1e-14, 1.5e-14, 1e-14, 1e-14),
-    0.98: (1e-14, 1e-14, 2.8e-13, 1e-14, 1e-14),
-    1 - 1e-6: (1e-14, 1e-14, 1.6e-5, 2.3e-8, 1.0e-8),
-}
+def test_fields_carry_their_degree():
+    # an upper bound on the total degree; a plain callable's is unknown (inf)
+    f = field_from_expression("z^3*zbar + 2", DISK)
+    assert (f.degree, f.conjugate().degree) == (4, 4)
+    assert constant_field(2.0, DISK).degree == 0
+    assert PolynomialField([[1, 0, 0], [0, 0, 2], [0, 0, 0]]).to_field(DISK).degree == 3
+    assert ScalarField(np.conj, DISK).degree == math.inf
 
 
-@pytest.mark.parametrize("ratio", TABLE_EDGE_ERRORS)
-def test_default_resolution_at_each_table_edge(ratio):
-    # the degree-(2,2) field with unit-modulus coefficients (seed 0), against
-    # exact polynomial calculus; each pinned error holds with a margin of 2
-    phases = np.random.default_rng(0).random((3, 3))
-    poly = PolynomialField(np.exp(2j * np.pi * phases))
-    f = poly.to_field(DISK)
-    exact = {"T": exact_transform(poly, 1.0),
-             "2T": exact_transform(poly, 1.0).wirtinger(1, 0)}
-    for mu, nu in ((1, 1), (2, 2), (3, 1)):
-        g = poly
-        for _ in range(nu):
-            g = exact_transform(g, 1.0, conjugate=True)
-        for _ in range(mu):
-            g = exact_transform(g, 1.0)
-        exact[(mu, nu)] = g
-    ops = {"T": lambda z: transform(f, z, 1, 0), "2T": lambda z: apply_2T(f, z),
-           (1, 1): lambda z: transform(f, z, 1, 1), (2, 2): lambda z: transform(f, z, 2, 2),
-           (3, 1): lambda z: transform(f, z, 3, 1)}
-    for (op, value), pinned in zip(ops.items(), TABLE_EDGE_ERRORS[ratio]):
-        worst = max(abs(value(z) - complex(exact[op](np.asarray(z))))
-                    for z in (ratio * cmath.exp(1j * (0.3 + 2 * np.pi * k / 3)) for k in range(3)))
-        assert worst <= 2 * pinned, (op, worst)
+@pytest.mark.parametrize("l", [12, 33, 60])
+def test_default_resolution_follows_the_field_degree(l):
+    # T zbar^l = zbar^(l+1)/(l+1); the table's 16x32 reads 1e-2 on zbar^33, so
+    # a field above TABLE_DEGREE takes at least 64x128, exact to round-off
+    f = field_from_expression(f"zbar^{l}", DISK)
+    for q in (0.0, 0.3, 0.6, 0.9):
+        z = q * cmath.exp(0.7j)
+        assert abs(transform(f, z, 1, 0) - np.conj(z) ** (l + 1) / (l + 1)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
 from pompeiu.geometry import DiskDomain, PolydiscDomain, require_separated
-from pompeiu.quadrature import (build_area_rule, build_contour_rule, build_half_rule,
-                                integrate)
+from pompeiu.quadrature import (TABLE_DEGREE, build_area_rule, build_contour_rule,
+                                build_half_rule, integrate)
 
 
 def total_weight(rule):
@@ -84,17 +86,26 @@ def test_product_weights_integrate_s_power_times_log_s(n_radial):
 
 @pytest.mark.parametrize("ratio, counts", [
     (0.0, (16, 32)), (0.5, (16, 32)), (0.50001, (16, 48)), (0.8, (16, 48)), (0.85, (24, 64)),
-    (0.95, (24, 96)), (0.97, (32, 128)), (0.99, (64, 128)), (0.9999, (64, 128))])
+    (0.95, (24, 96)), (0.97, (32, 128)), (0.99, (64, 160)), (0.9999, (64, 160))])
 def test_default_counts_come_from_the_table_by_distance(ratio, counts):
     d = DiskDomain(2.5)
     center = 2.5 * ratio * np.exp(0.7j)
-    assert build_area_rule(d, center).nodes.size == counts[0] * counts[1]
+    assert build_area_rule(d, center, degree=TABLE_DEGREE).nodes.size == counts[0] * counts[1]
     # a given count is used as it is, the other still comes from the table
-    assert build_area_rule(d, center, (8, None)).nodes.size == 8 * counts[1]
-    assert build_area_rule(d, center, (None, 40)).nodes.size == counts[0] * 40
+    assert build_area_rule(d, center, (8, None), TABLE_DEGREE).nodes.size == 8 * counts[1]
+    assert build_area_rule(d, center, (None, 40), TABLE_DEGREE).nodes.size == counts[0] * 40
 
 
-def test_half_rules_default_to_the_outer_table_row():
+@pytest.mark.parametrize("ratio, counts", [(0.0, (64, 128)), (0.97, (64, 128)),
+                                           (0.99, (64, 160))])
+@pytest.mark.parametrize("degree", [TABLE_DEGREE + 1, 40, math.inf])
+def test_higher_or_unknown_degree_takes_at_least_64_by_128(ratio, counts, degree):
+    d = DiskDomain(1.0)
+    assert build_area_rule(d, ratio * np.exp(0.7j), degree=degree).nodes.size \
+        == counts[0] * counts[1]
+
+
+def test_half_rules_default_to_the_unknown_degree_counts():
     d = DiskDomain(1.0)
     a, b = 0.1 + 0.05j, -0.2 + 0.1j
     outer = build_half_rule(d, a, b, (64, 128))

@@ -16,19 +16,20 @@ def test_scripts_are_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
-def test_script_imports(path):
+def load(path: Path):
     spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_script_imports(path):
+    assert callable(load(path).main)
 
 
 def test_rule_table_smoke(capsys):
-    spec = importlib.util.spec_from_file_location("scripts_rule_table",
-                                                  SCRIPTS[0].parent / "rule_table.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load(SCRIPTS[0].parent / "rule_table.py")
     module.main(["--ratios", "0.5", "--resolutions", "default,8x16", "--ops", "T,2T,1x1",
                  "--degree", "1", "--angles", "2"])
     lines = capsys.readouterr().out.splitlines()
@@ -37,3 +38,28 @@ def test_rule_table_smoke(capsys):
     assert lines[3].split()[:2] == ["0.5", "8x16"]
     # the table's default reaches round-off on a degree-1 field
     assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
+
+
+#: |z|/R at each RESOLUTION_TABLE row's outer edge (1 - 1e-6 for the last row)
+#: -> the worst absolute error over five angles of T, 2T, (1,1), (2,2) and
+#: (3,1) at the default resolution, as scripts/rule_table.py measured them;
+#: round-off cells (all below 5e-15) read 1e-14
+TABLE_EDGE_ERRORS = {
+    0.5: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
+    0.8: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
+    0.9: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
+    0.95: (1e-14, 1e-14, 1.5e-14, 1e-14, 1e-14),
+    0.98: (1e-14, 1e-14, 2.8e-13, 1e-14, 1e-14),
+    1 - 1e-6: (1e-14, 1e-14, 7.4e-6, 7.4e-9, 3.5e-9),
+}
+
+
+@pytest.mark.parametrize("ratio", TABLE_EDGE_ERRORS)
+def test_default_resolution_at_each_table_edge(ratio):
+    # the script's degree-(2,2) field (seed 0) against exact polynomial
+    # calculus; each pinned error holds with a margin of 2
+    module = load(SCRIPTS[0].parent / "rule_table.py")
+    poly = module.seeded_field(2, 0)
+    for op, pinned in zip(("T", "2T", "1x1", "2x2", "3x1"), TABLE_EDGE_ERRORS[ratio]):
+        worst = module.worst_error(poly, op, ratio, module.DEFAULT_RESOLUTION, 5)
+        assert worst <= 2 * pinned, (op, worst)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,21 @@ def test_fd_residual_near_boundary_raises():
     u = lambda z: z * np.conj(z)
     with pytest.raises(StencilOutOfDomain):
         fd_residual(u, 1, 1, rhs, [0.9999 + 0j])
+
+
+def test_solve_pde_keys_the_default_counts_by_its_densities(monkeypatch):
+    # the rule serves the highest density degree plus mu + nu, a bound on every
+    # term's density degree plus its kernel entry's orders
+    import pompeiu.solver as solver
+    seen = []
+    real = solver.build_area_rule
+    monkeypatch.setattr(solver, "build_area_rule",
+                        lambda *args: seen.append(args[3]) or real(*args))
+    rhs = field_from_expression("z*zbar", DISK)
+    g1 = HolomorphicPolynomial((0, 0, 0, 1))
+    zero = HolomorphicPolynomial.zero()
+    solve_pde(SolutionSpec(2, 2, rhs, (zero, zero), (zero, zero)))(0.3)
+    solve_pde(SolutionSpec(1, 2, rhs, (zero, g1), (zero,)))(0.3)
+    solve_pde(SolutionSpec(1, 1, None, (zero,), (zero,)), DISK)(0.3)
+    solve_pde(SolutionSpec(1, 1, replace(rhs, degree=math.inf), (zero,), (zero,)))(0.3)
+    assert seen == [6, 6, 2, math.inf]
