@@ -15,7 +15,7 @@ from pompeiu.operators import evaluate_on_grid, field_from_expression
 from pompeiu.solver import solve_biharmonic
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rhs", default="16", help="real-valued source expression")
     parser.add_argument("--h1", default="0", help="holomorphic part multiplied by |z|^2")
@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--nr", type=int, default=64)
     parser.add_argument("--ntheta", type=int, default=128)
     parser.add_argument("--out", default=None, help="CSV output path (default: stdout summary)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     domain = DiskDomain(args.R)
     rhs = field_from_expression(args.rhs, domain)

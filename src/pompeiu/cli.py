@@ -282,11 +282,11 @@ def _cmd_export(args) -> int:
     domain = DiskDomain(args.R)
     res = (args.nr, args.ntheta)
     f = field_from_expression(args.f, domain)
-    if args.op is None:
-        func = lambda z: complex(f(np.asarray(z)))
+    if args.op is None:   # a field sample reads no resolution
+        func, read = f, {}
     else:
-        func = lambda z: _DISK_OPS[args.op](f, z, args, res)
-    config_echo = {"radius": args.R, "resolution": list(res), "seed": args.seed,
+        func, read = lambda z: _DISK_OPS[args.op](f, z, args, res), {"resolution": list(res)}
+    config_echo = {"radius": args.R, **read, "seed": args.seed,
                    "field": pretty(f.expression), "op": args.op or "none", "command": "export"}
     grid = evaluate_on_grid(func, domain, args.grid, args.extent, config=config_echo)
     _emit(_grid_text(grid, args.format), args.out)

@@ -9,9 +9,9 @@ Conventions fixed here and relied on everywhere else:
 * Boundary contours are oriented counterclockwise.
 * Exclusion radius: points closer than COINCIDENCE_EPS * R coincide.  The
   kernels refuse such a pair (`require_separated` raises CoincidentPoints),
-  and area and half rules drop every node that close to their center, so
-  each node a rule produces is one the kernels accept.  `g_diag`, which has
-  no radius, refuses only an exact zero gap.
+  and area and half rules move every node that close to their center onto a
+  kept node with weight 0, so each node is one the kernels accept.  `g_diag`,
+  which has no radius, refuses only an exact zero gap.
 
 All types are immutable after construction and safe for concurrent reads.
 """

@@ -7,17 +7,16 @@ an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
 of it.  `apply_S` and `apply_2T` have kernels of their own; `apply_Sbar`,
 `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
-closed-form kernels assume, build each target's area rule afresh with
-`build_area_rule` (targets rarely repeat; a None count comes from
-`quadrature.RESOLUTION_TABLE`, by |z|/R and the field's `degree` plus the
-kernel's orders) and pass its `log_shift` to the kernel, which integrates
-the mixed kernels' log by product weights.  `apply_polydisc` sums one-disk
-moments of an expression field's monomials.  Nothing here nests integrals or
-samples a polydisc tensor grid: those are the oracle's routes.
-
-Operator application is pure given (field, rule): batch evaluation over
-target grids is data-parallel (PMP_THREADS workers, a positive integer)
-and reduces in a fixed order, so results are reproducible.
+closed-form kernels assume, build each target's area rule with
+`build_area_rule` (a None count comes from `quadrature.RESOLUTION_TABLE`, by
+|z|/R and the field's `degree` plus the kernel's orders) and pass its
+`log_shift` to the kernel, which integrates the mixed kernels' log by
+product weights.  `transform` takes an array of targets as blocks, each one
+(T x N) pass (`over_targets`); PMP_THREADS workers take whole blocks, and
+each row reduces in a fixed order, so results are reproducible.
+`apply_polydisc` sums one-disk moments of an expression field's monomials.
+Nothing here nests integrals or samples a polydisc tensor grid: those are
+the oracle's routes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ from .errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .kernels import TWO_PI_I, c3, c8, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
-                         build_contour_rule, integrate)
+                         build_contour_rule, integrate, rule_counts)
+
+#: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
+BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,43 @@ def field_from_expression(text: str, domain) -> ScalarField:
 # The transform core and its aliases
 # ---------------------------------------------------------------------------
 
-def transform(f: ScalarField, z: complex, mu: int, nu: int,
-              resolution=DEFAULT_RESOLUTION) -> complex:
-    """T^mu Tbar^nu f(z) as one quadrature against the (mu, nu) table kernel.
+def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
+    """`block(zs)`, the values at a 1-D array of targets, over `z`: a complex
+    (giving a complex) or an array (an array of its shape).  Targets of equal
+    `rule_counts` form blocks, in order, of at most BLOCK_NODES nodes (or one
+    target); PMP_THREADS workers take whole blocks, so no value depends on them."""
+    targets = np.asarray(z, dtype=complex).ravel()
+    groups: dict[tuple, list[int]] = {}
+    for i, counts in enumerate(rule_counts(domain, targets, resolution, degree).tolist()):
+        groups.setdefault(tuple(counts), []).append(i)
+    blocks = []
+    for (n_radial, n_angular), index in groups.items():
+        size = max(1, BLOCK_NODES // (n_radial * n_angular))
+        blocks += [index[k:k + size] for k in range(0, len(index), size)]
+    batches = [targets[index] for index in blocks]
+    if len(blocks) > 1 and (workers := worker_count()) > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(block, batches))
+    else:
+        results = map(block, batches)
+    values = np.empty(targets.shape, dtype=complex)
+    for index, value in zip(blocks, results):
+        values[index] = value
+    return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
+
+
+def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION):
+    """T^mu Tbar^nu f(z), z a complex or an array, against the (mu, nu) table kernel.
 
     T^k is (k, 0) and Tbar^k is (0, k); (0, 0) and negative orders raise
     DomainError.  The kernel's only non-smooth point is its singularity at
     the target, which the polar rule centered at z and its `log_shift` absorb.
     """
-    r = build_area_rule(f.domain, z, resolution, f.degree + mu + nu)
-    return complex(integrate(r, lambda w: kernel(z, w, mu, nu, f.domain.radius, r.log_shift)
-                             * f(w)))
+    def block(zs):
+        r = build_area_rule(f.domain, zs, resolution, f.degree + mu + nu)
+        return integrate(r, lambda w: kernel(zs[:, None], w, mu, nu, f.domain.radius,
+                                             r.log_shift) * f(w))
+    return over_targets(f.domain, z, resolution, f.degree + mu + nu, block)
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
@@ -124,9 +152,8 @@ def apply_Tbar_power(f: ScalarField, z: complex, k: int,
     return transform(f, z, 0, k, resolution)
 
 
-def apply_mixed(f: ScalarField, z: complex, mu: int, nu: int,
-                resolution=DEFAULT_RESOLUTION) -> complex:
-    """T^mu Tbar^nu f(z)."""
+def apply_mixed(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION):
+    """T^mu Tbar^nu f(z), z a complex or an array."""
     return transform(f, z, mu, nu, resolution)
 
 
@@ -249,20 +276,15 @@ class GridField:
             raise NonFiniteSample("grid contains non-finite values")
 
     def to_csv_text(self) -> str:
-        lines = ["x,y,re,im"]
-        for iy, y in enumerate(self.ys):
-            for ix, x in enumerate(self.xs):
-                v = self.values[iy, ix]
-                lines.append(f"{x:.15g},{y:.15g},{v.real:.15g},{v.imag:.15g}")
-        return "\n".join(lines) + "\n"
+        # Python floats format faster than numpy scalars, to the same digits
+        xs = self.xs.tolist()
+        rows = (f"{x:.15g},{y:.15g},{v.real:.15g},{v.imag:.15g}"
+                for y, row in zip(self.ys.tolist(), self.values.tolist()) for x, v in zip(xs, row))
+        return "\n".join(["x,y,re,im", *rows]) + "\n"
 
     def to_json_text(self) -> str:
-        obj = {
-            "config": self.config,
-            "xs": [float(x) for x in self.xs],
-            "ys": [float(y) for y in self.ys],
-            "values": [[[float(v.real), float(v.imag)] for v in row] for row in self.values],
-        }
+        obj = {"config": self.config, "xs": self.xs.tolist(), "ys": self.ys.tolist(),
+               "values": np.stack([self.values.real, self.values.imag], axis=-1).tolist()}
         return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
 
 
@@ -280,30 +302,19 @@ def worker_count() -> int:
 
 def evaluate_on_grid(func, domain: DiskDomain, n: int = 33, extent: float = 0.95,
                      config: dict | None = None) -> GridField:
-    """Evaluate a pointwise function on the inscribed-square grid.
+    """Evaluate a vectorized function on the inscribed-square grid.
 
     The n x n grid spans the square of half-side extent*R/sqrt(2) centered on
     0, corners at extent*R, so 0 < extent <= 1 (else DomainError) keeps every
-    point inside the closed disk.  Points are evaluated independently
-    (PMP_THREADS workers) and assembled in a fixed order; a non-finite value
-    raises NonFiniteSample, without floating-point warnings.
+    point inside the closed disk.  `func` maps the (n, n) array of points to
+    their values or one 0-d value.  A non-finite value raises NonFiniteSample,
+    without floating-point warnings, and a malformed PMP_THREADS PompeiuError.
     """
     if not (n >= 1 and 0 < extent <= 1):
         raise DomainError(f"grid needs n >= 1 and 0 < extent <= 1, got n={n}, extent={extent}")
+    worker_count()   # every grid checks PMP_THREADS, whatever its blocks
     half = extent * domain.radius / math.sqrt(2.0)
     xs = ys = np.linspace(-half, half, n)
-    points = [complex(x, y) for y in ys for x in xs]
-
-    def sample(z):
-        # per call, because each worker thread has its own error state
-        with np.errstate(all="ignore"):
-            return func(z)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(sample, points))
-    else:
-        flat = [sample(z) for z in points]
-    values = np.array(flat, dtype=complex).reshape(len(ys), len(xs))
-    return GridField(xs=xs, ys=ys, values=values, config=dict(config or {}))
+    with np.errstate(all="ignore"):
+        values = np.asarray(func(xs[None, :] + 1j * ys[:, None]), dtype=complex)
+    return GridField(xs, ys, np.broadcast_to(values, (n, n)), dict(config or {}))

@@ -455,17 +455,15 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
     keep = np.abs(pair_a - pair_b) >= MIN_PAIR_SEPARATION * radius
     pair_a, pair_b = pair_a[keep], pair_b[keep]
 
-    memo: dict[complex, complex] = {}
-
-    def g(z: complex) -> complex:
-        if z not in memo:
-            memo[z] = apply_mixed(f, z, mu, nu, resolution)
-        return memo[z]
+    # the transform at every stencil point, as one batched pass over the targets
+    stencils = [wirtinger_split(i, m - i) for i in range(m + 1)]
+    points = list(dict.fromkeys(
+        complex(p) for stencil in stencils for z in (*sites, *pair_a, *pair_b)
+        for step in (h, h / 2) for p in stencil.sample_points(complex(z), step)))
+    g = dict(zip(points, apply_mixed(f, np.array(points), mu, nu, resolution))).__getitem__
 
     lhs = 0.0
-    for i in range(m + 1):
-        j = m - i
-        stencil = wirtinger_split(i, j)
+    for stencil in stencils:
         deriv = lambda z: stencil.apply_richardson(g, complex(z), h)
         sup = max(abs(deriv(z)) for z in sites)
         hol = max((abs(deriv(za) - deriv(zb)) / abs(za - zb) ** alpha

@@ -6,9 +6,9 @@ the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
 is one Gauss-Legendre panel in s.  A rule's per-node `log_shift` turns the
 -2 log s of a kernel's log|w - center|^2 into product integration
 (`kernels.c3`).  A count left as None comes from RESOLUTION_TABLE at
-|center|/R and the integrand's degree.  Area and half rules drop every node
-closer to their center than the exclusion radius COINCIDENCE_EPS * R, which
-`geometry` owns: below that gap the kernels raise CoincidentPoints.
+|center|/R and the integrand's degree; T centres give one (T, N) rule.  Area
+and half rules move each node within the exclusion radius COINCIDENCE_EPS * R
+of their center (`geometry`'s; the kernels refuse it) onto a kept node, weight 0.
 
 Weights carry the 2i area factor (dzbar ^ dz = 2i dx dy), and contour weights
 carry dz = i R e^{i theta} dtheta, so operator formulas transcribe literally.
@@ -18,7 +18,6 @@ reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +36,8 @@ from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separate
 RESOLUTION_TABLE = ((0.5, (16, 32)), (0.8, (16, 48)), (0.9, (24, 64)), (0.95, (24, 96)),
                     (0.98, (32, 128)), (1.0, (64, 160)))
 TABLE_DEGREE = 11
+_TABLE_EDGES = np.array([edge for edge, _ in RESOLUTION_TABLE[:-1]])   # beyond: the last row
+_TABLE_COUNTS = np.array([counts for _, counts in RESOLUTION_TABLE])
 #: both counts chosen by RESOLUTION_TABLE
 DEFAULT_RESOLUTION = (None, None)
 DEFAULT_CONTOUR_COUNT = 256
@@ -95,50 +96,63 @@ def _boundary_distance(domain: DiskDomain, center: complex,
     return np.maximum(-x + np.sqrt(np.maximum(under, 0.0)), 0.0)
 
 
-def _polar_rule(domain: DiskDomain, center: complex, resolution, directions,
-                degree: float) -> Rule:
-    """Polar rule about `center`; `directions(center, n_angular)` gives the
-    unit directions, their angular weights and the radial extent rho along
-    each.  None counts come from the table for an integrand of `degree`."""
+def rule_counts(domain: DiskDomain, centers, resolution, degree: float) -> np.ndarray:
+    """The (n_radial, n_angular) of the area rule about each of `centers`, a
+    (T, 2) array; a None count is the table's at |center|/R for `degree`."""
     if not isinstance(domain, DiskDomain):
         raise DomainError(f"area rules need a DiskDomain, got {domain!r}")
-    center = domain.validate_point(center)
-    ratio = min(abs(center) / domain.radius, 1.0)
-    row = next(counts for edge, counts in RESOLUTION_TABLE if ratio <= edge)
+    centers = np.asarray(centers, dtype=complex).ravel()
+    for center in centers[~domain.contains(centers)]:
+        domain.validate_point(center)   # raises its DomainError
+    counts = _TABLE_COUNTS[np.searchsorted(_TABLE_EDGES, np.abs(centers) / domain.radius)]
     if degree > TABLE_DEGREE:
-        row = (max(row[0], 64), max(row[1], 128))
-    n_radial, n_angular = resolution = tuple(row[i] if count is None else count
-                                             for i, count in enumerate(resolution))
-    if n_radial < 4 or n_angular < 8:
-        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {resolution}")
-    unit, wt, rho = directions(center, n_angular)
-    s, ws, shift = _radial_rule(n_radial)
+        counts = np.maximum(counts, (64, 128))
+    for i, count in enumerate(resolution):
+        if count is not None:
+            counts[:, i] = count
+    if any(count is not None and count < low for count, low in zip(resolution, (4, 8))):
+        got = tuple(counts[0].tolist()) if len(counts) else tuple(resolution)
+        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {got}")
+    return counts
 
-    nodes = (center + (rho[None, :] * s[:, None]) * unit[None, :]).ravel()
-    # dA = r dr dtheta = rho^2 s ds dtheta
-    weights = (AREA_FACTOR * (rho[None, :] ** 2 * s[:, None] * ws[:, None])
-               * wt[None, :]).ravel()
-    log_shift = np.repeat(shift, n_angular)
-    # the expression require_separated evaluates, so every kept node passes it
-    keep = np.abs(center - nodes) >= COINCIDENCE_EPS * domain.radius
-    if np.all(keep):
-        return Rule(nodes, weights, log_shift)
-    return Rule(nodes[keep], weights[keep], log_shift[keep])
+
+def _polar_rule(domain: DiskDomain, center, resolution, directions, degree: float) -> Rule:
+    """Polar rule about `center`, or (T, N) rules about T centres at their largest
+    `rule_counts`; `directions(centres, n_angular)`, given them as (T, 1, 1),
+    gives the unit directions, their angular weights and the radial extent rho."""
+    column = np.asarray(center, dtype=complex).reshape(-1, 1)
+    n_radial, n_angular = rule_counts(domain, column, resolution, degree).max(axis=0).tolist()
+    s, ws, shift = _radial_rule(n_radial)
+    # silenced: a NaN/Inf node or weight (R near the float range) raises in `integrate`
+    with np.errstate(all="ignore"):
+        unit, wt, rho = directions(column[..., None], n_angular)   # rho: (T, 1, n_angular)
+        nodes = (column[..., None] + (rho * s[:, None]) * unit).reshape(len(column), -1)
+        # dA = r dr dtheta = rho^2 s ds dtheta
+        weights = (AREA_FACTOR * (rho**2 * s[:, None] * ws[:, None]) * wt).reshape(len(column), -1)
+        # a node inside the exclusion radius (the expression require_separated
+        # evaluates) gets weight 0 at its row's farthest node, so every node passes
+        gap = np.abs(column - nodes)
+    if (close := gap < COINCIDENCE_EPS * domain.radius).any():
+        far = nodes[np.arange(len(column)), np.argmax(gap, axis=1)][:, None]
+        nodes, weights = np.where(close, far, nodes), np.where(close, 0, weights)
+    if not np.ndim(center):
+        nodes, weights = nodes[0], weights[0]
+    return Rule(nodes, weights, np.repeat(shift, n_angular))
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
                     resolution=DEFAULT_RESOLUTION, degree: float = math.inf) -> Rule:
-    """Polar rule centered at `singularity`, covering the whole disk; None
-    counts are the table's for an integrand of `degree` (inf: unknown).
+    """Polar rule over the whole disk centered at `singularity` (a row per
+    entry of an array); None counts are the table's for `degree` (inf: unknown).
 
     Angular rule: equispaced trapezoid (spectrally accurate since the radial
     extent is a smooth periodic function of the angle).  Radial rule: one
     Gauss-Legendre panel on [0, rho(theta)].
     """
-    def directions(center, n_angular):
+    def directions(centres, n_angular):
         cos_t, sin_t = _symmetric_angles(n_angular)
         return (cos_t + 1j * sin_t, np.full(n_angular, 2 * np.pi / n_angular),
-                _boundary_distance(domain, center, cos_t, sin_t))
+                _boundary_distance(domain, centres, cos_t, sin_t))
 
     return _polar_rule(domain, singularity, resolution, directions, degree)
 
@@ -154,7 +168,7 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
     bisector meets the circle, so the radial-extent kink never sits inside a
     panel.  Two such rules (swapping the roles) tile the disk exactly.
     """
-    def directions(center, n_angular):
+    def directions(centres, n_angular):   # `center`, validated, is their one entry
         o = domain.validate_point(other)
         require_separated(center, o, domain.radius)
         sep = abs(o - center)
@@ -208,8 +222,8 @@ def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rul
     return Rule(nodes, weights)
 
 
-def integrate(rule: Rule, integrand) -> complex:
-    """Weighted sum of integrand samples at the rule nodes.
+def integrate(rule: Rule, integrand):
+    """Weighted sum of integrand samples at the rule nodes (T row sums for (T, N) nodes).
 
     The integrand must be vectorized: given the node array it returns a
     matching-shape array or a 0-d constant.  Any other shape raises
@@ -220,14 +234,12 @@ def integrate(rule: Rule, integrand) -> complex:
     nodes = rule.nodes
     with np.errstate(all="ignore"):
         vals = np.asarray(integrand(nodes), dtype=complex)
-    if vals.shape == ():
-        vals = np.full(nodes.shape, complex(vals))
-    elif vals.shape != nodes.shape:
+    if vals.shape not in ((), nodes.shape):
         raise DomainError(f"integrand returned shape {vals.shape} for {nodes.shape} nodes")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
     with np.errstate(all="ignore"):
-        total = complex(np.sum(rule.weights * vals))
-    if not cmath.isfinite(total):
+        total = np.sum(rule.weights * vals, axis=-1)
+    if not np.isfinite(total).all():
         raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
-    return total
+    return total if total.ndim else complex(total)

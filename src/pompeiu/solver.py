@@ -2,14 +2,13 @@
 
 Solutions are parametrized by holomorphic free functions (restricted here to
 polynomials, which are dense, have exact derivatives, and keep every term
-computable by the closed-form kernels).  A solution value is one quadrature
-pass per target point: the rule is centered on the target and the integrand
-assembles all kernel groups at once.
+computable by the closed-form kernels).  A block of targets is one (T x N)
+quadrature pass (`operators.over_targets`): each row's rule is centered on
+its target and the integrand assembles all kernel groups at once.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import DomainError, NonFiniteSample, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
 # solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
 from .kernels import c3, kernel  # noqa: F401
-from .operators import ScalarField, transform
+from .operators import ScalarField, over_targets, transform
 from .quadrature import DEFAULT_RESOLUTION, build_area_rule, integrate
 
 BIHARMONIC_IMAG_TOL = 1e-12
@@ -84,8 +83,8 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     (`kernels.kernel`): (j, 0) against g_j for j = 1..nu-1, (nu, i) against
     conj(f_i) for i = 0..mu-1, and (nu, mu) against A; the composition
     T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.  `domain`
-    is required when rhs is None and must equal rhs.domain otherwise.  A
-    NaN/Inf value raises NonFiniteSample.
+    is required when rhs is None and must equal rhs.domain otherwise.  z is
+    a complex or an array; a NaN/Inf value raises NonFiniteSample.
     """
     mu, nu = spec.mu, spec.nu
     dom = domain if spec.rhs is None else spec.rhs.domain
@@ -103,16 +102,18 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     degree = mu + nu + max([len(p.coefficients) - 1 for p in spec.g_list[1:] + spec.f_list]
                            + [0 if spec.rhs is None else spec.rhs.degree])
 
-    def u(z: complex) -> complex:
-        z = complex(z)
-        rule = build_area_rule(dom, z, resolution, degree)
+    def block(zs):
+        rule = build_area_rule(dom, zs, resolution, degree)
 
         def integrand(w):
-            return sum((kernel(z, w, *entry, dom.radius, rule.log_shift) * density(w)
+            return sum((kernel(zs[:, None], w, *entry, dom.radius, rule.log_shift) * density(w)
                         for entry, density in terms), np.zeros(w.shape, dtype=complex))
 
+        return integrate(rule, integrand)
+
+    def u(z):
         with np.errstate(all="ignore"):
-            return _finite(complex(spec.g_list[0](np.asarray(z)) + integrate(rule, integrand)))
+            return _finite(spec.g_list[0](z) + over_targets(dom, z, resolution, degree, block))
 
     return u
 
@@ -123,8 +124,8 @@ def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
 
     u = Re(T^2 Tbar^2 rhs) / 16 + |z|^2 Re(h1(z)) + Re(h2(z)), since
     LaplacianSquared = 16 d^2 dbar^2; the harmonic parts are the real parts
-    of the supplied holomorphic polynomials.  A NaN/Inf value raises
-    NonFiniteSample.
+    of the supplied holomorphic polynomials.  z is a complex (u a float) or an
+    array; a NaN/Inf value raises NonFiniteSample.
     """
     dom = rhs.domain
     if not isinstance(dom, DiskDomain):
@@ -138,18 +139,17 @@ def solve_biharmonic(rhs: ScalarField, h1: HolomorphicPolynomial,
 
     real_rhs = replace(rhs, evaluator=real_samples)
 
-    def u(z: complex) -> float:
-        z = complex(z)
+    def u(z):
         with np.errstate(all="ignore"):
-            har = abs(z) ** 2 * complex(h1(np.asarray(z))).real + complex(h2(np.asarray(z))).real
-            return float(_finite(transform(real_rhs, z, 2, 2, resolution).real / 16 + har))
+            har = np.abs(z) ** 2 * np.real(h1(z)) + np.real(h2(z))
+            return _finite(transform(real_rhs, z, 2, 2, resolution).real / 16 + har)
 
     return u
 
 
 def _finite(value):
-    """`value`, or NonFiniteSample if it is NaN or infinite."""
-    if not cmath.isfinite(value):
+    """`value`, or NonFiniteSample if any entry is NaN or infinite."""
+    if not np.isfinite(value).all():
         raise NonFiniteSample("solution value is NaN/Inf")
     return value
 

@@ -227,6 +227,15 @@ def test_export_field_csv(tmp_path):
     assert abs(im) < 1e-15
 
 
+def test_export_field_json_echoes_no_resolution(tmp_path):
+    # a field sample reads no --nr/--ntheta, so its config names none
+    out = tmp_path / "f.json"
+    assert run_command(["export", "--f", "z", "--grid", "2", "--format", "json",
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {
+        "radius": 1.0, "seed": 0, "field": "z", "op": "none", "command": "export"}
+
+
 def test_export_with_operator(tmp_path):
     out = tmp_path / "tf.json"
     assert run_command(["export", "--f", "zbar", "--op", "T", "--grid", "3",
@@ -460,6 +469,9 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
       "--z", "0,0", "--mu", "1,1", "--nu", "1,1"], "1", SAMPLE),
     (["op", "apply", "--op", "T", "--R", "1e150", "--f", "z^3", "--z", "0"], "1", SAMPLE),
     (["export", "--op", "mixed", "--R", "1e150", "--f", "z^3", "--grid", "3"], "2", SAMPLE),
+    # 81 targets of one rule size: two blocks of several targets each
+    (["solve", "--mu", "2", "--nu", "2", "--rhs", "z^3", "--grid", "9", "--R", "1e150",
+      "--nr", "8", "--ntheta", "16"], "2", SAMPLE),
     (["solve", "--biharmonic", "--rhs", "1", "--h2", "z^3", "--z", "1e120", "--R", "1e150"],
      "1", "weighted sum of the integrand samples is NaN/Inf"),
     (["solve", "--g", "z^3", "--z", "1e120", "--R", "1e150"], "1", "solution value is NaN/Inf"),
@@ -506,7 +518,8 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
      "--mu takes one order here, got 2,2"),
     (["export", "--f", "z", "--op", "mixed", "--grid", "2", "--nu", "1,1"], "1",
      "--nu takes one order here, got 1,1"),
-], ids=["polydisc", "T", "export-2-threads", "solve-biharmonic", "solve-g", "2T",
+], ids=["polydisc", "T", "export-2-threads", "solve-grid-blocks",
+        "solve-biharmonic", "solve-g", "2T",
         "kernel-tiny-R", "kernel-huge-R", "mixed-huge-R", "c3-R^38", "c2-R^38",
         "S-0.999R", "Sbar-8-nodes", "nr-3", "export-grid-3", "solve-grid-2", "grid-0",
         "extent-2", "T-extent-2", "extent-nan", "mixed-mu-list", "dual-nu-list",

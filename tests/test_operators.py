@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pompeiu
 from pompeiu.errors import (DimensionCap, DomainError, NonFiniteSample, OrderTooLarge,
-                            PompeiuError)
+                            PompeiuError, ResolutionTooLow)
 from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_split
 from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
@@ -22,8 +22,9 @@ from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjuga
                                transform, worker_count)
 from pompeiu.kernels import TWO_PI_I
 from pompeiu.oracle import PolynomialField, exact_transform, polydisc_tensor
-from pompeiu.quadrature import build_contour_rule, integrate
-from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_pde
+from pompeiu.cli import run_command
+from pompeiu.quadrature import build_area_rule, build_contour_rule, integrate
+from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_biharmonic, solve_pde
 
 DISK = DiskDomain(1.0)
 RES = (64, 128)
@@ -534,14 +535,75 @@ def test_default_resolution_follows_the_field_degree(l):
 # Fields and grids
 # ---------------------------------------------------------------------------
 
-def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch):
-    f = field_from_expression("z*zbar", DISK)
-    func = lambda z: complex(f(np.asarray(z)))
-    serial = evaluate_on_grid(func, DISK, n=9)
-    monkeypatch.setenv("PMP_THREADS", "4")
-    threaded = evaluate_on_grid(func, DISK, n=9)
-    assert np.array_equal(serial.values, threaded.values)
-    assert serial.to_csv_text() == threaded.to_csv_text()
+def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch, capsys):
+    # real transform grids, whose blocks of targets the workers share: a (2,2)
+    # solve and a (1,1) export, byte-identical at every thread count
+    commands = (["solve", "--mu", "2", "--nu", "2", "--rhs", "1+z*zbar", "--grid", "17"],
+                ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17"])
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # threads interleave as often as they can
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PMP_THREADS", threads)
+            for argv in commands:
+                assert run_command(argv) == 0
+            outputs[threads] = capsys.readouterr().out
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    assert len(outputs["1"].splitlines()) == 2 * (1 + 17 * 17)
+
+
+#: targets across every RESOLUTION_TABLE row, the circle included
+BATCH_TARGETS = np.array([0, 0.3 + 0.2j, -0.45j, 0.7 - 0.1j, 0.85j, -0.93, 0.96 + 0.1j,
+                          0.6 - 0.78j, 0.999j, cmath.exp(0.4j)])
+
+
+def test_batched_values_match_single_targets():
+    # one (T x N) pass per block against one pass per target: the same
+    # arithmetic on arrays of other shapes, so equal to round-off
+    f = field_from_expression("1+z*zbar-2i*z^2+zbar^3", DISK)
+    zero = HolomorphicPolynomial.zero()
+    u = solve_pde(SolutionSpec(2, 2, f, (zero, HolomorphicPolynomial((0, 1j))), (zero, zero)))
+    v = solve_biharmonic(field_from_expression("1+z*zbar", DISK), zero,
+                         HolomorphicPolynomial((0, 0, 1)))
+    evaluators = [lambda z, order=order: transform(f, z, *order)
+                  for order in ((1, 0), (0, 2), (1, 1), (2, 2), (3, 1))] + [u, v]
+    for evaluate in evaluators:
+        batched = evaluate(BATCH_TARGETS)
+        single = np.array([evaluate(complex(z)) for z in BATCH_TARGETS])
+        assert batched.shape == BATCH_TARGETS.shape
+        assert np.all(np.abs(batched - single) <= 1e-14 * np.abs(single))
+    # any array shape, an empty one included, and the resolution floor still holds
+    grid = BATCH_TARGETS[:4].reshape(2, 2)
+    flat = transform(f, BATCH_TARGETS[:4], 1, 1)
+    assert np.array_equal(transform(f, grid, 1, 1), flat.reshape(2, 2))
+    assert transform(f, np.array([]), 1, 1).shape == (0,)
+    with pytest.raises(ResolutionTooLow):
+        transform(f, np.array([]), 1, 1, (3, None))
+
+
+@pytest.mark.parametrize("order", [(1, 1), (2, 2)])
+def test_extent_1_grid_matches_single_targets(order):
+    # the corner targets sit on the circle, where the rule moves the nodes
+    # of the outward directions onto a kept node with weight 0
+    f = field_from_expression("1+z*zbar-2i*z^2", DISK)
+    grid = evaluate_on_grid(lambda z: transform(f, z, *order), DISK, n=5, extent=1.0)
+    corner = complex(grid.xs[0], grid.ys[0])
+    assert np.any(build_area_rule(DISK, corner, degree=4 + sum(order)).weights == 0)
+    points = grid.xs[None, :] + 1j * grid.ys[:, None]
+    single = np.array([[transform(f, complex(z), *order) for z in row] for row in points])
+    assert np.all(np.isfinite(grid.values))
+    assert np.all(np.abs(grid.values - single) <= 1e-14 * np.abs(single))
+
+
+def test_non_finite_sample_in_a_multi_target_block_raises():
+    # z^3 overflows at |w| ~ 1e150; the targets share one block
+    f = field_from_expression("z^3", DiskDomain(1e150))
+    targets = 1e149 * np.array([0.1, 0.2j, -0.3, 0.1 - 0.1j])
+    with pytest.raises(NonFiniteSample, match="integrand produced NaN/Inf"):
+        transform(f, targets, 1, 1)
 
 
 def test_thread_count_default_and_value(monkeypatch):

@@ -267,3 +267,35 @@ def test_half_rule_with_coincident_centers_raises():
     d = DiskDomain(1.0)
     with pytest.raises(CoincidentPoints):
         build_half_rule(d, 0.3 + 0.2j, 0.3 + 0.2j, (32, 64))
+
+
+def test_rows_of_a_batched_rule_are_the_single_centre_rules():
+    # T centres give (T, N) nodes and weights, row t the rule about centre t
+    d = DiskDomain(2.5)
+    centers = 2.5 * np.array([0.1, 0.3j, -0.45 + 0.1j])
+    rule = build_area_rule(d, centers, degree=4)
+    assert rule.nodes.shape == rule.weights.shape == (3, 16 * 32)
+    for row, center in zip(range(3), centers):
+        single = build_area_rule(d, complex(center), degree=4)
+        assert np.allclose(rule.nodes[row], single.nodes, rtol=1e-15, atol=0)
+        assert np.allclose(rule.weights[row], single.weights, rtol=1e-15, atol=0)
+        assert np.array_equal(rule.log_shift, single.log_shift)
+    # centres of different table rows share the largest counts
+    assert build_area_rule(d, 2.5 * np.array([0.1, 0.99]), degree=4).nodes.shape == (2, 64 * 160)
+    integral = integrate(rule, lambda w: np.conj(w) / (w - centers[:, None]))
+    assert integral.shape == (3,)
+    assert integral[1] == integrate(build_area_rule(d, complex(centers[1]), degree=4),
+                                    lambda w: np.conj(w) / (w - centers[1]))
+
+
+def test_nodes_inside_the_exclusion_radius_move_onto_kept_nodes_with_weight_0():
+    # on the circle the outward rays have length 0: their nodes sit on the centre
+    d = DiskDomain(1.0)
+    centers = np.exp(np.array([0.3j, 2.0j]))
+    rule = build_area_rule(d, centers, (16, 32))
+    assert rule.nodes.shape == (2, 16 * 32)
+    require_separated(centers[:, None], rule.nodes, 1.0)
+    for center, nodes, weights in zip(centers, rule.nodes, rule.weights):
+        moved = weights == 0
+        assert 0 < np.count_nonzero(moved) < nodes.size
+        assert np.all(np.isin(nodes[moved], nodes[~moved]))

@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from pompeiu.geometry import DiskDomain
+from pompeiu.operators import field_from_expression
+from pompeiu.solver import HolomorphicPolynomial, solve_biharmonic
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
@@ -38,6 +42,24 @@ def test_rule_table_smoke(capsys):
     assert lines[3].split()[:2] == ["0.5", "8x16"]
     # the table's default reaches round-off on a degree-1 field
     assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
+
+
+def test_biharmonic_demo_writes_its_grid(tmp_path, capsys):
+    # the script's grid is the solution evaluator called on the grid's points
+    module = load(SCRIPTS[0].parent / "biharmonic_demo.py")
+    out = tmp_path / "u.csv"
+    argv = ["--rhs", "16", "--h2", "z^2", "--grid", "3", "--nr", "16", "--ntheta", "32"]
+    module.main(argv + ["--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 4 and printed[-1] == f"wrote 3x3 grid to {out}"
+    assert all(line.endswith("(target 16.000000)") for line in printed[:3])
+    rows = [[float(part) for part in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    domain = DiskDomain(1.0)
+    u = solve_biharmonic(field_from_expression("16", domain), HolomorphicPolynomial.zero(),
+                         HolomorphicPolynomial((0, 0, 1)), (16, 32))
+    assert len(rows) == 9
+    for x, y, re, im in rows:
+        assert im == 0.0 and re == pytest.approx(u(complex(x, y)), rel=1e-14, abs=1e-15)
 
 
 #: |z|/R at each RESOLUTION_TABLE row's outer edge (1 - 1e-6 for the last row)
