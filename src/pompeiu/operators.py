@@ -93,24 +93,27 @@ def field_from_expression(text: str, domain) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
-    """`block(zs)`, the values at a 1-D array of targets, over `z`: a complex
-    (giving a complex) or an array (an array of its shape).  Targets of equal
-    `rule_counts` form blocks, in order, of at most BLOCK_NODES nodes (or one
-    target); PMP_THREADS workers take whole blocks, so no value depends on them."""
+    """`block(zs, counts)`, the values at a 1-D array of targets given their
+    `rule_counts`, over `z`: a complex (giving a complex) or an array (an array
+    of its shape).  Targets of equal counts form blocks, in order, of at most
+    BLOCK_NODES nodes (or one target); PMP_THREADS workers take whole blocks,
+    so no value depends on them."""
     targets = np.asarray(z, dtype=complex).ravel()
     groups: dict[tuple, list[int]] = {}
     for i, counts in enumerate(rule_counts(domain, targets, resolution, degree).tolist()):
         groups.setdefault(tuple(counts), []).append(i)
-    blocks = []
-    for (n_radial, n_angular), index in groups.items():
-        size = max(1, BLOCK_NODES // (n_radial * n_angular))
-        blocks += [index[k:k + size] for k in range(0, len(index), size)]
+    block_counts, blocks = [], []
+    for counts, index in groups.items():
+        size = max(1, BLOCK_NODES // (counts[0] * counts[1]))
+        starts = range(0, len(index), size)
+        block_counts += [counts] * len(starts)
+        blocks += [index[k:k + size] for k in starts]
     batches = [targets[index] for index in blocks]
     if len(blocks) > 1 and (workers := worker_count()) > 1:
         with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(block, batches))
+            results = list(pool.map(block, batches, block_counts))
     else:
-        results = map(block, batches)
+        results = map(block, batches, block_counts)
     values = np.empty(targets.shape, dtype=complex)
     for index, value in zip(blocks, results):
         values[index] = value
@@ -124,8 +127,8 @@ def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION
     DomainError.  The kernel's only non-smooth point is its singularity at
     the target, which the polar rule centered at z and its `log_shift` absorb.
     """
-    def block(zs):
-        r = build_area_rule(f.domain, zs, resolution, f.degree + mu + nu)
+    def block(zs, counts):
+        r = build_area_rule(f.domain, zs, counts, f.degree + mu + nu)
         return integrate(r, lambda w: kernel(zs[:, None], w, mu, nu, f.domain.radius,
                                              r.log_shift) * f(w))
     return over_targets(f.domain, z, resolution, f.degree + mu + nu, block)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -58,11 +58,7 @@ class PolynomialField:
 
     @classmethod
     def from_dict(cls, entries: dict[tuple[int, int], complex]) -> "PolynomialField":
-        if not entries:
-            return cls(np.zeros((1, 1), dtype=complex))
-        pmax = max(p for p, _ in entries)
-        qmax = max(q for _, q in entries)
-        c = np.zeros((pmax + 1, qmax + 1), dtype=complex)
+        c = np.zeros(np.max([(0, 0), *entries], axis=0) + 1, dtype=complex)
         for (p, q), v in entries.items():
             c[p, q] = v
         return cls(c)
@@ -71,12 +67,11 @@ class PolynomialField:
         z = np.asarray(z, dtype=complex)
         zb = np.conj(z)
         total = np.zeros(z.shape, dtype=complex)
-        for p in range(self.coeffs.shape[0] - 1, -1, -1):
-            row = self.coeffs[p]
-            acc = np.zeros(z.shape, dtype=complex)
-            for q in range(row.shape[0] - 1, -1, -1):
+        for row in self.coeffs[::-1]:   # Horner in z over Horner rows in zbar
+            acc = np.full(z.shape, row[-1])
+            for c in row[-2::-1]:
                 acc *= zb
-                acc += row[q]
+                acc += c
             total *= z
             total += acc
         return total if total.shape else complex(total)
@@ -134,6 +129,7 @@ def exact_transform(field: PolynomialField, radius: float,
 # Nested operator application (the literal composition route)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def _not_a_knot(n: int) -> np.ndarray:
     """The map from n samples at unit spacing to their not-a-knot cubic
     spline's second derivatives (third derivative continuous at 1 and n-2)."""
@@ -156,36 +152,48 @@ class _PolarGridField:
         self.domain = domain
         self._h = domain.radius / (len(values) - 1)
         y = np.fft.fft(values, axis=1, norm="forward")
-        m2 = _not_a_knot(len(values)) @ y
-        # per radial interval, the cubic in t = r/h - k as Horner coefficients
+        m2 = np.einsum("ij,jm->im", _not_a_knot(len(values)), y)   # no BLAS: see NestedOracle
+        # per radial interval, the cubic's t^3..t^0 coefficients (t = r/h - k) as float pairs
         self._cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
-                                y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
+                                y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]]).view(float)
 
     def _modes(self, z) -> np.ndarray:
         """c_m(|z|) e^{i m arg z} for flat z, shape (z.size, nt), m in FFT order."""
         x = np.minimum(np.abs(z), self.domain.radius) / self._h
         k = np.minimum(x.astype(int), self._cubic.shape[1] - 1)
-        t = (x - k)[:, None]
-        a3, a2, a1, a0 = np.take(self._cubic, k, axis=1)
+        t = x - k
+        modes = np.einsum("pnm,np->nm", np.take(self._cubic, k, axis=1),
+                          np.stack([t * t * t, t * t, t, np.ones_like(t)], axis=1)).view(complex)
+        half = modes.shape[1] // 2
         u = np.exp(1j * np.angle(z))[:, None]
-        powers = np.cumprod(np.broadcast_to(u, (z.size, a0.shape[1] // 2)), axis=1)
-        phase = np.concatenate([np.ones_like(u), powers[:, :-1], powers[:, -1:].real,
-                                np.conj(powers[:, -2::-1])], axis=1)
-        return (((a3 * t + a2) * t + a1) * t + a0) * phase
-
-    def _blockwise(self, z, finish) -> np.ndarray:
-        """`finish` of the modes of each BLOCK points of flat z, concatenated."""
-        return np.concatenate([finish(self._modes(z[i:i + self.BLOCK]))
-                               for i in range(0, z.size, self.BLOCK) or [0]])
-
-    def rotations(self, z) -> np.ndarray:
-        """Values at e^{2 pi i j/nt} z for every grid angle j, shape (nt, z.size)."""
-        return self._blockwise(z, lambda m: np.fft.ifft(m, axis=1, norm="forward")).T
+        powers = np.cumprod(np.broadcast_to(u, (z.size, half)), axis=1)
+        modes[:, 1:half] *= powers[:, :-1]
+        modes[:, half] *= powers[:, -1].real
+        modes[:, half + 1:] *= np.conj(powers[:, -2::-1])
+        return modes
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        vals = self._blockwise(np.ravel(z), lambda m: np.sum(m, axis=1))
+        flat = np.ravel(z)
+        vals = np.concatenate([np.sum(self._modes(flat[i:i + self.BLOCK]), axis=1)
+                               for i in range(0, flat.size, self.BLOCK) or [0]])
         return vals.reshape(z.shape) if z.shape else complex(vals[0])
+
+
+_GRID_PHASES = np.exp(2j * np.pi * np.arange(NESTED_GRID_SHAPE[1]) / NESTED_GRID_SHAPE[1])
+
+
+def _rotation_sum(inner, nodes, density) -> np.ndarray:
+    """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, shape
+    (nt,).  Rotating by 2 pi j/nt multiplies a grid field's mode m by e^{2 pi i m j/nt},
+    so its density-weighted modes are summed before one inverse FFT; any other
+    field is sampled at each rotated node, BLOCK nodes at a time."""
+    block = _PolarGridField.BLOCK
+    grid = isinstance(inner, _PolarGridField)
+    sample = inner._modes if grid else lambda n: inner(n[:, None] * _GRID_PHASES)
+    total = sum(np.sum(sample(nodes[lo:lo + block]) * density[lo:lo + block, None], axis=0)
+                for lo in range(0, nodes.size, block))
+    return np.fft.ifft(total, norm="forward") if grid else total
 
 
 _SINGLE_OPS = {"T": apply_T, "Tbar": apply_Tbar}
@@ -198,9 +206,13 @@ class NestedOracle:
     Each deeper intermediate field is materialized once, on demand, on a
     polar grid (one single-operator quadrature per grid node) and kept as
     angular Fourier modes with a radial cubic spline per mode; the grids are
-    memoized per program suffix.  Exact per-node nesting costs O(N^depth)
-    and is unusable beyond depth 2, while the memoized route is linear in
-    depth and still never touches the closed-form kernels.
+    memoized per program suffix and share one batch of base rules, and an
+    inner grid field's modes are weighted and summed per radius before one
+    inverse FFT.  Exact per-node nesting costs O(N^depth) and is unusable
+    beyond depth 2, while the memoized route is linear in depth and still
+    never touches the closed-form kernels.  No BLAS call: OpenBLAS hands even
+    a (40 x 40)(40 x 80) product to a worker thread, which then competes with
+    the main thread (`tests/test_package.py` keeps matrix products out).
 
     The memo table is confined to this instance; share an instance across
     threads only for reads after warm-up.
@@ -211,6 +223,9 @@ class NestedOracle:
             raise DomainError("nested application is defined for disk fields")
         self.domain = f.domain
         self._memo: dict[tuple[str, ...], object] = {(): f.evaluator}
+        # the grid radii and one (nr, N) batch of base rules about them, for every word
+        self._radii = np.linspace(0.0, self.domain.radius, NESTED_GRID_SHAPE[0])
+        self._base = build_area_rule(self.domain, self._radii, NESTED_RESOLUTION)
 
     def _field_for(self, suffix: tuple[str, ...]):
         if suffix not in self._memo:
@@ -222,21 +237,12 @@ class NestedOracle:
         # One base rule per radius; rules at the other grid angles are its
         # rotations (the disk is rotation-invariant about 0), so each grid row is
         # one batched quadrature: 1/(w - z) = e^{-i t}/(n0 - r), w = e^{i t} n0,
-        # z = e^{i t} r.  An inner grid field gives every rotation by one inverse FFT.
-        # Nodes go in blocks: (nt, BLOCK) temporaries reuse freed pages (under 1 MiB).
-        nr, nt = NESTED_GRID_SHAPE
-        block = _PolarGridField.BLOCK
-        phases = np.exp(2j * np.pi * np.arange(nt) / nt)
-        rotations = (inner_evaluator.rotations if isinstance(inner_evaluator, _PolarGridField)
-                     else lambda n0: inner_evaluator(phases[:, None] * n0[None, :]))
-        values = np.zeros((nr, nt), dtype=complex)
-        for i, r in enumerate(np.linspace(0.0, self.domain.radius, nr)):
-            base = build_area_rule(self.domain, r, NESTED_RESOLUTION)
-            density = base.weights / (base.nodes - r if op == "T" else np.conj(base.nodes) - r)
-            for lo in range(0, base.nodes.size, block):
-                values[i, :] += np.sum(rotations(base.nodes[lo:lo + block])
-                                       * density[lo:lo + block], axis=1)
-        values *= (np.conj(phases) if op == "T" else phases) / (-2j * np.pi)
+        # z = e^{i t} r.  `_rotation_sum` weights an inner grid's modes by the density
+        # and sums them per radius before one inverse FFT; no BLAS (see the docstring).
+        values = np.array([_rotation_sum(inner_evaluator, n,
+                                         w / ((n if op == "T" else np.conj(n)) - r))
+                           for r, n, w in zip(self._radii, self._base.nodes, self._base.weights)])
+        values *= (np.conj(_GRID_PHASES) if op == "T" else _GRID_PHASES) / (-2j * np.pi)
         return _PolarGridField(self.domain, values)
 
     def evaluate(self, z: complex, program) -> complex:
@@ -332,13 +338,7 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
 # ---------------------------------------------------------------------------
 
 def _disk_samples(rng, count: int, radius: float):
-    u = rng.random(count)
-    v = rng.random(count)
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
-
-
-def _scalar(value) -> complex:
-    return complex(np.asarray(value).ravel()[0])
+    return radius * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
 
 
 def hoelder_seminorm(f: ScalarField, alpha: float, k: int = 1,
@@ -359,33 +359,28 @@ def hoelder_seminorm(f: ScalarField, alpha: float, k: int = 1,
 
     if k == 0:
         pts = [_disk_samples(rng, sample_budget, radius) for _ in range(n)]
-        vals = np.abs(f(*pts))
-        return float(np.max(vals))
+        return float(np.max(np.abs(f(*pts))))
 
-    best = 0.0
-    for _ in range(sample_budget):
-        base = [complex(_disk_samples(rng, 1, radius)[0]) for _ in range(n)]
-        idx = sorted(rng.choice(n, size=k, replace=False).tolist()) if k < n else list(range(n))
-        primes = {}
-        for j in idx:
-            while True:
-                cand = complex(_disk_samples(rng, 1, radius)[0])
-                if abs(cand - base[j]) >= MIN_PAIR_SEPARATION * radius:
-                    primes[j] = cand
-                    break
-        total = 0j
-        for mask in range(1 << k):
-            point = list(base)
-            bits = 0
-            for pos, j in enumerate(idx):
-                if mask >> pos & 1:
-                    point[j] = primes[j]
-                    bits += 1
-            sign = -1.0 if bits % 2 else 1.0
-            total += sign * _scalar(f(*[np.asarray(p) for p in point]))
-        denom = math.prod(abs(base[j] - primes[j]) ** alpha for j in idx)
-        best = max(best, abs(total) / denom)
-    return best
+    # every tuple first, in a per-tuple loop's RNG order; then one call of f per
+    # corner of the difference cube, with sign (-1)^popcount(mask)
+    base, prime = np.zeros((2, sample_budget, n), dtype=complex)
+    picks = np.empty((sample_budget, k), dtype=int)
+    for row in range(sample_budget):
+        base[row] = [_disk_samples(rng, 1, radius)[0] for _ in range(n)]
+        picks[row] = sorted(rng.choice(n, size=k, replace=False).tolist()) if k < n else range(n)
+        for j in picks[row]:
+            prime[row, j] = base[row, j]   # draws until separated
+            while abs(prime[row, j] - base[row, j]) < MIN_PAIR_SEPARATION * radius:
+                prime[row, j] = _disk_samples(rng, 1, radius)[0]
+    rows = np.arange(sample_budget)[:, None]
+    total = np.zeros(sample_budget, dtype=complex)
+    for mask in range(1 << k):
+        moved = picks[:, [pos for pos in range(k) if mask >> pos & 1]]
+        corner = base.copy()
+        corner[rows, moved] = prime[rows, moved]
+        total += (-1.0) ** bin(mask).count("1") * f(*corner.T)
+    denom = np.prod(np.abs(base - prime)[rows, picks] ** alpha, axis=1)
+    return float(np.fmax.reduce(np.abs(total) / denom, initial=0.0))   # skips NaN as max() did
 
 
 def disk_norm_estimate(f: ScalarField, alpha: float, sample_budget: int = 400,
@@ -399,12 +394,9 @@ def disk_norm_estimate(f: ScalarField, alpha: float, sample_budget: int = 400,
 def polydisc_norm_estimate(f: ScalarField, alpha: float, sample_budget: int = 200,
                            seed: int = 0) -> float:
     """Discrete sum over k of (2R)^(k alpha)/k! * H^(k)_alpha[f]."""
-    n = f.factors
-    total = 0.0
-    for k in range(n + 1):
-        est = hoelder_seminorm(f, alpha, k=k, sample_budget=sample_budget, seed=seed + k)
-        total += (2 * f.domain.radius) ** (k * alpha) / math.factorial(k) * est
-    return total
+    return sum((2 * f.domain.radius) ** (k * alpha) / math.factorial(k)
+               * hoelder_seminorm(f, alpha, k=k, sample_budget=sample_budget, seed=seed + k)
+               for k in range(f.factors + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,12 @@ def rule_counts(domain: DiskDomain, centers, resolution, degree: float) -> np.nd
     centers = np.asarray(centers, dtype=complex).ravel()
     for center in centers[~domain.contains(centers)]:
         domain.validate_point(center)   # raises its DomainError
-    counts = _TABLE_COUNTS[np.searchsorted(_TABLE_EDGES, np.abs(centers) / domain.radius)]
-    if degree > TABLE_DEGREE:
-        counts = np.maximum(counts, (64, 128))
+    if None in resolution:   # explicit counts skip the table
+        counts = _TABLE_COUNTS[np.searchsorted(_TABLE_EDGES, np.abs(centers) / domain.radius)]
+        if degree > TABLE_DEGREE:
+            counts = np.maximum(counts, (64, 128))
+    else:
+        counts = np.empty((centers.size, 2), dtype=int)
     for i, count in enumerate(resolution):
         if count is not None:
             counts[:, i] = count

@@ -102,8 +102,8 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     degree = mu + nu + max([len(p.coefficients) - 1 for p in spec.g_list[1:] + spec.f_list]
                            + [0 if spec.rhs is None else spec.rhs.degree])
 
-    def block(zs):
-        rule = build_area_rule(dom, zs, resolution, degree)
+    def block(zs, counts):
+        rule = build_area_rule(dom, zs, counts, degree)
 
         def integrand(w):
             return sum((kernel(zs[:, None], w, *entry, dom.radius, rule.log_shift) * density(w)

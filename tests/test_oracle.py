@@ -8,10 +8,11 @@ from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_s
 from pompeiu.kernels import c1, c2, c3, log_term
 from pompeiu.operators import (ScalarField, apply_mixed, apply_polydisc, apply_T,
                                constant_field, field_from_expression)
-from pompeiu.oracle import (NESTED_GRID_SHAPE, NESTED_RESOLUTION, NestedOracle,
-                            PolynomialField, bound_constants, check_norm_bound,
-                            disk_norm_estimate, exact_transform, hoelder_seminorm,
-                            lemma_lhs_quadrature, polydisc_norm_estimate)
+from pompeiu import oracle as oracle_module
+from pompeiu.oracle import (MIN_PAIR_SEPARATION, NESTED_GRID_SHAPE, NESTED_RESOLUTION,
+                            NestedOracle, PolynomialField, _rotation_sum, bound_constants,
+                            check_norm_bound, disk_norm_estimate, exact_transform,
+                            hoelder_seminorm, lemma_lhs_quadrature, polydisc_norm_estimate)
 from pompeiu.quadrature import build_area_rule
 
 DISK = DiskDomain(1.0)
@@ -67,20 +68,35 @@ def test_nested_matches_closed_forms_depth_2():
 
 
 def test_grid_field_rotations_match_pointwise_evaluation():
-    # materializing reads the inner field at every grid rotation of a base
-    # rule's nodes through one inverse FFT; pointwise evaluation sums the
-    # same modes directly
+    # a grid row weights an inner grid field's modes by the quadrature density
+    # and sums them per radius before one inverse FFT; pointwise evaluation at
+    # every grid rotation of the base rule's nodes, summed against the same
+    # density, must agree
     rng = np.random.default_rng(22)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     field = NestedOracle(poly.to_field(DISK))._field_for(("T",))
     nt = NESTED_GRID_SHAPE[1]
     phases = np.exp(2j * np.pi * np.arange(nt) / nt)
     for r in (0.0, 0.37, 0.9):
-        n0 = build_area_rule(DISK, r, NESTED_RESOLUTION).nodes
-        rotated = field.rotations(n0)
-        pointwise = field(phases[:, None] * n0[None, :])
-        assert rotated.shape == pointwise.shape == (nt, n0.size)
-        assert np.max(np.abs(rotated - pointwise)) <= 1e-13
+        rule = build_area_rule(DISK, r, NESTED_RESOLUTION)
+        density = rule.weights / (rule.nodes - r)
+        row = _rotation_sum(field, rule.nodes, density)
+        pointwise = np.sum(field(phases[:, None] * rule.nodes[None, :]) * density, axis=1)
+        assert row.shape == pointwise.shape == (nt,)
+        assert np.max(np.abs(row - pointwise)) <= 1e-13
+
+
+def test_nested_oracle_builds_its_base_rules_once(monkeypatch):
+    # one batched build_area_rule call serves every grid of every word
+    calls = []
+    real = oracle_module.build_area_rule
+    monkeypatch.setattr(oracle_module, "build_area_rule",
+                        lambda *args: calls.append(np.shape(args[1])) or real(*args))
+    nested = NestedOracle(field_from_expression("z*zbar + zbar", DISK))
+    for word in (("T", "Tbar"), ("T", "T", "Tbar"), ("T", "Tbar", "Tbar"), ("Tbar", "T")):
+        nested.evaluate(0.2 - 0.1j, word)
+    assert len(nested._memo) == 5
+    assert calls == [(NESTED_GRID_SHAPE[0],)]
 
 
 NESTED_WORDS = (("T",), ("Tbar",), ("T", "Tbar"), ("T", "T", "Tbar"), ("T", "Tbar", "Tbar"),
@@ -249,6 +265,46 @@ def test_hoelder_polydisc_second_order():
     assert isinstance(est, float)
     # |Delta_12 f| = |z1 - z1'| |z2 - z2'|, so the quotient is bounded by 2R^(1/2) each
     assert 0 < est <= 2.0 + 1e-9
+
+
+def _hoelder_per_tuple(f, alpha, k, sample_budget, seed):
+    # the estimator as a per-tuple loop of scalar calls, drawing from the RNG
+    # in the order hoelder_seminorm must keep
+    n, radius = f.factors, f.domain.radius
+    rng = np.random.default_rng(seed)
+    draw = lambda: complex(radius * np.sqrt(rng.random(1)[0])
+                           * np.exp(2j * np.pi * rng.random(1)[0]))
+    best = 0.0
+    for _ in range(sample_budget):
+        base = [draw() for _ in range(n)]
+        idx = sorted(rng.choice(n, size=k, replace=False).tolist()) if k < n else list(range(n))
+        primes = {}
+        for j in idx:
+            while abs((cand := draw()) - base[j]) < MIN_PAIR_SEPARATION * radius:
+                pass
+            primes[j] = cand
+        total = 0j
+        for mask in range(1 << k):
+            point = [primes[j] if j in idx and mask >> idx.index(j) & 1 else b
+                     for j, b in enumerate(base)]
+            total += (-1) ** bin(mask).count("1") * complex(f(*[np.asarray(p) for p in point]))
+        best = max(best, abs(total) / math.prod(abs(base[j] - primes[j]) ** alpha for j in idx))
+    return best
+
+
+@pytest.mark.parametrize("domain, text, k", [
+    (DISK, "zbar^3 + 2*z*zbar - z", 1),
+    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 1),
+    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 2),
+    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 3)])
+def test_hoelder_batched_matches_a_per_tuple_loop(domain, text, k):
+    # the sampler draws every tuple first, then calls f once per corner of the
+    # difference cube; the result is the per-tuple scalar loop's
+    f = field_from_expression(text, domain)
+    got = hoelder_seminorm(f, 0.4, k=k, sample_budget=60, seed=5)
+    want = _hoelder_per_tuple(f, 0.4, k, 60, 5)
+    assert want > 0
+    assert abs(got - want) <= 1e-14 * want
 
 
 # ---------------------------------------------------------------------------
