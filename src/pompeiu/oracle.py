@@ -35,6 +35,7 @@ MIN_PAIR_SEPARATION = 1e-6
 NESTED_RESOLUTION = (24, 48)
 NESTED_GRID_SHAPE = (40, 80)
 NESTED_TOP_RESOLUTION = (64, 128)
+_MODE_FLOOR = 1e-13   # angular modes below this fraction of a grid's largest are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +145,41 @@ def _not_a_knot(n: int) -> np.ndarray:
 class _PolarGridField:
     """Field sampled at radii i*h and angles 2 pi j/nt (nt even), held as its
     trigonometric interpolant sum_m c_m(r) e^{i m theta} (Nyquist mode as a
-    cosine), each angular Fourier mode c_m a not-a-knot cubic spline in r."""
+    cosine), each angular Fourier mode c_m a not-a-knot cubic spline in r.
 
-    BLOCK = 128   # points per block: keeps the (points x modes) temporaries cache-sized
+    Only the modes m with b_m > _MODE_FLOOR * max b are kept (`_freq`, signed
+    frequencies, also valid FFT indices), where b_m, the largest sum of
+    |cubic coefficients| over the radial intervals, bounds |c_m(r)| for all r:
+    the truncated interpolant is within sum_dropped b_m < nt * 1e-13 * max b
+    of the all-mode one, and a grid with content in every mode keeps all nt."""
+
+    BLOCK = 1024   # points per block of `__call__`: bounds the (points x modes) temporaries
 
     def __init__(self, domain: DiskDomain, values):
         self.domain = domain
         self._h = domain.radius / (len(values) - 1)
         y = np.fft.fft(values, axis=1, norm="forward")
         m2 = np.einsum("ij,jm->im", _not_a_knot(len(values)), y)   # no BLAS: see NestedOracle
-        # per radial interval, the cubic's t^3..t^0 coefficients (t = r/h - k) as float pairs
-        self._cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
-                                y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]]).view(float)
+        # per radial interval, the cubic's t^3..t^0 coefficients (t = r/h - k)
+        cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
+                          y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
+        bound = np.sum(np.abs(cubic), axis=0).max(axis=0)   # b_m >= |c_m(r)| for every r
+        nt = y.shape[1]
+        keep = (bound > _MODE_FLOOR * bound.max()) | ~np.isfinite(bound.max())   # NaN/Inf: all
+        self._freq = ((np.arange(nt) + nt // 2) % nt - nt // 2)[keep]
+        self._nyquist = self._freq == -(nt // 2)
+        self._cubic = np.take(cubic, self._freq, axis=2).view(float)   # as float pairs
 
     def _modes(self, z) -> np.ndarray:
-        """c_m(|z|) e^{i m arg z} for flat z, shape (z.size, nt), m in FFT order."""
+        """c_m(|z|) e^{i m arg z} for flat z and the kept m, shape (z.size, kept)."""
         x = np.minimum(np.abs(z), self.domain.radius) / self._h
         k = np.minimum(x.astype(int), self._cubic.shape[1] - 1)
         t = x - k
         modes = np.einsum("pnm,np->nm", np.take(self._cubic, k, axis=1),
                           np.stack([t * t * t, t * t, t, np.ones_like(t)], axis=1)).view(complex)
-        half = modes.shape[1] // 2
-        u = np.exp(1j * np.angle(z))[:, None]
-        powers = np.cumprod(np.broadcast_to(u, (z.size, half)), axis=1)
-        modes[:, 1:half] *= powers[:, :-1]
-        modes[:, half] *= powers[:, -1].real
-        modes[:, half + 1:] *= np.conj(powers[:, -2::-1])
+        phases = np.exp(1j * np.multiply.outer(np.angle(z), self._freq))
+        phases.imag[:, self._nyquist] = 0.0   # the Nyquist mode is cos(m arg z)
+        modes *= phases
         return modes
 
     def __call__(self, z):
@@ -186,14 +196,16 @@ _GRID_PHASES = np.exp(2j * np.pi * np.arange(NESTED_GRID_SHAPE[1]) / NESTED_GRID
 def _rotation_sum(inner, nodes, density) -> np.ndarray:
     """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, shape
     (nt,).  Rotating by 2 pi j/nt multiplies a grid field's mode m by e^{2 pi i m j/nt},
-    so its density-weighted modes are summed before one inverse FFT; any other
-    field is sampled at each rotated node, BLOCK nodes at a time."""
-    block = _PolarGridField.BLOCK
-    grid = isinstance(inner, _PolarGridField)
-    sample = inner._modes if grid else lambda n: inner(n[:, None] * _GRID_PHASES)
-    total = sum(np.sum(sample(nodes[lo:lo + block]) * density[lo:lo + block, None], axis=0)
-                for lo in range(0, nodes.size, block))
-    return np.fft.ifft(total, norm="forward") if grid else total
+    so its density-weighted kept modes are summed, scattered into the nt FFT slots
+    and inverted by one inverse FFT; any other field is sampled at each rotated node,
+    128 nodes (10,240 points) per call."""
+    if isinstance(inner, _PolarGridField):
+        total = np.zeros(_GRID_PHASES.size, dtype=complex)
+        total[inner._freq] = np.einsum("nm,n->m", inner._modes(nodes), density)
+        return np.fft.ifft(total, norm="forward")
+    return sum(np.sum(inner(nodes[lo:lo + 128, None] * _GRID_PHASES)
+                      * density[lo:lo + 128, None], axis=0)
+               for lo in range(0, nodes.size, 128))
 
 
 _SINGLE_OPS = {"T": apply_T, "Tbar": apply_Tbar}
@@ -205,12 +217,14 @@ class NestedOracle:
     The outermost operator is quadrated directly at the requested target.
     Each deeper intermediate field is materialized once, on demand, on a
     polar grid (one single-operator quadrature per grid node) and kept as
-    angular Fourier modes with a radial cubic spline per mode; the grids are
-    memoized per program suffix and share one batch of base rules, and an
-    inner grid field's modes are weighted and summed per radius before one
-    inverse FFT.  Exact per-node nesting costs O(N^depth) and is unusable
-    beyond depth 2, while the memoized route is linear in depth and still
-    never touches the closed-form kernels.  No BLAS call: OpenBLAS hands even
+    angular Fourier modes with a radial cubic spline per mode, keeping only the
+    modes above 1e-13 of its largest: within nt * 1e-13 of the largest mode
+    of the all-mode interpolant (`_PolarGridField`).  The grids are memoized
+    per program suffix and share one batch of base rules, and an inner grid
+    field's kept modes are weighted and summed per radius before one inverse
+    FFT.  Exact per-node nesting costs O(N^depth) and is unusable beyond
+    depth 2, while the memoized route is linear in depth and still never
+    touches the closed-form kernels.  No BLAS call: OpenBLAS hands even
     a (40 x 40)(40 x 80) product to a worker thread, which then competes with
     the main thread (`tests/test_package.py` keeps matrix products out).
 

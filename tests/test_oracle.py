@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,114 @@ def test_grid_field_rotations_match_pointwise_evaluation():
         pointwise = np.sum(field(phases[:, None] * rule.nodes[None, :]) * density, axis=1)
         assert row.shape == pointwise.shape == (nt,)
         assert np.max(np.abs(row - pointwise)) <= 1e-13
+
+
+def test_second_level_grid_rotations_match_pointwise_evaluation():
+    # the ("T", "Tbar") grid was built from the truncated ("Tbar",) grid's
+    # kept-mode sums, and its own rows scatter its kept modes again
+    rng = np.random.default_rng(22)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    field = NestedOracle(poly.to_field(DISK))._field_for(("T", "Tbar"))
+    nt = NESTED_GRID_SHAPE[1]
+    phases = np.exp(2j * np.pi * np.arange(nt) / nt)
+    assert len(field._freq) < nt
+    for r in (0.0, 0.37, 0.9):
+        rule = build_area_rule(DISK, r, NESTED_RESOLUTION)
+        density = rule.weights / (rule.nodes - r)
+        row = _rotation_sum(field, rule.nodes, density)
+        pointwise = np.sum(field(phases[:, None] * rule.nodes[None, :]) * density, axis=1)
+        assert np.max(np.abs(row - pointwise)) <= 1e-13
+
+
+def _all_mode_interpolant(values, radius):
+    """Every angular Fourier mode of a polar grid (the Nyquist one as a cosine),
+    each a not-a-knot cubic spline in r in its textbook form; returns the
+    evaluator and the per-mode bounds b_m of `_PolarGridField`'s docstring."""
+    nr, nt = values.shape
+    y = np.fft.fft(values, axis=1) / nt
+    m2 = np.einsum("ij,jm->im", oracle_module._not_a_knot(nr), y)
+    power = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
+                      y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
+    freq = np.fft.fftfreq(nt, 1 / nt)
+
+    def evaluate(z):
+        x = np.abs(z) / (radius / (nr - 1))
+        k = np.minimum(x.astype(int), nr - 2)
+        t = (x - k)[:, None]
+        c = ((1 - t) * y[k] + t * y[k + 1]
+             + ((1 - t) ** 3 - (1 - t)) * m2[k] / 6 + (t ** 3 - t) * m2[k + 1] / 6)
+        phases = np.exp(1j * np.outer(np.angle(z), freq))
+        phases[:, nt // 2] = np.cos(nt // 2 * np.angle(z))
+        return np.sum(c * phases, axis=1)
+
+    return evaluate, np.abs(power).sum(axis=0).max(axis=0)
+
+
+def _polar_grid(radius, func):
+    nr, nt = NESTED_GRID_SHAPE
+    r = np.linspace(0.0, radius, nr)
+    return func(r[:, None] * np.exp(2j * np.pi * np.arange(nt) / nt)[None, :])
+
+
+def _off_grid_points(radius):
+    # radii 0, 0.37, 0.9 and 0.999 R at seven angles off the grid's
+    return np.outer((0.0, 0.37, 0.9, 0.999), radius * np.exp(1j * (0.1 + 0.9 * np.arange(7)))).ravel()
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_grid_with_content_in_every_mode_keeps_them_all(R):
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(NESTED_GRID_SHAPE) + 1j * rng.standard_normal(NESTED_GRID_SHAPE)
+    field = oracle_module._PolarGridField(DiskDomain(R), values)
+    reference, _ = _all_mode_interpolant(values, R)
+    z = _off_grid_points(R)
+    assert sorted(field._freq % NESTED_GRID_SHAPE[1]) == list(range(NESTED_GRID_SHAPE[1]))
+    assert np.max(np.abs(field(z) - reference(z))) <= 1e-13
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_polynomial_grid_keeps_its_modes_within_the_stated_bound(R):
+    # z^p zbar^q carries angular mode p - q: p, q <= 3 gives 7 modes, the other
+    # 73 are FFT round-off, dropped within sum_dropped b_m < nt * 1e-13 * max b_m
+    rng = np.random.default_rng(25)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    values = _polar_grid(R, poly)
+    field = oracle_module._PolarGridField(DiskDomain(R), values)
+    reference, bound = _all_mode_interpolant(values, R)
+    nt = NESTED_GRID_SHAPE[1]
+    dropped = np.delete(bound, field._freq % nt)
+    assert len(field._freq) <= 7 and set(field._freq) <= set(range(-3, 4))
+    assert np.sum(dropped) < nt * 1e-13 * np.max(bound)
+    z = _off_grid_points(R)
+    # plus the float64 round-off of summing the reference's 80 modes
+    assert np.max(np.abs(field(z) - reference(z))) <= np.sum(dropped) + 1e-14 * np.max(bound)
+
+
+def test_nyquist_only_grid_is_a_cosine_in_angle():
+    g = lambda r: 1.0 + r - 0.5 * r ** 3   # a cubic: the not-a-knot spline is exact
+    nr, nt = NESTED_GRID_SHAPE
+    r = np.linspace(0.0, 1.0, nr)
+    field = oracle_module._PolarGridField(DISK, np.outer(g(r), (-1.0) ** np.arange(nt)))
+    z = _off_grid_points(1.0)
+    assert len(field._freq) == 1
+    assert np.max(np.abs(field(z) - g(np.abs(z)) * np.cos(nt // 2 * np.angle(z)))) <= 1e-13
+
+
+def test_truncated_grid_edge_cases():
+    zero = oracle_module._PolarGridField(DISK, np.zeros(NESTED_GRID_SHAPE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(zero(_off_grid_points(1.0)) == 0) and zero(0.3j) == 0
+    field = oracle_module._PolarGridField(DISK, _polar_grid(1.0, lambda z: z * z + np.conj(z)))
+    assert type(field(0.2 + 0.1j)) is complex and type(field(np.asarray(0.5))) is complex
+    assert field(np.zeros(0)).shape == (0,) and field(np.zeros((0, 3))).shape == (0, 3)
+    square = 0.3 * np.exp(1j * np.arange(12.0)).reshape(3, 4)
+    assert field(square).shape == (3, 4)
+    assert np.array_equal(field(square).ravel(), field(square.ravel()))
+    # a non-finite sample keeps every mode, so the field stays non-finite
+    values = _polar_grid(1.0, lambda z: z * z)
+    values[5, 7] = np.nan
+    assert np.all(np.isnan(oracle_module._PolarGridField(DISK, values)(np.array([0.1, 0.5j]))))
 
 
 def test_nested_oracle_builds_its_base_rules_once(monkeypatch):
