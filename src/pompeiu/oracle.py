@@ -42,6 +42,14 @@ _MODE_FLOOR = 1e-13   # angular modes below this fraction of a grid's largest ar
 # Exact polynomial fields  sum c[p,q] z^p zbar^q
 # ---------------------------------------------------------------------------
 
+def _powers(x, count: int) -> np.ndarray:
+    """x^0 .. x^(count-1) for flat x by repeated products, shape (count, x.size)."""
+    out = np.ones((count, x.size), dtype=complex)
+    for k in range(1, count):
+        np.multiply(out[k - 1], x, out=out[k])
+    return out
+
+
 class PolynomialField:
     """Polynomial in z and conj(z) with exact Wirtinger differentiation.
 
@@ -56,6 +64,7 @@ class PolynomialField:
         if c.shape[0] - 1 > MAX_POLY_DEGREE or c.shape[1] - 1 > MAX_POLY_DEGREE:
             raise DomainError(f"polynomial degree exceeds cap {MAX_POLY_DEGREE}")
         self.coeffs = c
+        self._freq = np.arange(1 - c.shape[1], c.shape[0])   # the angular modes p - q
 
     @classmethod
     def from_dict(cls, entries: dict[tuple[int, int], complex]) -> "PolynomialField":
@@ -76,6 +85,15 @@ class PolynomialField:
             total *= z
             total += acc
         return total if total.shape else complex(total)
+
+    def _modes(self, z) -> np.ndarray:
+        """sum_{p-q=m} c[p,q] z^p zbar^q at flat z for each m in _freq, shape (z.size, P+Q-1)."""
+        P, Q = self.coeffs.shape
+        zq = _powers(np.conj(z), Q)[::-1]   # zbar^q, highest q first
+        modes = np.zeros((P + Q - 1, z.size), dtype=complex)
+        for p, (zp, row) in enumerate(zip(_powers(z, P), self.coeffs)):
+            modes[p:p + Q] += zp * (zq * row[::-1, None])   # the slots p-q+Q-1
+        return modes.T
 
     def wirtinger(self, mu: int, nu: int) -> "PolynomialField":
         """Exact d^mu dbar^nu by coefficient shifts."""
@@ -167,7 +185,7 @@ class _PolarGridField:
         nt = y.shape[1]
         keep = (bound > _MODE_FLOOR * bound.max()) | ~np.isfinite(bound.max())   # NaN/Inf: all
         self._freq = ((np.arange(nt) + nt // 2) % nt - nt // 2)[keep]
-        self._nyquist = self._freq == -(nt // 2)
+        self._imag_sign = np.sign(self._freq) * (self._freq != -(nt // 2))
         self._cubic = np.take(cubic, self._freq, axis=2).view(float)   # as float pairs
 
     def _modes(self, z) -> np.ndarray:
@@ -177,8 +195,10 @@ class _PolarGridField:
         t = x - k
         modes = np.einsum("pnm,np->nm", np.take(self._cubic, k, axis=1),
                           np.stack([t * t * t, t * t, t, np.ones_like(t)], axis=1)).view(complex)
-        phases = np.exp(1j * np.multiply.outer(np.angle(z), self._freq))
-        phases.imag[:, self._nyquist] = 0.0   # the Nyquist mode is cos(m arg z)
+        # powers of exp(i arg z), not of z/|z|: finite at 0, and arg(-0.0+0j) = pi
+        m = np.abs(self._freq)
+        phases = _powers(np.exp(1j * np.angle(z)), m.max(initial=0) + 1)[m].T
+        phases.imag *= self._imag_sign   # conjugates m < 0; the Nyquist mode is cos(m arg z)
         modes *= phases
         return modes
 
@@ -195,11 +215,11 @@ _GRID_PHASES = np.exp(2j * np.pi * np.arange(NESTED_GRID_SHAPE[1]) / NESTED_GRID
 
 def _rotation_sum(inner, nodes, density) -> np.ndarray:
     """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, shape
-    (nt,).  Rotating by 2 pi j/nt multiplies a grid field's mode m by e^{2 pi i m j/nt},
-    so its density-weighted kept modes are summed, scattered into the nt FFT slots
-    and inverted by one inverse FFT; any other field is sampled at each rotated node,
-    128 nodes (10,240 points) per call."""
-    if isinstance(inner, _PolarGridField):
+    (nt,).  Rotating by 2 pi j/nt multiplies a grid or polynomial field's mode m by
+    e^{2 pi i m j/nt}, so its density-weighted modes are summed, scattered into the nt
+    FFT slots (a polynomial's |m| <= 8 < nt/2) and inverted by one inverse FFT; any
+    other field is sampled at each rotated node, 128 nodes (10,240 points) per call."""
+    if isinstance(inner, (_PolarGridField, PolynomialField)):
         total = np.zeros(_GRID_PHASES.size, dtype=complex)
         total[inner._freq] = np.einsum("nm,n->m", inner._modes(nodes), density)
         return np.fft.ifft(total, norm="forward")
@@ -220,13 +240,13 @@ class NestedOracle:
     angular Fourier modes with a radial cubic spline per mode, keeping only the
     modes above 1e-13 of its largest: within nt * 1e-13 of the largest mode
     of the all-mode interpolant (`_PolarGridField`).  The grids are memoized
-    per program suffix and share one batch of base rules, and an inner grid
-    field's kept modes are weighted and summed per radius before one inverse
-    FFT.  Exact per-node nesting costs O(N^depth) and is unusable beyond
-    depth 2, while the memoized route is linear in depth and still never
-    touches the closed-form kernels.  No BLAS call: OpenBLAS hands even
-    a (40 x 40)(40 x 80) product to a worker thread, which then competes with
-    the main thread (`tests/test_package.py` keeps matrix products out).
+    per program suffix and share one batch of base rules; an inner grid's kept
+    modes, or a polynomial field's exact ones, are weighted and summed per radius
+    before one inverse FFT.  Exact per-node nesting costs O(N^depth) and is
+    unusable beyond depth 2, while the memoized route is linear in depth and
+    still never touches the closed-form kernels.  No BLAS call: OpenBLAS hands
+    even a (40 x 40)(40 x 80) product to a worker thread, which then competes
+    with the main thread (`tests/test_package.py` keeps matrix products out).
 
     The memo table is confined to this instance; share an instance across
     threads only for reads after warm-up.
@@ -251,7 +271,7 @@ class NestedOracle:
         # One base rule per radius; rules at the other grid angles are its
         # rotations (the disk is rotation-invariant about 0), so each grid row is
         # one batched quadrature: 1/(w - z) = e^{-i t}/(n0 - r), w = e^{i t} n0,
-        # z = e^{i t} r.  `_rotation_sum` weights an inner grid's modes by the density
+        # z = e^{i t} r.  `_rotation_sum` weights an inner field's modes by the density
         # and sums them per radius before one inverse FFT; no BLAS (see the docstring).
         values = np.array([_rotation_sum(inner_evaluator, n,
                                          w / ((n if op == "T" else np.conj(n)) - r))

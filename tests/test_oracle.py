@@ -10,10 +10,11 @@ from pompeiu.kernels import c1, c2, c3, log_term
 from pompeiu.operators import (ScalarField, apply_mixed, apply_polydisc, apply_T,
                                constant_field, field_from_expression)
 from pompeiu import oracle as oracle_module
-from pompeiu.oracle import (MIN_PAIR_SEPARATION, NESTED_GRID_SHAPE, NESTED_RESOLUTION,
-                            NestedOracle, PolynomialField, _rotation_sum, bound_constants,
-                            check_norm_bound, disk_norm_estimate, exact_transform,
-                            hoelder_seminorm, lemma_lhs_quadrature, polydisc_norm_estimate)
+from pompeiu.oracle import (MAX_POLY_DEGREE, MIN_PAIR_SEPARATION, NESTED_GRID_SHAPE,
+                            NESTED_RESOLUTION, NestedOracle, PolynomialField, _GRID_PHASES,
+                            _rotation_sum, bound_constants, check_norm_bound,
+                            disk_norm_estimate, exact_transform, hoelder_seminorm,
+                            lemma_lhs_quadrature, polydisc_norm_estimate)
 from pompeiu.quadrature import build_area_rule
 
 DISK = DiskDomain(1.0)
@@ -102,6 +103,55 @@ def test_second_level_grid_rotations_match_pointwise_evaluation():
         row = _rotation_sum(field, rule.nodes, density)
         pointwise = np.sum(field(phases[:, None] * rule.nodes[None, :]) * density, axis=1)
         assert np.max(np.abs(row - pointwise)) <= 1e-13
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+@pytest.mark.parametrize("shape", ("monomial", "degree (8,8)"))
+def test_polynomial_rotations_match_the_sampled_sum(R, shape, monkeypatch):
+    # a polynomial's monomial c z^p zbar^q is angular mode p - q, so its rows come
+    # from its exact density-weighted modes, never from samples at each rotation
+    rng = np.random.default_rng(26)
+    if shape == "monomial":
+        poly = PolynomialField.from_dict({(5, 2): (0.3 - 1.1j) / R ** 7})
+    else:
+        degrees = np.add.outer(np.arange(9), np.arange(9))
+        poly = PolynomialField((rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+                               / R ** degrees)
+    for r in (0.0, 0.37 * R, 0.9 * R):
+        rule = build_area_rule(DiskDomain(R), r, NESTED_RESOLUTION)
+        density = rule.weights / (rule.nodes - r)
+        terms = poly(_GRID_PHASES[:, None] * rule.nodes[None, :]) * density
+        with monkeypatch.context() as patch:
+            patch.setattr(PolynomialField, "__call__", lambda *_: pytest.fail("sampled"))
+            row = _rotation_sum(poly, rule.nodes, density)
+        # relative to the sum of |terms|: at r = 0 the monomial's rows cancel to round-off
+        scale = np.max(np.sum(np.abs(terms), axis=1))
+        assert np.max(np.abs(row - np.sum(terms, axis=1))) <= 1e-13 * scale
+
+
+def test_polynomial_modes_stay_below_the_nyquist_slot():
+    # a polynomial's modes |p - q| <= MAX_POLY_DEGREE each take their own FFT slot
+    # of a grid row: none may alias another or reach the Nyquist one
+    assert MAX_POLY_DEGREE < NESTED_GRID_SHAPE[1] // 2
+    top = PolynomialField(np.ones((MAX_POLY_DEGREE + 1,) * 2))
+    assert list(top._freq) == list(range(-MAX_POLY_DEGREE, MAX_POLY_DEGREE + 1))
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_grid_phases_at_signed_zeros_and_on_the_axes(R):
+    # each mode's phase is an integer power of exp(i arg z): at -0.0 arg is +-pi,
+    # and on the axes the powers must match exp(i m arg z), Nyquist mode included
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(NESTED_GRID_SHAPE) + 1j * rng.standard_normal(NESTED_GRID_SHAPE)
+    field = oracle_module._PolarGridField(DiskDomain(R), values)
+    assert len(field._freq) == NESTED_GRID_SHAPE[1]
+    r = 0.37 * R
+    z = np.array([0j, complex(-0.0, 0.0), complex(-0.0, -0.0), r, -r, 1j * r, -1j * r])
+    radial = field._modes(np.abs(z))   # arg |z| = 0: every phase is exactly 1
+    phases = np.exp(1j * np.multiply.outer(np.angle(z), field._freq))
+    phases.imag[:, field._freq == -NESTED_GRID_SHAPE[1] // 2] = 0.0
+    # both phases carry about |m| pi eps of round-off, up to 2.8e-14 at |m| = 40
+    assert np.max(np.abs(field._modes(z) - radial * phases)) <= 3e-14 * np.max(np.abs(radial))
 
 
 def _all_mode_interpolant(values, radius):
