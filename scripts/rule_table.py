@@ -11,7 +11,9 @@ coefficients on the unit disk, so values are O(1); d plus the largest order
 must stay within the reference's `oracle.MAX_POLY_DEGREE` (8).  `default`
 is the table row printed while the field's total degree 2d plus the op's
 orders (2 for 2T) is at most `quadrature.TABLE_DEGREE`, and at least 64x128
-above it (`--degree 4` with 2x2, for one).
+above it (`--degree 4` with 2x2, for one), passed as explicit counts: at
+the default counts T and T^mu Tbar^nu take the disk-centred core instead
+(`scripts/transform_accuracy.py` measures it).
 
     PYTHONPATH=src python3 scripts/rule_table.py [--ratios 0.5,0.9] \\
         [--resolutions default,16x32,64x128] [--ops T,2T,1x1,2x2] \\
@@ -26,7 +28,7 @@ import numpy as np
 from pompeiu.geometry import DiskDomain
 from pompeiu.operators import apply_2T, transform
 from pompeiu.oracle import PolynomialField, exact_transform
-from pompeiu.quadrature import DEFAULT_RESOLUTION, RESOLUTION_TABLE
+from pompeiu.quadrature import DEFAULT_RESOLUTION, RESOLUTION_TABLE, rule_counts
 
 RATIOS = "0,0.5,0.8,0.9,0.95,0.98,0.99,0.999,0.999999"
 RESOLUTIONS = "default,16x32,16x48,24x64,24x96,32x128,64x128"
@@ -58,9 +60,12 @@ def exact(poly: PolynomialField, op: str) -> PolynomialField:
 
 
 def value(field, op: str, z: complex, resolution) -> complex:
+    """The op at z by the target-centred rule (`default`: the table's counts)."""
+    mu, nu = (2, 0) if op == "2T" else (1, 0) if op == "T" else _pairs(op)
+    if resolution == DEFAULT_RESOLUTION:
+        resolution = tuple(rule_counts(DISK, z, resolution, field.degree + mu + nu)[0].tolist())
     if op == "2T":
         return apply_2T(field, z, resolution)
-    mu, nu = (1, 0) if op == "T" else _pairs(op)
     return transform(field, z, mu, nu, resolution)
 
 

@@ -41,8 +41,9 @@ def _add_resolution(p: argparse.ArgumentParser) -> None:
 
 
 #: the flags only some --op, --suite or --kind choices read, with their defaults
-#: (a None count comes from `quadrature.RESOLUTION_TABLE` per target); parsers
-#: leave them None, so `_unread_flag` can tell which were given
+#: (None counts: the disk-centred core, or `quadrature.RESOLUTION_TABLE` per
+#: target where the rules serve); parsers leave them None, so `_unread_flag`
+#: can tell which were given
 _OPTIONAL = {"mu": (1,), "nu": (1,), "power": 1, "n": 1, "k": 1, "l": 1, "nr": None,
              "ntheta": None, "contour_n": DEFAULT_CONTOUR_COUNT}
 

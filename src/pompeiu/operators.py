@@ -1,19 +1,18 @@
 """The disk transform family and the polydisc transform.
 
-`transform(f, z, mu, nu)` is the one core: T^mu Tbar^nu f(z) as a single
-quadrature against entry (mu, nu) of the kernel table `kernels.kernel`, where
-an index of 0 is the identity in that variable (T^k is (k, 0), Tbar^k is
-(0, k)).  `apply_T`, `apply_Tbar`, the powers and `apply_mixed` are aliases
-of it.  `apply_S` and `apply_2T` have kernels of their own; `apply_Sbar`,
-`apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
-Disk operators take a field on a `DiskDomain`, which is centred at 0 as the
-closed-form kernels assume, build each target's area rule with
-`build_area_rule` (a None count comes from `quadrature.RESOLUTION_TABLE`, by
-|z|/R and the field's `degree` plus the kernel's orders) and pass its
-`log_shift` to the kernel, which integrates the mixed kernels' log by
-product weights.  `transform` takes an array of targets as blocks, each one
-(T x N) pass (`over_targets`); PMP_THREADS workers take whole blocks, and
-each row reduces in a fixed order, so results are reproducible.
+`transform(f, z, mu, nu)` is T^mu Tbar^nu f(z) against entry (mu, nu) of
+the kernel table `kernels.kernel`, an index of 0 being the identity in that
+variable (T^k is (k, 0), Tbar^k is (0, k)); `apply_T`, `apply_Tbar`, the
+powers and `apply_mixed` are its aliases, and `transform_sum` sums entries
+over several fields.  Disk operators take a field on a `DiskDomain`, centred
+at 0 as the closed-form kernels assume.  At the default counts, for fields
+of finite degree, they take the disk-centred core `_disk_core`, exact per
+angular mode up to and on the circle.  Otherwise each target gets its polar
+area rule (`build_area_rule`, a None count from `quadrature.RESOLUTION_TABLE`)
+and the kernel its `log_shift`, in (T x N) blocks (`over_targets`) that
+PMP_THREADS workers take whole, each row reduced in a fixed order.
+`apply_S` and `apply_2T` have kernels of their own and keep the rules;
+`apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 `apply_polydisc` sums one-disk moments of an expression field's monomials.
 Nothing here nests integrals or samples a polydisc tensor grid: those are
 the oracle's routes.
@@ -32,14 +31,21 @@ from functools import lru_cache
 import numpy as np
 
 from . import expressions
-from .errors import DimensionCap, DomainError, NonFiniteSample, PompeiuError
+from .errors import DimensionCap, DomainError, NonFiniteSample, OrderTooLarge, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .kernels import TWO_PI_I, c3, c8, kernel
+from .kernels import TWO_PI_I, c3, c8, expansion, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
-                         build_contour_rule, integrate, rule_counts)
+                         build_contour_rule, integrate, radial_rule, rule_counts, sample)
 
 #: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
+#: `_disk_core` takes targets in chunks whose largest array (field samples, or
+#: mode weights per potential) holds at most CORE_BLOCK elements, or one target
+#: (1 << 14 ran solve_grid about 15% faster but peaked 0.5 MB above the
+#: target-centred rules' run); a target needing more than CORE_TARGET_CAP elements
+#: raises OrderTooLarge
+CORE_BLOCK = 1 << 13
+CORE_TARGET_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -121,17 +127,132 @@ def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
 
 
 def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION):
-    """T^mu Tbar^nu f(z), z a complex or an array, against the (mu, nu) table kernel.
+    """T^mu Tbar^nu f(z), z a complex or an array, entry (mu, nu) of the kernel table.
 
     T^k is (k, 0) and Tbar^k is (0, k); (0, 0) and negative orders raise
-    DomainError.  The kernel's only non-smooth point is its singularity at
-    the target, which the polar rule centered at z and its `log_shift` absorb.
+    DomainError.  Routed as by `transform_sum`.
     """
+    return transform_sum(f.domain, [((mu, nu), f)], z, resolution)
+
+
+def transform_sum(domain, terms, z, resolution=DEFAULT_RESOLUTION):
+    """The sum of T^mu Tbar^nu f(z) over `terms`, ((mu, nu), f) pairs of fields
+    on `domain`; z a complex or an array.  The disk-centred core at the default
+    counts with every degree finite, else one polar rule per target (at the
+    largest degree plus orders) whose `log_shift` the kernels take."""
+    degree = max([f.degree + mu + nu for (mu, nu), f in terms], default=0)
+    if (tuple(resolution) == DEFAULT_RESOLUTION and degree < math.inf
+            and isinstance(domain, DiskDomain)):
+        return _disk_core(domain, terms, z)
+
     def block(zs, counts):
-        r = build_area_rule(f.domain, zs, counts, f.degree + mu + nu)
-        return integrate(r, lambda w: kernel(zs[:, None], w, mu, nu, f.domain.radius,
-                                             r.log_shift) * f(w))
-    return over_targets(f.domain, z, resolution, f.degree + mu + nu, block)
+        r = build_area_rule(domain, zs, counts, degree)
+        return integrate(r, lambda w: sum(kernel(zs[:, None], w, *entry, domain.radius,
+                                                 r.log_shift) * f(w) for entry, f in terms))
+    return over_targets(domain, z, resolution, degree, block)
+
+
+@lru_cache(maxsize=64)
+def _core_plan(mu: int, nu: int, d: int):
+    """`_disk_core`'s constants for entry (mu, nu) and field degree d: c; rho
+    and the weights over the angles as r * line[0] + line[1] on the panels
+    [0, r] and [r, R], shape (2, n), t's [0, r] values s, the log weights over
+    ws; the angles and F's columns k; per potential (p, q) of Q: F_k's mode j,
+    its coefficients on each panel, rho's power; mode 0 of each moment and
+    potential as (F's column, has one, rho's power); each monomial's powers of
+    a and conj a, coefficient and source (P's moments, then Q's potentials)."""
+    c, p_terms, q_terms = expansion(mu, nu)
+    n = d + mu + nu
+    s, ws, shift = radial_rule(n)
+    zero, angles = np.zeros(n), np.exp(2j * np.pi * np.arange(2 * n + 2) / (2 * n + 2))
+    k = np.arange(-d, d + 1)
+    pairs = sorted({(p, q) for *_, p, q, _ in q_terms})
+    j = np.array([k + p - q - c for p, q in pairs])
+    coef = np.stack([np.where(j, 1 / np.maximum(abs(j), 1), 0)] * 2 if c == 0 else
+                    [np.where(c * j < 0, -1.0, 0), np.where(c * j >= 0, 1.0, 0)], axis=1)
+    zeroth = [(p, q) for *_, p, q, _ in p_terms] + pairs
+    column = np.array([q - p + d for p, q in zeroth])
+    has_0 = abs(column - d) <= d
+    i, i_bar, *_ = np.array(p_terms + q_terms, dtype=int).T
+    source = [*range(len(p_terms)), *(len(p_terms) + pairs.index((p, q))
+                                      for *_, p, q, _ in q_terms)]
+    return (c, np.array([[s, 1 - s], [zero, s]]), np.array([[ws, -ws], [zero, ws]]) / angles.size,
+            np.array([s, np.full(n, np.nan)]), shift + np.log(s), angles, k % angles.size,
+            j, coef, np.array([p + q + (c == 0) for p, q in pairs]),
+            (np.where(has_0, column, 0), has_0, np.array([1 + p + q for p, q in zeroth])),
+            len(p_terms), (i, i_bar, np.array([term[4] for term in p_terms + q_terms]), source))
+
+
+def _disk_core(domain: DiskDomain, terms, z):
+    """`transform_sum` about the disk's centre, for fields of finite degree d.
+
+    Entry (mu, nu) is (sum P + K sum Q)/(2 pi i) (`kernels.expansion`): moments
+    and potentials K[b^p conj(b)^q f](a), each exact per angular mode (Daripa,
+    SIAM J. Sci. Stat. Comput. 13, 1992; Daripa & Mashat, Numer. Algorithms
+    18, 1998).  With a = r e^{i alpha} and t = min(r, rho)/max(r, rho), mode j
+    of -log|a - b|^2, 1/(b - a) and 1/(conj b - conj a) weighs t^|j| e^{i j alpha},
+    and log(1 - a conj b) = -sum (a conj b)^j / j.  f is sampled on 2 band + 2
+    angles (band = d + mu + nu) at `band` Gauss nodes on [0, r] and [r, R] per
+    target, and on [0, R] once per chunk; one FFT gives its modes F_k, |k| <= d,
+    and b^p conj(b)^q f is F shifted by p - q times rho^(p+q), so the panels
+    integrate every radial integrand exactly.  Mode 0's log rho is [0, R]'s
+    integral less [0, r]'s (log-weighted Gauss); each other [r, R] sum is
+    taken on its own panel.  Targets go in chunks under CORE_BLOCK; one above
+    CORE_TARGET_CAP raises OrderTooLarge, a NaN/Inf sample or value
+    NonFiniteSample.
+    """
+    targets = np.asarray(z, dtype=complex).ravel()
+    for point in targets[~domain.contains(targets)]:
+        domain.validate_point(point)   # raises its DomainError
+    total = np.zeros(targets.shape, dtype=complex)
+    for (mu, nu), f in terms:
+        d = int(f.degree)
+        n = d + mu + nu   # the band: nodes per radial panel, and every |j| <= n
+        # elements per target of the largest array: the samples on 2n + 2 angles,
+        # or Q's max(mu, 1) max(nu, 1) potentials' weights of the 2d + 1 modes
+        size = 2 * n * max(2 * n + 2, max(mu, 1) * max(nu, 1) * (2 * d + 1))
+        if size > CORE_TARGET_CAP:
+            raise OrderTooLarge(f"field degree {d} plus orders ({mu}, {nu}) need {size} "
+                                f"elements per target, above CORE_TARGET_CAP = {CORE_TARGET_CAP}; "
+                                "explicit counts take the target-centred rule")
+        c, rho_line, w_line, t_inner, log_ratio, angles, columns, j, coef, exponent, zeroth, \
+            n_p, (i, i_bar, co, source) = _core_plan(mu, nu, d)
+        scale = 2 * np.float64(f.domain.radius) ** (mu + nu)
+        # floating-point warnings are silenced here: a NaN/Inf value raises below
+        with np.errstate(all="ignore"):
+            step = max(1, CORE_BLOCK // size - 1)
+            for lo in range(0, targets.size, step):
+                a = targets[lo:lo + step] / f.domain.radius
+                r = np.append(np.abs(a), 1.0)   # and [0, R] as the last row
+                rho = r[:, None, None] * rho_line[0] + rho_line[1]   # (T + 1, 2, n)
+                t = np.where(np.isnan(t_inner), r[:, None, None] / rho, t_inner)
+                nodes = f.domain.radius * rho[..., None] * angles
+                modes = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape))
+                wf = (r[:, None, None] * w_line[0] + w_line[1])[..., None] * modes[..., columns]
+                rho_pq = rho[..., None] ** exponent
+                sums = np.einsum("tgnpk,pgk,tgnk,tgnp->tpk",
+                                 (t[..., None] ** np.arange(n + 1))[..., abs(j)], coef, wf, rho_pq)
+                logs = 0
+                if c == 0:   # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
+                    sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * sums[-1]
+                    mode_sums = (np.take(wf, zeroth[0], axis=3) * zeroth[1]
+                                 * rho[..., None] ** zeroth[2])
+                    logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
+                    logs = 2 * (logs[:-1] - logs[-1])
+                # cumsum sums in order whatever the shape, so a value never depends on T
+                sources = np.cumsum(np.exp(1j * np.angle(a)[:, None, None] * j) * sums[:-1],
+                                    axis=2)[..., -1] + logs
+                if n_p:   # P's moments (only the mixed entries, c = 0, have any)
+                    sources = np.concatenate([np.broadcast_to(np.sum(
+                        mode_sums[-1, ..., :n_p], axis=(0, 1)), (a.size, n_p)), sources], axis=1)
+                powers = a[:, None] ** np.arange(mu + nu)
+                value = np.cumsum(co * powers[:, i] * np.conj(powers)[:, i_bar]
+                                  * sources[:, source], axis=1)[:, -1]
+                # an exact 0 stays 0 where R^(mu+nu) overflows
+                total[lo:lo + step] += np.where(value == 0, 0, scale * value)
+    if not np.isfinite(total).all():
+        raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
+    return total.reshape(np.shape(z)) if np.ndim(z) else complex(total[0])
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:

@@ -1,5 +1,9 @@
 """Deterministic quadrature for weakly singular disk integrals and contours.
 
+These are the target-centred rules: they serve transforms at explicit
+counts or of fields of unknown degree, 2T, the polydisc factors and every
+oracle, while the default counts of a field of finite degree take the
+disk-centred core (`operators`), which shares `radial_rule` and `sample`.
 Area rules are polar about the singularity of the intended integrand: along
 each ray |w - center| = rho(theta) s, s in [0, 1], with rho the distance to
 the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
@@ -59,7 +63,7 @@ class Rule:
 
 
 @lru_cache(maxsize=64)
-def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def radial_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes s and weights w on [0, 1], and log_shift = v/w - log s.
 
     The product weights v_k = w_k sum_m (2m+1) P~_m(s_k) M_m integrate
@@ -125,7 +129,7 @@ def _polar_rule(domain: DiskDomain, center, resolution, directions, degree: floa
     gives the unit directions, their angular weights and the radial extent rho."""
     column = np.asarray(center, dtype=complex).reshape(-1, 1)
     n_radial, n_angular = rule_counts(domain, column, resolution, degree).max(axis=0).tolist()
-    s, ws, shift = _radial_rule(n_radial)
+    s, ws, shift = radial_rule(n_radial)
     # silenced: a NaN/Inf node or weight (R near the float range) raises in `integrate`
     with np.errstate(all="ignore"):
         unit, wt, rho = directions(column[..., None], n_angular)   # rho: (T, 1, n_angular)
@@ -225,6 +229,19 @@ def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rul
     return Rule(nodes, weights)
 
 
+def sample(integrand, nodes: np.ndarray):
+    """`integrand(nodes)`, vectorized: a matching-shape array or a 0-d constant;
+    any other shape raises DomainError and a NaN/Inf sample NonFiniteSample (its
+    floating-point warnings silenced)."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(integrand(nodes), dtype=complex)
+    if vals.shape not in ((), nodes.shape):
+        raise DomainError(f"integrand returned shape {vals.shape} for {nodes.shape} nodes")
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
+    return vals
+
+
 def integrate(rule: Rule, integrand):
     """Weighted sum of integrand samples at the rule nodes (T row sums for (T, N) nodes).
 
@@ -234,13 +251,7 @@ def integrate(rule: Rule, integrand):
     floating-point warnings that produced it are silenced); whatever the
     integrand raises propagates.
     """
-    nodes = rule.nodes
-    with np.errstate(all="ignore"):
-        vals = np.asarray(integrand(nodes), dtype=complex)
-    if vals.shape not in ((), nodes.shape):
-        raise DomainError(f"integrand returned shape {vals.shape} for {nodes.shape} nodes")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
+    vals = sample(integrand, rule.nodes)
     with np.errstate(all="ignore"):
         total = np.sum(rule.weights * vals, axis=-1)
     if not np.isfinite(total).all():

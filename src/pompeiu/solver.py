@@ -2,9 +2,11 @@
 
 Solutions are parametrized by holomorphic free functions (restricted here to
 polynomials, which are dense, have exact derivatives, and keep every term
-computable by the closed-form kernels).  A block of targets is one (T x N)
-quadrature pass (`operators.over_targets`): each row's rule is centered on
-its target and the integrand assembles all kernel groups at once.
+computable by the closed-form kernels).  The evaluator is g_0 plus one
+`operators.transform_sum` over the densities (A, conj f_i, g_j): at the
+default counts one disk-centred core call, each density at its own degree
+plus orders; at explicit counts, or with a density of unknown degree, one
+target-centred rule per target whose integrand sums every kernel entry.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from .errors import DomainError, NonFiniteSample, NonRealRHS
 from .geometry import DiskDomain, wirtinger_split
 # solver.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
-from .kernels import c3, kernel  # noqa: F401
-from .operators import ScalarField, over_targets, transform
-from .quadrature import DEFAULT_RESOLUTION, build_area_rule, integrate
+from .kernels import c3  # noqa: F401
+from .operators import ScalarField, transform, transform_sum
+from .quadrature import DEFAULT_RESOLUTION
 
 BIHARMONIC_IMAG_TOL = 1e-12
 
@@ -79,7 +81,7 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
               resolution=DEFAULT_RESOLUTION):
     """Evaluator z -> u(z) with d^mu dbar^nu u = rhs (rhs None: homogeneous).
 
-    u = g_0(z) + one integral of a sum of (mu, nu) kernel-table entries
+    u = g_0(z) + `transform_sum` of (mu, nu) kernel-table entries
     (`kernels.kernel`): (j, 0) against g_j for j = 1..nu-1, (nu, i) against
     conj(f_i) for i = 0..mu-1, and (nu, mu) against A; the composition
     T^nu Tbar^mu inverts dbar^nu d^mu up to the holomorphic data.  `domain`
@@ -93,27 +95,17 @@ def solve_pde(spec: SolutionSpec, domain: DiskDomain | None = None,
     if domain is not None and domain != dom:
         raise DomainError(f"domain {domain} differs from the right-hand side's {dom}")
     # (table entry, density) per term; zero free data contributes nothing
-    terms = [((j, 0), g) for j, g in enumerate(spec.g_list) if j and not g.is_zero]
-    terms += [((nu, i), lambda w, f=f: np.conj(f(w)))
+    terms = [((j, 0), ScalarField(g, dom, degree=len(g.coefficients) - 1))
+             for j, g in enumerate(spec.g_list) if j and not g.is_zero]
+    terms += [((nu, i), ScalarField(lambda w, f=f: np.conj(f(w)), dom,
+                                    degree=len(f.coefficients) - 1))
               for i, f in enumerate(spec.f_list) if not f.is_zero]
     if spec.rhs is not None:
         terms.append(((nu, mu), spec.rhs))
-    # bounds every term's density degree plus its orders, for the rule's default counts
-    degree = mu + nu + max([len(p.coefficients) - 1 for p in spec.g_list[1:] + spec.f_list]
-                           + [0 if spec.rhs is None else spec.rhs.degree])
-
-    def block(zs, counts):
-        rule = build_area_rule(dom, zs, counts, degree)
-
-        def integrand(w):
-            return sum((kernel(zs[:, None], w, *entry, dom.radius, rule.log_shift) * density(w)
-                        for entry, density in terms), np.zeros(w.shape, dtype=complex))
-
-        return integrate(rule, integrand)
 
     def u(z):
         with np.errstate(all="ignore"):
-            return _finite(spec.g_list[0](z) + over_targets(dom, z, resolution, degree, block))
+            return _finite(spec.g_list[0](z) + transform_sum(dom, terms, z, resolution))
 
     return u
 
@@ -159,16 +151,19 @@ def fd_residual(u, mu: int, nu: int, rhs: ScalarField, points) -> np.ndarray:
 
     The Richardson-extrapolated stencil steps by (1e-12)^(1/(mu+nu+2)) * R,
     balancing truncation against quadrature noise in the sampled values.
+    `u` must be vectorized: it is called once, on the array of every distinct
+    stencil point of every target at both steps.
     """
     dom = rhs.domain
     if not isinstance(dom, DiskDomain):
         raise DomainError("fd_residual needs a disk right-hand side")
     stencil = wirtinger_split(mu, nu)
     step = (1e-12) ** (1.0 / (mu + nu + 2)) * dom.radius
-    out = []
+    points = [complex(z) for z in points]
     for z in points:
-        z = complex(z)
         stencil.check_inside(dom, z, step)
-        val = stencil.apply_richardson(u, z, step)
-        out.append(abs(val - complex(rhs(np.asarray(z)))))
-    return np.array(out)
+    samples = list(dict.fromkeys(complex(p) for z in points for h in (step, step / 2)
+                                 for p in stencil.sample_points(z, h)))
+    u_at = dict(zip(samples, np.asarray(u(np.array(samples, dtype=complex))).ravel())).__getitem__
+    return np.array([abs(stencil.apply_richardson(u_at, z, step) - complex(rhs(np.asarray(z))))
+                     for z in points])

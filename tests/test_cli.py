@@ -557,3 +557,30 @@ def test_kernel_eval_across_radii_prints_a_finite_value_or_one_error_line(expone
     else:
         assert (code, out.getvalue()) == (1, "")
         assert err.getvalue() == "error: kernel value is NaN/Inf\n"
+
+
+@pytest.mark.parametrize("argv", [("op", "apply", "--op", "mixed", "--f", "1+z", "--z", "1"),
+                                  ("solve", "--mu", "1", "--nu", "1", "--rhs", "1", "--z", "1")])
+def test_values_on_the_circle_are_exact(capsys, argv):
+    # T Tbar (1 + z) = |z|^2 - 1 + z (|z|^2 - 1)/2 and u = |z|^2 - 1 vanish on
+    # the circle; the target-centred rule printed 4.8e-6 and 2.4e-6 there
+    code, out = run(capsys, *argv)
+    assert code == 0 and abs(parse_complex(out.strip())) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [("1", "1"), ("2", "2")])
+def test_extent_1_grid_is_exact(capsys, order):
+    # corners on the circle; T Tbar and T^2 Tbar^2 of 1 + z zbar - 2i z^2 exactly
+    from pompeiu.oracle import PolynomialField, exact_transform
+    code, out = run(capsys, "export", "--op", "mixed", "--mu", order[0], "--nu", order[1],
+                    "--f", "1+z*zbar-2i*z^2", "--grid", "9", "--extent", "1")
+    assert code == 0
+    exact = PolynomialField.from_dict({(0, 0): 1, (1, 1): 1, (2, 0): -2j})
+    for _ in range(int(order[1])):
+        exact = exact_transform(exact, 1.0, conjugate=True)
+    for _ in range(int(order[0])):
+        exact = exact_transform(exact, 1.0)
+    rows = np.array([[float(part) for part in line.split(",")]
+                     for line in out.splitlines()[1:]])
+    z, got = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    assert len(rows) == 81 and np.max(np.abs(got - exact(z))) <= 1e-12

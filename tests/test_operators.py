@@ -648,3 +648,72 @@ def test_transforms_within_the_exclusion_radius_of_the_boundary(R, exponent, ang
         assert cmath.isfinite(transform(f, z, *order))
     want = complex(exact_transform(poly, R)(np.asarray(z)))
     assert abs(transform(f, z, 1, 0) - want) <= 1e-13 * R
+
+
+# ---------------------------------------------------------------------------
+# The disk-centred core (default counts, fields of finite degree)
+# ---------------------------------------------------------------------------
+
+def exact_composition(poly, mu, nu, radius):
+    for _ in range(nu):
+        poly = exact_transform(poly, radius, conjugate=True)
+    for _ in range(mu):
+        poly = exact_transform(poly, radius)
+    return poly
+
+
+#: the degree-(2, 2) field with unit-modulus coefficients of scripts/rule_table.py, seed 0
+NEAR_FIELD = PolynomialField(np.exp(2j * np.pi * np.random.default_rng(0).random((3, 3))))
+
+
+@pytest.mark.parametrize("order, R", [((1, 1), 1.0), ((2, 2), 1.0), ((2, 2), 2.5)])
+@pytest.mark.parametrize("ratio", [0.99, 0.999, 1 - 1e-6, 1.0])
+def test_default_counts_hold_up_to_the_circle(order, R, ratio):
+    # the near-boundary cells, five angles each: the target-centred rule at its
+    # table's counts read up to 1.1e-5 at (1,1) and 3.8e-6 at (2,2), R = 2.5
+    f = NEAR_FIELD.to_field(DiskDomain(R))
+    z = ratio * R * np.exp(1j * (0.3 + 2 * np.pi * np.arange(5) / 5))
+    want = exact_composition(NEAR_FIELD, *order, R)(z)
+    got = transform(f, z, *order)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("order", [(1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1)])
+def test_core_matches_the_target_centred_rule_inside(order):
+    # two independent quadratures of the same integral at interior points
+    poly = PolynomialField(np.random.default_rng(4).standard_normal((3, 3)) + 0.5j)
+    f = poly.to_field(DISK)
+    z = np.array(interior_points(6, 8, 0.9))
+    assert np.allclose(transform(f, z, *order), transform(f, z, *order, (64, 128)),
+                       rtol=0, atol=1e-12)
+
+
+def test_huge_degree_is_refused_before_sampling():
+    # 1,000 modes would need about 4 million samples per target: refused,
+    # without allocating them
+    f = field_from_expression("(z+zbar)^999", DISK)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match="CORE_TARGET_CAP"):
+            transform(f, np.array([0.1, 0.2j]), 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert cmath.isfinite(transform(f, 0.1, 1, 0, (16, 32)))   # explicit counts: the rule
+
+
+def test_core_memory_is_bounded_by_its_chunks():
+    # a degree-40 field on 400 targets: chunks of at most CORE_BLOCK elements
+    f = field_from_expression("zbar^40+z^20*zbar^20", DISK)
+    z = 0.9 * np.exp(2j * np.pi * np.arange(400) / 400)
+    tracemalloc.start()
+    try:
+        got = transform(f, z, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pompeiu.operators.CORE_BLOCK * 16
+    # T Tbar zbar^40 = z zbar^41/41 - zbar^40/40, T Tbar |z|^40 = (|z|^42 - 1)/441
+    want = z * np.conj(z) ** 41 / 41 - np.conj(z) ** 40 / 40 + (abs(z) ** 42 - 1) / 441
+    assert np.max(np.abs(got - want)) <= 1e-12

@@ -5,6 +5,7 @@ not `main`, so a public name a script uses cannot disappear unnoticed.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,17 @@ def test_rule_table_smoke(capsys):
     assert lines[3].split()[:2] == ["0.5", "8x16"]
     # the table's default reaches round-off on a degree-1 field
     assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
+
+
+def test_transform_accuracy_smoke(capsys):
+    # one seed, field degree plus orders <= 2: the core at round-off up to the
+    # circle, where the target-centred rule's (1,1) loses digits
+    module = load(SCRIPTS[0].parent / "transform_accuracy.py")
+    module.main(["--seeds", "1", "--band", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report["entries"]) == ["0,1", "0,2", "1,0", "1,1", "2,0"]
+    assert report["core"] <= 1e-14 and report["rule"] > 1e-9
+    assert report["core"] == max(core for core, _ in report["entries"].values())
 
 
 def test_biharmonic_demo_writes_its_grid(tmp_path, capsys):

@@ -213,19 +213,26 @@ def test_fd_residual_near_boundary_raises():
         fd_residual(u, 1, 1, rhs, [0.9999 + 0j])
 
 
-def test_solve_pde_keys_the_default_counts_by_its_densities(monkeypatch):
-    # the rule serves the highest density degree plus mu + nu, a bound on every
-    # term's density degree plus its kernel entry's orders
-    import pompeiu.solver as solver
-    seen = []
-    real = solver.build_area_rule
-    monkeypatch.setattr(solver, "build_area_rule",
-                        lambda *args: seen.append(args[3]) or real(*args))
+def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
+    # each density's band, its degree plus its table entry's orders, sets the
+    # disk-centred core's radial nodes per panel (band) and angles (2 band + 2):
+    # A at (nu, mu), g_j at (j, 0), conj(f_i) at (nu, i); a density of unknown
+    # degree sends the sum to the target-centred rule at degree inf
+    import pompeiu.operators as operators
+    shapes, degrees = [], []
+    sample, rule = operators.sample, operators.build_area_rule
+    monkeypatch.setattr(operators, "sample",
+                        lambda f, nodes: shapes.append(nodes.shape[2:]) or sample(f, nodes))
+    monkeypatch.setattr(operators, "build_area_rule",
+                        lambda *args: degrees.append(args[3]) or rule(*args))
     rhs = field_from_expression("z*zbar", DISK)
-    g1 = HolomorphicPolynomial((0, 0, 0, 1))
+    cube, square = HolomorphicPolynomial((0, 0, 0, 1)), HolomorphicPolynomial((0, 0, 1))
     zero = HolomorphicPolynomial.zero()
     solve_pde(SolutionSpec(2, 2, rhs, (zero, zero), (zero, zero)))(0.3)
-    solve_pde(SolutionSpec(1, 2, rhs, (zero, g1), (zero,)))(0.3)
+    solve_pde(SolutionSpec(1, 2, rhs, (zero, cube), (zero,)))(0.3)
+    solve_pde(SolutionSpec(2, 1, rhs, (zero,), (zero, square)))(0.3)
     solve_pde(SolutionSpec(1, 1, None, (zero,), (zero,)), DISK)(0.3)
+    # nodes are (targets, panel, radial node, angle)
+    assert shapes == [(6, 14), (4, 10), (5, 12), (4, 10), (5, 12)] and degrees == []
     solve_pde(SolutionSpec(1, 1, replace(rhs, degree=math.inf), (zero,), (zero,)))(0.3)
-    assert seen == [6, 6, 2, math.inf]
+    assert degrees == [math.inf]
