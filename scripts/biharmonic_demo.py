@@ -9,7 +9,6 @@ import argparse
 
 import numpy as np
 
-from pompeiu.cli import _poly_from_expression
 from pompeiu.geometry import DiskDomain, wirtinger_split
 from pompeiu.operators import evaluate_on_grid, field_from_expression
 from pompeiu.solver import solve_biharmonic
@@ -29,8 +28,8 @@ def main(argv=None):
 
     domain = DiskDomain(args.R)
     rhs = field_from_expression(args.rhs, domain)
-    u = solve_biharmonic(rhs, _poly_from_expression(args.h1),
-                         _poly_from_expression(args.h2), (args.nr, args.ntheta))
+    u = solve_biharmonic(rhs, field_from_expression(args.h1, domain),
+                         field_from_expression(args.h2, domain), (args.nr, args.ntheta))
 
     # residual spot check: Delta^2 = 16 d^2 dbar^2
     stencil = wirtinger_split(2, 2)

@@ -10,9 +10,9 @@ import numpy as np
 
 from pompeiu.geometry import DiskDomain
 from pompeiu.kernels import c3
-from pompeiu.operators import ScalarField, apply_T, field_from_expression
+from pompeiu.operators import ScalarField, apply_T, constant_field, field_from_expression
 from pompeiu.oracle import lemma_lhs_quadrature
-from pompeiu.solver import SolutionSpec, HolomorphicPolynomial, fd_residual, solve_pde
+from pompeiu.solver import SolutionSpec, fd_residual, solve_pde
 
 RESOLUTIONS = [(8, 16), (16, 32), (32, 64), (64, 128), (128, 256)]
 
@@ -41,7 +41,7 @@ def kernel_oracle(a, b, mu, nu, radius):
 
 def pde_residual(domain, pts):
     rhs = field_from_expression("1+z*zbar", domain)
-    zero = HolomorphicPolynomial.zero()
+    zero = constant_field(0, domain)
     spec = SolutionSpec(1, 1, rhs, (zero,), (zero,))
     rows = []
     for res in RESOLUTIONS:

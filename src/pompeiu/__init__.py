@@ -21,14 +21,13 @@ from .operators import (GridField, ScalarField, apply_2T, apply_2Tbar,
                         field_from_expression, transform)
 from .quadrature import (Rule, build_area_rule, build_contour_rule, build_half_rule,
                          integrate)
-from .solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
-                     solve_biharmonic, solve_pde)
+from .solver import SolutionSpec, fd_residual, solve_biharmonic, solve_pde
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AREA_FACTOR", "CoincidentPoints", "DepthCap", "DimensionCap", "DiskDomain",
-    "DomainError", "GridField", "HolomorphicPolynomial", "MultiIndex", "NonFiniteSample",
+    "DomainError", "GridField", "MultiIndex", "NonFiniteSample",
     "NonRealRHS", "OrderTooLarge", "ParseError", "PolydiscDomain",
     "PompeiuError", "ResolutionTooLow", "Rule", "ScalarField", "SolutionSpec",
     "StencilOutOfDomain", "UnknownVariable", "WirtingerStencil",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, operators, oracle, solver
 from .errors import NonFiniteSample, PompeiuError
-from .expressions import parse_complex, parse_expression, pretty, to_coefficients
+from .expressions import parse_complex, pretty
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                         apply_polydisc, apply_S, apply_Sbar, apply_T, evaluate_on_grid,
@@ -238,9 +238,8 @@ def _cmd_solve(args) -> int:
     if args.biharmonic:
         if args.rhs is None:
             raise PompeiuError("--biharmonic needs --rhs")
-        rhs = field_from_expression(args.rhs, domain)
-        h1 = _poly_from_expression(args.h1)
-        h2 = _poly_from_expression(args.h2)
+        rhs, h1, h2 = (field_from_expression(text, domain)
+                       for text in (args.rhs, args.h1, args.h2))
         u = solver.solve_biharmonic(rhs, h1, h2, res)
     else:
         mu, nu = args.mu, args.nu
@@ -249,8 +248,8 @@ def _cmd_solve(args) -> int:
         spec = solver.SolutionSpec(
             mu=mu, nu=nu,
             rhs=None if args.rhs is None else field_from_expression(args.rhs, domain),
-            g_list=tuple(_poly_from_expression(t) for t in g_texts),
-            f_list=tuple(_poly_from_expression(t) for t in f_texts),
+            g_list=tuple(field_from_expression(t, domain) for t in g_texts),
+            f_list=tuple(field_from_expression(t, domain) for t in f_texts),
         )
         u = solver.solve_pde(spec, domain, res)
 
@@ -264,19 +263,6 @@ def _cmd_solve(args) -> int:
         raise PompeiuError("solve needs --z or --grid")
     _emit(format_complex(u(parse_complex(args.z))) + "\n", args.out)
     return 0
-
-
-def _poly_from_expression(text: str) -> solver.HolomorphicPolynomial:
-    coeffs = to_coefficients(parse_expression(text), 1)
-    degree = 0
-    for ((p, q),) in coeffs:
-        if q != 0:
-            raise PompeiuError(f"free functions must be holomorphic; {text!r} uses zbar")
-        degree = max(degree, p)
-    dense = [0j] * (degree + 1)
-    for ((p, _),), v in coeffs.items():
-        dense[p] = v
-    return solver.HolomorphicPolynomial(tuple(dense))
 
 
 def _cmd_export(args) -> int:
@@ -354,8 +340,8 @@ def _suite_pde(args, report) -> int:
     domain = DiskDomain(args.R)
     failures = 0
     rhs = operators.constant_field(4.0, domain)
-    spec = solver.SolutionSpec(1, 1, rhs, (solver.HolomorphicPolynomial.zero(),),
-                               (solver.HolomorphicPolynomial.zero(),))
+    zero = operators.constant_field(0, domain)
+    spec = solver.SolutionSpec(1, 1, rhs, (zero,), (zero,))
     u = solver.solve_pde(spec, resolution=(args.nr, args.ntheta))
     pts = [_interior_point(rng, 0.5 * args.R) for _ in range(3)]
     res = solver.fd_residual(u, 1, 1, rhs, pts)

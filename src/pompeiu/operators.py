@@ -9,8 +9,8 @@ at 0 as the closed-form kernels assume.  At the default counts, for fields
 of finite degree, they take the disk-centred core `_disk_core`, exact per
 angular mode up to and on the circle.  Otherwise each target gets its polar
 area rule (`build_area_rule`, a None count from `quadrature.RESOLUTION_TABLE`)
-and the kernel its `log_shift`, in (T x N) blocks (`over_targets`) that
-PMP_THREADS workers take whole, each row reduced in a fixed order.
+and the kernel its `log_shift`, in (T x N) blocks (`over_targets`) taken in
+order in the calling thread, each row reduced in a fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 `apply_polydisc` sums one-disk moments of an expression field's monomials.
@@ -24,7 +24,6 @@ import cmath
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -55,7 +54,8 @@ class ScalarField:
     `evaluator` must be total on the closed domain and vectorized: it takes
     one complex array per domain factor, the arrays broadcastable against
     each other, and returns an array of their broadcast shape or a 0-d value.
-    `expression`, if any, is the parsed polynomial it computes (`apply_polydisc`).
+    `expression`, if any, is the parsed polynomial it computes (`apply_polydisc`
+    and the solver's free data read it).
     `degree` bounds its total degree in every w_j and conj(w_j) (inf: unknown).
     """
 
@@ -102,8 +102,7 @@ def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
     """`block(zs, counts)`, the values at a 1-D array of targets given their
     `rule_counts`, over `z`: a complex (giving a complex) or an array (an array
     of its shape).  Targets of equal counts form blocks, in order, of at most
-    BLOCK_NODES nodes (or one target); PMP_THREADS workers take whole blocks,
-    so no value depends on them."""
+    BLOCK_NODES nodes (or one target), evaluated one after another."""
     targets = np.asarray(z, dtype=complex).ravel()
     groups: dict[tuple, list[int]] = {}
     for i, counts in enumerate(rule_counts(domain, targets, resolution, degree).tolist()):
@@ -114,15 +113,9 @@ def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
         starts = range(0, len(index), size)
         block_counts += [counts] * len(starts)
         blocks += [index[k:k + size] for k in starts]
-    batches = [targets[index] for index in blocks]
-    if len(blocks) > 1 and (workers := worker_count()) > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(block, batches, block_counts))
-    else:
-        results = map(block, batches, block_counts)
     values = np.empty(targets.shape, dtype=complex)
-    for index, value in zip(blocks, results):
-        values[index] = value
+    for index, counts in zip(blocks, block_counts):
+        values[index] = block(targets[index], counts)
     return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
 
 
@@ -135,7 +128,7 @@ def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION
     return transform_sum(f.domain, [((mu, nu), f)], z, resolution)
 
 
-def transform_sum(domain, terms, z, resolution=DEFAULT_RESOLUTION):
+def transform_sum(domain, terms, z, resolution):
     """The sum of T^mu Tbar^nu f(z) over `terms`, ((mu, nu), f) pairs of fields
     on `domain`; z a complex or an array.  The disk-centred core at the default
     counts with every degree finite, else one polar rule per target (at the
@@ -413,7 +406,8 @@ class GridField:
 
 
 def worker_count() -> int:
-    """Grid workers from PMP_THREADS (default 1); anything but a positive integer raises."""
+    """PMP_THREADS (default 1), which changes neither values nor speed: every
+    block runs in the calling thread.  Anything but a positive integer raises."""
     text = os.environ.get("PMP_THREADS", "1")
     try:
         count = int(text)

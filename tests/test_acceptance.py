@@ -16,11 +16,10 @@ from pompeiu.operators import (ScalarField, apply_conjugate_dual, apply_mixed,
                                constant_field, field_from_expression)
 from pompeiu.oracle import (NestedOracle, PolynomialField, check_norm_bound,
                             lemma_lhs_quadrature)
-from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
-                            solve_pde)
+from pompeiu.solver import SolutionSpec, fd_residual, solve_pde
 
 DISK = DiskDomain(1.0)
-ZERO = HolomorphicPolynomial.zero()
+ZERO = constant_field(0, DISK)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:

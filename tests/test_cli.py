@@ -184,6 +184,17 @@ def test_solve_wrong_free_function_count(capsys):
 def test_solve_rejects_antiholomorphic_free_function(capsys):
     code = run_command(["solve", "--mu", "1", "--nu", "1", "--g", "zbar", "--z", "0"])
     assert code == 1
+    code = run_command(["solve", "--g", "z^2 + 0.5i*zbar", "--z", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: free functions must be holomorphic; 'z^2+0.5i*zbar' uses zbar"
+
+
+def test_solve_free_function_of_any_degree(capsys):
+    # free data are expressions, with no degree cap of their own
+    code, out = run(capsys, "solve", "--g", "z^21", "--z", "0.1")
+    assert code == 0
+    assert parse_complex(out.strip()) == pytest.approx(0.1 ** 21, rel=1e-14)
 
 
 def test_solve_biharmonic_harmonic_part(capsys):

@@ -24,7 +24,7 @@ from pompeiu.kernels import TWO_PI_I
 from pompeiu.oracle import PolynomialField, exact_transform, polydisc_tensor
 from pompeiu.cli import run_command
 from pompeiu.quadrature import build_area_rule, build_contour_rule, integrate
-from pompeiu.solver import HolomorphicPolynomial, SolutionSpec, solve_biharmonic, solve_pde
+from pompeiu.solver import SolutionSpec, solve_biharmonic, solve_pde
 
 DISK = DiskDomain(1.0)
 RES = (64, 128)
@@ -466,7 +466,7 @@ def test_disk_operators_reject_a_shifted_disk():
     with pytest.raises(TypeError):
         DiskDomain(1.0, 0.5 + 0.2j)
     one = constant_field(1.0, PolydiscDomain(1, 1.0))
-    zero = HolomorphicPolynomial.zero()
+    zero = constant_field(0, one.domain)
     solution = solve_pde(SolutionSpec(1, 1, one, (zero,), (zero,)))
     for evaluate in (lambda: transform(one, 0.1, 1, 1), lambda: apply_T(one, 0.1),
                      lambda: apply_2T(one, 0.1), lambda: solution(0.1)):
@@ -477,7 +477,7 @@ def test_disk_operators_reject_a_shifted_disk():
 def test_disk_values_retain_no_rules():
     # each target's rule is built for it and dropped when the value is done
     f = field_from_expression("1+z*zbar", DISK)
-    zero = HolomorphicPolynomial.zero()
+    zero = constant_field(0, DISK)
     u = solve_pde(SolutionSpec(1, 1, f, (zero,), (zero,)))
     evaluators = (lambda z: transform(f, z, 2, 2), lambda z: apply_2T(f, z), u)
     for evaluate in evaluators:
@@ -536,23 +536,21 @@ def test_default_resolution_follows_the_field_degree(l):
 # ---------------------------------------------------------------------------
 
 def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch, capsys):
-    # real transform grids, whose blocks of targets the workers share: a (2,2)
-    # solve and a (1,1) export, byte-identical at every thread count
+    # real transform grids, byte-identical at every PMP_THREADS value: a (2,2)
+    # solve and a (1,1) export take the disk-centred core, and the explicit-count
+    # export runs the target-centred rule over 19 blocks of `over_targets`
     commands = (["solve", "--mu", "2", "--nu", "2", "--rhs", "1+z*zbar", "--grid", "17"],
-                ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17"])
+                ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17"],
+                ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17",
+                 "--nr", "16", "--ntheta", "32"])
     outputs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # threads interleave as often as they can
-    try:
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("PMP_THREADS", threads)
-            for argv in commands:
-                assert run_command(argv) == 0
-            outputs[threads] = capsys.readouterr().out
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PMP_THREADS", threads)
+        for argv in commands:
+            assert run_command(argv) == 0
+        outputs[threads] = capsys.readouterr().out
     assert outputs["1"] == outputs["2"] == outputs["3"]
-    assert len(outputs["1"].splitlines()) == 2 * (1 + 17 * 17)
+    assert len(outputs["1"].splitlines()) == 3 * (1 + 17 * 17)
 
 
 #: targets across every RESOLUTION_TABLE row, the circle included
@@ -564,10 +562,11 @@ def test_batched_values_match_single_targets():
     # one (T x N) pass per block against one pass per target: the same
     # arithmetic on arrays of other shapes, so equal to round-off
     f = field_from_expression("1+z*zbar-2i*z^2+zbar^3", DISK)
-    zero = HolomorphicPolynomial.zero()
-    u = solve_pde(SolutionSpec(2, 2, f, (zero, HolomorphicPolynomial((0, 1j))), (zero, zero)))
+    zero = constant_field(0, DISK)
+    u = solve_pde(SolutionSpec(2, 2, f, (zero, field_from_expression("1i*z", DISK)),
+                               (zero, zero)))
     v = solve_biharmonic(field_from_expression("1+z*zbar", DISK), zero,
-                         HolomorphicPolynomial((0, 0, 1)))
+                         field_from_expression("z^2", DISK))
     evaluators = [lambda z, order=order: transform(f, z, *order)
                   for order in ((1, 0), (0, 2), (1, 1), (2, 2), (3, 1))] + [u, v]
     for evaluate in evaluators:

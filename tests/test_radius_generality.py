@@ -9,8 +9,7 @@ from pompeiu.operators import (apply_mixed, apply_S, apply_T, constant_field,
                                field_from_expression)
 from pompeiu.oracle import (NestedOracle, PolynomialField, exact_transform,
                             lemma_lhs_quadrature)
-from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
-                            solve_biharmonic, solve_pde)
+from pompeiu.solver import SolutionSpec, fd_residual, solve_biharmonic, solve_pde
 
 RADII = [0.5, 2.5]
 
@@ -55,7 +54,7 @@ def test_nested_vs_closed_scales(R):
 def test_solver_residual_scales(R):
     d = DiskDomain(R)
     rhs = field_from_expression("1+z*zbar", d)
-    zero = HolomorphicPolynomial.zero()
+    zero = constant_field(0, d)
     u = solve_pde(SolutionSpec(1, 1, rhs, (zero,), (zero,)))
     pts = [0.3 * R, 0.2j * R]
     res = fd_residual(u, 1, 1, rhs, pts)
@@ -67,7 +66,7 @@ def test_solver_residual_scales(R):
 def test_biharmonic_scales(R):
     d = DiskDomain(R)
     rhs = constant_field(16.0, d)
-    zero = HolomorphicPolynomial.zero()
+    zero = constant_field(0, d)
     u = solve_biharmonic(rhs, zero, zero)
     stencil = wirtinger_split(2, 2)
     h = (1e-12) ** (1 / 6) * R

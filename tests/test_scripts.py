@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from pompeiu.geometry import DiskDomain
-from pompeiu.operators import field_from_expression
-from pompeiu.solver import HolomorphicPolynomial, solve_biharmonic
+from pompeiu.operators import constant_field, field_from_expression
+from pompeiu.solver import solve_biharmonic
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -67,8 +67,8 @@ def test_biharmonic_demo_writes_its_grid(tmp_path, capsys):
     assert all(line.endswith("(target 16.000000)") for line in printed[:3])
     rows = [[float(part) for part in line.split(",")] for line in out.read_text().splitlines()[1:]]
     domain = DiskDomain(1.0)
-    u = solve_biharmonic(field_from_expression("16", domain), HolomorphicPolynomial.zero(),
-                         HolomorphicPolynomial((0, 0, 1)), (16, 32))
+    u = solve_biharmonic(field_from_expression("16", domain), constant_field(0, domain),
+                         field_from_expression("z^2", domain), (16, 32))
     assert len(rows) == 9
     for x, y, re, im in rows:
         assert im == 0.0 and re == pytest.approx(u(complex(x, y)), rel=1e-14, abs=1e-15)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,21 +7,20 @@ import pytest
 
 from pompeiu.errors import DomainError, NonFiniteSample, NonRealRHS, StencilOutOfDomain
 from pompeiu.geometry import DiskDomain, wirtinger_split
-from pompeiu.operators import apply_mixed, constant_field, field_from_expression
-from pompeiu.solver import (HolomorphicPolynomial, SolutionSpec, fd_residual,
-                            solve_biharmonic, solve_pde)
+from pompeiu.operators import (ScalarField, apply_mixed, constant_field,
+                               field_from_expression)
+from pompeiu.solver import SolutionSpec, fd_residual, solve_biharmonic, solve_pde
 
 DISK = DiskDomain(1.0)
-ZERO = HolomorphicPolynomial.zero()
+ZERO = constant_field(0, DISK)
 PTS = [0.1 + 0.2j, -0.25 + 0.1j, 0.3 - 0.15j]
 
 
-def test_polynomial_horner_and_caps():
-    p = HolomorphicPolynomial((1, 2, 3))  # 1 + 2z + 3z^2
-    assert complex(p(np.asarray(0.5 + 0j))) == pytest.approx(1 + 1 + 0.75)
-    assert HolomorphicPolynomial((0, 0, 0, 1))(np.asarray(2 + 0j)) == pytest.approx(8)
-    with pytest.raises(DomainError):
-        HolomorphicPolynomial((0,) * 22)
+def poly(coefficients, domain=DISK):
+    """The expression field sum_k c_k z^k on `domain`."""
+    text = "+".join(f"({complex(c).real!r}+{complex(c).imag!r}i)*z^{k}"
+                    for k, c in enumerate(coefficients))
+    return field_from_expression(text, domain)
 
 
 def test_solution_spec_validates_lengths():
@@ -33,7 +33,7 @@ def test_solution_spec_validates_lengths():
 
 def test_homogeneous_holomorphic_data_passes_through():
     # mu = nu = 1, g0(z) = z: u is that holomorphic function itself
-    spec = SolutionSpec(1, 1, None, (HolomorphicPolynomial((0, 1)),), (ZERO,))
+    spec = SolutionSpec(1, 1, None, (field_from_expression("z", DISK),), (ZERO,))
     u = solve_pde(spec, DISK)
     for z in PTS:
         assert u(z) == pytest.approx(z, abs=1e-12)
@@ -44,7 +44,7 @@ def test_homogeneous_holomorphic_data_passes_through():
 
 def test_homogeneous_conjugate_data():
     # g0 = 0, f0 = 1: u = T(conj(1)) = zbar, so d dbar u = 0
-    spec = SolutionSpec(1, 1, None, (ZERO,), (HolomorphicPolynomial((1,)),))
+    spec = SolutionSpec(1, 1, None, (ZERO,), (constant_field(1, DISK),))
     u = solve_pde(spec, DISK)
     for z in PTS:
         assert u(z) == pytest.approx(np.conj(z), abs=1e-9)
@@ -54,8 +54,7 @@ def test_homogeneous_conjugate_data():
 
 def test_homogeneous_second_order_random_data():
     rng = np.random.default_rng(31)
-    polys = [HolomorphicPolynomial(tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-             for _ in range(4)]
+    polys = [poly(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(4)]
     spec = SolutionSpec(2, 2, None, tuple(polys[:2]), tuple(polys[2:]))
     u = solve_pde(spec, DISK)
     res = fd_residual(u, 2, 2, constant_field(0.0, DISK), PTS)
@@ -74,8 +73,8 @@ def test_pde_with_unit_rhs_matches_mixed_transform():
 
 
 def test_pde_zero_rhs_reduces_to_homogeneous():
-    g0 = HolomorphicPolynomial((0.5, 1j))
-    f0 = HolomorphicPolynomial((0.25,))
+    g0 = field_from_expression("0.5+1i*z", DISK)
+    f0 = constant_field(0.25, DISK)
     zero_rhs = constant_field(0.0, DISK)
     spec_zero = SolutionSpec(1, 1, zero_rhs, (g0,), (f0,))
     spec_none = SolutionSpec(1, 1, None, (g0,), (f0,))
@@ -106,8 +105,8 @@ def test_pde_constant_rhs_residual():
 def test_pde_completeness_linearity():
     rng = np.random.default_rng(32)
     rhs = field_from_expression("1+z*zbar", DISK)
-    g0 = HolomorphicPolynomial(tuple(rng.standard_normal(2)))
-    f0 = HolomorphicPolynomial(tuple(rng.standard_normal(2)))
+    g0 = poly(rng.standard_normal(2))
+    f0 = poly(rng.standard_normal(2))
     full = solve_pde(SolutionSpec(1, 1, rhs, (g0,), (f0,)))
     bare = solve_pde(SolutionSpec(1, 1, rhs, (ZERO,), (ZERO,)))
     hom = solve_pde(SolutionSpec(1, 1, None, (g0,), (f0,)), DISK)
@@ -117,9 +116,9 @@ def test_pde_completeness_linearity():
 
 def test_pde_mixed_orders_residual():
     rhs = field_from_expression("z+zbar", DISK)
-    g0 = HolomorphicPolynomial((0.3 + 0.1j, 0.5))
-    f0 = HolomorphicPolynomial((0.2,))
-    f1 = HolomorphicPolynomial((0.1, 0.4j))
+    g0 = field_from_expression("0.3+0.1i+0.5*z", DISK)
+    f0 = constant_field(0.2, DISK)
+    f1 = field_from_expression("0.1+0.4i*z", DISK)
     spec = SolutionSpec(2, 1, rhs, (g0,), (f0, f1))
     u = solve_pde(spec)
     res = fd_residual(u, 2, 1, rhs, PTS)
@@ -140,7 +139,7 @@ def biharmonic_fd(u, z, h=None):
 def test_biharmonic_harmonic_part_only():
     # A = 0, h2 = z^2: u = Re(z^2) = x^2 - y^2
     zero_rhs = constant_field(0.0, DISK)
-    u = solve_biharmonic(zero_rhs, ZERO, HolomorphicPolynomial((0, 0, 1)))
+    u = solve_biharmonic(zero_rhs, ZERO, field_from_expression("z^2", DISK))
     z = 0.3 + 0.2j
     assert u(z) == pytest.approx(z.real**2 - z.imag**2, abs=1e-12)
     assert abs(biharmonic_fd(u, 0.1 + 0.1j)) < 1e-6
@@ -149,7 +148,7 @@ def test_biharmonic_harmonic_part_only():
 def test_biharmonic_weighted_harmonic_part():
     # h1 = 1: u = |z|^2, whose bilaplacian vanishes
     zero_rhs = constant_field(0.0, DISK)
-    u = solve_biharmonic(zero_rhs, HolomorphicPolynomial((1,)), ZERO)
+    u = solve_biharmonic(zero_rhs, constant_field(1, DISK), ZERO)
     z = 0.4 - 0.1j
     assert u(z) == pytest.approx(abs(z) ** 2, abs=1e-12)
     assert abs(biharmonic_fd(u, 0.2 - 0.1j)) < 1e-6
@@ -184,11 +183,11 @@ def test_non_finite_solution_value_raises():
     # the integral part is finite (zero right-hand side), the free polynomial
     # overflows at the target
     big = DiskDomain(1e150)
-    cube = HolomorphicPolynomial((0, 0, 0, 1))
-    u = solve_biharmonic(constant_field(0.0, big), ZERO, cube)
+    zero, cube = constant_field(0, big), field_from_expression("z^3", big)
+    u = solve_biharmonic(zero, zero, cube)
     with pytest.raises(NonFiniteSample, match="solution value"):
         u(1e120)
-    spec = SolutionSpec(1, 1, constant_field(0.0, big), (cube,), (ZERO,))
+    spec = SolutionSpec(1, 1, zero, (cube,), (zero,))
     with pytest.raises(NonFiniteSample, match="solution value"):
         solve_pde(spec)(1e120)
 
@@ -217,7 +216,8 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     # each density's band, its degree plus its table entry's orders, sets the
     # disk-centred core's radial nodes per panel (band) and angles (2 band + 2):
     # A at (nu, mu), g_j at (j, 0), conj(f_i) at (nu, i); a density of unknown
-    # degree sends the sum to the target-centred rule at degree inf
+    # degree sends the sum to the target-centred rule at degree inf; a zero datum,
+    # however spelled, takes no pass
     import pompeiu.operators as operators
     shapes, degrees = [], []
     sample, rule = operators.sample, operators.build_area_rule
@@ -226,9 +226,9 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     monkeypatch.setattr(operators, "build_area_rule",
                         lambda *args: degrees.append(args[3]) or rule(*args))
     rhs = field_from_expression("z*zbar", DISK)
-    cube, square = HolomorphicPolynomial((0, 0, 0, 1)), HolomorphicPolynomial((0, 0, 1))
-    zero = HolomorphicPolynomial.zero()
-    solve_pde(SolutionSpec(2, 2, rhs, (zero, zero), (zero, zero)))(0.3)
+    cube, square = field_from_expression("z^3", DISK), field_from_expression("z^2", DISK)
+    zero, cancelled = ZERO, field_from_expression("z^2-z*z", DISK)
+    solve_pde(SolutionSpec(2, 2, rhs, (zero, cancelled), (cancelled, zero)))(0.3)
     solve_pde(SolutionSpec(1, 2, rhs, (zero, cube), (zero,)))(0.3)
     solve_pde(SolutionSpec(2, 1, rhs, (zero,), (zero, square)))(0.3)
     solve_pde(SolutionSpec(1, 1, None, (zero,), (zero,)), DISK)(0.3)
@@ -236,3 +236,39 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     assert shapes == [(6, 14), (4, 10), (5, 12), (4, 10), (5, 12)] and degrees == []
     solve_pde(SolutionSpec(1, 1, replace(rhs, degree=math.inf), (zero,), (zero,)))(0.3)
     assert degrees == [math.inf]
+
+
+# ---------------------------------------------------------------------------
+# Free data: holomorphic expression fields on the problem's disk
+# ---------------------------------------------------------------------------
+
+def test_free_data_must_be_holomorphic_expressions():
+    mixed = field_from_expression("z^2 + 0.5i*zbar", DISK)
+    message = re.escape("free functions must be holomorphic; 'z^2+0.5i*zbar' uses zbar")
+    with pytest.raises(DomainError, match=message):
+        SolutionSpec(1, 1, None, (ZERO,), (mixed,))
+    with pytest.raises(DomainError, match=message):
+        solve_biharmonic(constant_field(1, DISK), mixed, ZERO)
+    # a callable field carries no expression to check
+    callable_field = ScalarField(lambda w: w, DISK, degree=1)
+    with pytest.raises(DomainError, match="no expression"):
+        SolutionSpec(1, 1, None, (callable_field,), (ZERO,))
+    with pytest.raises(DomainError, match="no expression"):
+        solve_biharmonic(constant_field(1, DISK), ZERO, callable_field)
+    # zbar terms that cancel leave a holomorphic datum
+    u = solve_pde(SolutionSpec(1, 1, None, (field_from_expression("z+zbar-zbar", DISK),),
+                               (ZERO,)), DISK)
+    assert u(0.3 + 0.1j) == pytest.approx(0.3 + 0.1j, abs=1e-15)
+
+
+def test_free_data_must_lie_on_the_problem_disk():
+    # each density is scaled by its own radius, so another disk would be wrong silently
+    other = DiskDomain(2.0)
+    rhs = constant_field(1.0, DISK)
+    with pytest.raises(DomainError, match="differs"):
+        solve_pde(SolutionSpec(1, 1, rhs, (ZERO,), (field_from_expression("z", other),)))
+    with pytest.raises(DomainError, match="differs"):
+        solve_pde(SolutionSpec(1, 1, None, (constant_field(0, other),), (ZERO,)), DISK)
+    with pytest.raises(DomainError, match="differs"):
+        solve_biharmonic(rhs, ZERO, field_from_expression("z^2", other))
+
