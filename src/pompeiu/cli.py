@@ -356,8 +356,7 @@ def _suite_norms(args, report) -> int:
     for alpha in (0.25, 0.5, 0.75):
         coeffs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f = oracle.PolynomialField(coeffs).to_field(domain)
-        rep = oracle.check_norm_bound(f, 1, 1, alpha, resolution=(24, 48),
-                                      sup_points=4, pairs=4, seed=args.seed)
+        rep = oracle.check_norm_bound(f, 1, 1, alpha, sup_points=4, pairs=4, seed=args.seed)
         failures += report(rep.holds, f"norm bound alpha={alpha}", rep.lhs / rep.rhs)
     return failures
 

@@ -90,8 +90,9 @@ def field_from_expression(text: str, domain) -> ScalarField:
     ast = expressions.parse_expression(text)
     n = domain.factors if isinstance(domain, PolydiscDomain) else 1
     expressions.validate_variables(ast, n)
-    return ScalarField(lambda *zs: expressions.evaluate(ast, zs), domain, ast,
-                       expressions.degree(ast))
+    # a Python scalar as its 0-d array: numpy overflows to inf where Python raises
+    return ScalarField(lambda *zs: expressions.evaluate(ast, [np.asarray(z) for z in zs]),
+                       domain, ast, expressions.degree(ast))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +394,11 @@ class GridField:
             raise NonFiniteSample("grid contains non-finite values")
 
     def to_csv_text(self) -> str:
-        # Python floats format faster than numpy scalars, to the same digits
-        xs = self.xs.tolist()
-        rows = (f"{x:.15g},{y:.15g},{v.real:.15g},{v.imag:.15g}"
-                for y, row in zip(self.ys.tolist(), self.values.tolist()) for x, v in zip(xs, row))
+        # Python floats format faster than numpy scalars, to the same digits;
+        # each x and y is formatted once, not once per grid value
+        xs, ys = ([f"{t:.15g}" for t in axis.tolist()] for axis in (self.xs, self.ys))
+        rows = (f"{x},{y},{v.real:.15g},{v.imag:.15g}"
+                for y, row in zip(ys, self.values.tolist()) for x, v in zip(xs, row))
         return "\n".join(["x,y,re,im", *rows]) + "\n"
 
     def to_json_text(self) -> str:

@@ -2,8 +2,9 @@
 
 These are the target-centred rules: they serve transforms at explicit
 counts or of fields of unknown degree, 2T, the polydisc factors and every
-oracle, while the default counts of a field of finite degree take the
-disk-centred core (`operators`), which shares `radial_rule` and `sample`.
+oracle but the norm-bound check, while the default counts of a field of
+finite degree take the disk-centred core (`operators`), which shares
+`radial_rule` and `sample`.
 Area rules are polar about the singularity of the intended integrand: along
 each ray |w - center| = rho(theta) s, s in [0, 1], with rho the distance to
 the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
@@ -76,6 +77,13 @@ def radial_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     moments = np.concatenate([[-1.0], (-1.0) ** (m + 1) / (m * (m + 1))])
     s = (x + 1) / 2
     return s, w / 2, legval(x, (2 * np.arange(n) + 1) * moments) - np.log(s)
+
+
+@lru_cache(maxsize=1)
+def _panel_gauss() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre nodes and weights on [-1, 1] of `build_half_rule`'s
+    angular panels, formed on first use."""
+    return leggauss(8)
 
 
 @lru_cache(maxsize=64)
@@ -190,20 +198,19 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                         for t in (-beta - root, -beta + root))
         arcs = [(a0, a1), (a1, a0 + 2 * np.pi)]
 
-        order = 8
         theta_parts, wt_parts = [], []
-        x, w = leggauss(order)
+        x, w = _panel_gauss()
         for lo, hi in arcs:
             span = hi - lo
-            panels = max(1, round(span / (2 * np.pi) * n_angular / order))
+            panels = max(1, round(span / (2 * np.pi) * n_angular / x.size))
             # cosine-cluster panel edges toward the arc endpoints: the
             # integrand's radial extent is steepest near the bisector-circle
             # corners
             t = np.linspace(0.0, 1.0, panels + 1)
             edges = lo + span * (1.0 - np.cos(np.pi * t)) / 2.0
-            for e0, e1 in zip(edges[:-1], edges[1:]):
-                theta_parts.append((e0 + e1) / 2 + (e1 - e0) / 2 * x)
-                wt_parts.append((e1 - e0) / 2 * w)
+            e0, e1 = edges[:-1, None], edges[1:, None]   # every panel at once
+            theta_parts.append(((e0 + e1) / 2 + (e1 - e0) / 2 * x).ravel())
+            wt_parts.append(((e1 - e0) / 2 * w).ravel())
         theta = np.concatenate(theta_parts)
 
         cos_t, sin_t = np.cos(theta), np.sin(theta)

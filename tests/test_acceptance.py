@@ -266,8 +266,7 @@ def test_criterion_11_norm_bound():
     tightest = np.inf
     for i, (poly, alpha, mu, nu) in enumerate(rows):
         f = poly.to_field(DISK)
-        rep = check_norm_bound(f, mu, nu, alpha, resolution=(24, 48),
-                               sup_points=6, pairs=6, seed=100 + i)
+        rep = check_norm_bound(f, mu, nu, alpha, sup_points=6, pairs=6, seed=100 + i)
         all_hold = all_hold and rep.holds
         if rep.lhs > 0:
             tightest = min(tightest, rep.rhs / rep.lhs)

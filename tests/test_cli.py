@@ -273,6 +273,18 @@ def test_verify_suites_pass(capsys, suite):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("seed, text", [
+    (0, "PASS norm bound alpha=0.25 (2.31e-05)\nPASS norm bound alpha=0.5 (4.44e-05)\n"
+        "PASS norm bound alpha=0.75 (2.25e-05)\n"),
+    (1, "PASS norm bound alpha=0.25 (2.08e-05)\nPASS norm bound alpha=0.5 (5.47e-05)\n"
+        "PASS norm bound alpha=0.75 (2.86e-05)\n"),
+    (2, "PASS norm bound alpha=0.25 (1.76e-05)\nPASS norm bound alpha=0.5 (4.89e-05)\n"
+        "PASS norm bound alpha=0.75 (2.81e-05)\n")])
+def test_verify_norms_prints_its_pinned_measures(capsys, seed, text):
+    # the text the suite printed when its stencil values came from (24, 48) rules
+    assert run(capsys, "verify", "--suite", "norms", "--seed", str(seed)) == (0, text)
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_command(["op", "apply", "--op", "bogus", "--f", "1", "--z", "0"])

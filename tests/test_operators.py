@@ -150,6 +150,19 @@ def test_2T_non_finite_target_value_raises():
         apply_2T(f, 1e120)
 
 
+@pytest.mark.parametrize("domain, text, zs", [
+    (DiskDomain(1e150), "z^3 + zbar", (1e120,)),
+    (DiskDomain(1e150), "z^3 + zbar", (1e120 + 1e119j,)),
+    (DISK, "z^2*zbar - 3", (0.3 - 0.2j,)),
+    (PolydiscDomain(2, 1e150), "z1*z2bar^2", (1e100, 1e120j))])
+def test_expression_field_takes_a_scalar_as_its_0d_array(domain, text, zs):
+    # Python's complex power raises OverflowError where numpy's gives inf
+    f = field_from_expression(text, domain)
+    with np.errstate(all="ignore"):
+        got, want = f(*zs), f(*map(np.asarray, zs))
+    np.testing.assert_array_equal(got, want)
+
+
 def test_2Tbar_mirrors_2T():
     rng = np.random.default_rng(14)
     poly = PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))

@@ -9,7 +9,9 @@ from pompeiu.geometry import DiskDomain, MultiIndex, PolydiscDomain, wirtinger_s
 from pompeiu.kernels import c1, c2, c3, log_term
 from pompeiu.operators import (ScalarField, apply_mixed, apply_polydisc, apply_T,
                                constant_field, field_from_expression)
+from pompeiu import operators as operators_module
 from pompeiu import oracle as oracle_module
+from pompeiu import quadrature as quadrature_module
 from pompeiu.oracle import (MAX_POLY_DEGREE, MIN_PAIR_SEPARATION, NESTED_GRID_SHAPE,
                             NESTED_RESOLUTION, NestedOracle, PolynomialField, _GRID_PHASES,
                             _rotation_sum, bound_constants, check_norm_bound,
@@ -439,7 +441,7 @@ def _hoelder_per_tuple(f, alpha, k, sample_budget, seed):
         idx = sorted(rng.choice(n, size=k, replace=False).tolist()) if k < n else list(range(n))
         primes = {}
         for j in idx:
-            while abs((cand := draw()) - base[j]) < MIN_PAIR_SEPARATION * radius:
+            while abs((cand := draw()) - base[j]) < oracle_module.MIN_PAIR_SEPARATION * radius:
                 pass
             primes[j] = cand
         total = 0j
@@ -451,14 +453,20 @@ def _hoelder_per_tuple(f, alpha, k, sample_budget, seed):
     return best
 
 
-@pytest.mark.parametrize("domain, text, k", [
-    (DISK, "zbar^3 + 2*z*zbar - z", 1),
-    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 1),
-    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 2),
-    (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3", 3)])
-def test_hoelder_batched_matches_a_per_tuple_loop(domain, text, k):
+_POLY3 = (PolydiscDomain(3, 1.3), "z1^2*z2bar*z3 - 3*z1bar*z2^2 + z3bar^3")
+_HOELDER_CASES = [(DISK, "zbar^3 + 2*z*zbar - z", 1), (*_POLY3, 1), (*_POLY3, 2), (*_POLY3, 3)]
+
+
+# at separation 0.5 R some partners are drawn again (first in tuple 6 on the
+# disk, tuple 1 on the polydisc), and the one-call draw (k = n) rewinds to that row
+@pytest.mark.parametrize("domain, text, k, separation", [
+    pytest.param(*case, separation, id=f"{prefix}domain{i}-{case[1]}-{case[2]}")
+    for separation, prefix in ((MIN_PAIR_SEPARATION, ""), (0.5, "separation0.5-"))
+    for i, case in enumerate(_HOELDER_CASES)])
+def test_hoelder_batched_matches_a_per_tuple_loop(monkeypatch, domain, text, k, separation):
     # the sampler draws every tuple first, then calls f once per corner of the
     # difference cube; the result is the per-tuple scalar loop's
+    monkeypatch.setattr(oracle_module, "MIN_PAIR_SEPARATION", separation)
     f = field_from_expression(text, domain)
     got = hoelder_seminorm(f, 0.4, k=k, sample_budget=60, seed=5)
     want = _hoelder_per_tuple(f, 0.4, k, 60, 5)
@@ -472,13 +480,13 @@ def test_hoelder_batched_matches_a_per_tuple_loop(domain, text, k):
 
 def test_norm_bound_zero_field():
     zero = constant_field(0.0, DISK)
-    rep = check_norm_bound(zero, 1, 1, 0.5, resolution=(16, 32), sup_points=3, pairs=3)
+    rep = check_norm_bound(zero, 1, 1, 0.5, sup_points=3, pairs=3)
     assert rep.holds and rep.lhs == 0.0
 
 
 def test_norm_bound_constant_field():
     one = constant_field(1.0, DISK)
-    rep = check_norm_bound(one, 1, 1, 0.5, resolution=(24, 48), sup_points=4, pairs=4)
+    rep = check_norm_bound(one, 1, 1, 0.5, sup_points=4, pairs=4)
     assert rep.holds
     # the bound constant alone dwarfs the achievable lhs
     assert rep.rhs / max(rep.lhs, 1e-12) > 100
@@ -488,8 +496,20 @@ def test_norm_bound_random_polynomial():
     rng = np.random.default_rng(23)
     poly = PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     f = poly.to_field(DISK)
-    rep = check_norm_bound(f, 2, 1, 0.5, resolution=(24, 48), sup_points=4, pairs=4)
+    rep = check_norm_bound(f, 2, 1, 0.5, sup_points=4, pairs=4)
     assert rep.holds
+
+
+def test_norm_bound_of_a_finite_degree_field_builds_no_area_rule(monkeypatch):
+    # every stencil value comes from the disk-centred core
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_area_rule called")
+    for module in (quadrature_module, operators_module, oracle_module):
+        monkeypatch.setattr(module, "build_area_rule", refuse)
+    rng = np.random.default_rng(29)
+    f = PolynomialField(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).to_field(DISK)
+    for mu, nu in ((1, 1), (2, 1), (2, 2)):
+        assert check_norm_bound(f, mu, nu, 0.5, sup_points=4, pairs=4).holds
 
 
 def test_norm_bound_order_cap():
