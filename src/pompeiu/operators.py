@@ -7,10 +7,12 @@ powers and `apply_mixed` are its aliases, and `transform_sum` sums entries
 over several fields.  Disk operators take a field on a `DiskDomain`, centred
 at 0 as the closed-form kernels assume.  At the default counts, for fields
 of finite degree, they take the disk-centred core `_disk_core`, exact per
-angular mode up to and on the circle.  Otherwise each target gets its polar
-area rule (`build_area_rule`, a None count from `quadrature.RESOLUTION_TABLE`)
-and the kernel its `log_shift`, in (T x N) blocks (`over_targets`) taken in
-order in the calling thread, each row reduced in a fixed order.
+angular mode up to and on the circle: its radial work runs once per distinct
+target radius, then each target takes its phases and monomials.  Otherwise
+each target gets its polar area rule (`build_area_rule`, a None count from
+`quadrature.RESOLUTION_TABLE`) and the kernel its `log_shift`, in (T x N)
+blocks (`over_targets`) taken in order in the calling thread, each row
+reduced in a fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 `apply_polydisc` sums one-disk moments of an expression field's monomials.
@@ -38,11 +40,11 @@ from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_
 
 #: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
-#: `_disk_core` takes targets in chunks whose largest array (field samples, or
-#: mode weights per potential) holds at most CORE_BLOCK elements, or one target
-#: (1 << 14 ran solve_grid about 15% faster but peaked 0.5 MB above the
-#: target-centred rules' run); a target needing more than CORE_TARGET_CAP elements
-#: raises OrderTooLarge
+#: `_disk_core` takes distinct radii, then targets, in chunks whose largest
+#: array (field samples or mode weights per radius; phases and monomials per
+#: target) holds at most CORE_BLOCK elements, or one radius or target (1 << 14
+#: ran solve_grid about 18% faster in-process but traced 0.5 MB more); a target
+#: needing more than CORE_TARGET_CAP elements raises OrderTooLarge
 CORE_BLOCK = 1 << 13
 CORE_TARGET_CAP = 1 << 20
 
@@ -185,68 +187,85 @@ def _disk_core(domain: DiskDomain, terms, z):
     SIAM J. Sci. Stat. Comput. 13, 1992; Daripa & Mashat, Numer. Algorithms
     18, 1998).  With a = r e^{i alpha} and t = min(r, rho)/max(r, rho), mode j
     of -log|a - b|^2, 1/(b - a) and 1/(conj b - conj a) weighs t^|j| e^{i j alpha},
-    and log(1 - a conj b) = -sum (a conj b)^j / j.  f is sampled on 2 band + 2
-    angles (band = d + mu + nu) at `band` Gauss nodes on [0, r] and [r, R] per
-    target, and on [0, R] once per chunk; one FFT gives its modes F_k, |k| <= d,
-    and b^p conj(b)^q f is F shifted by p - q times rho^(p+q), so the panels
-    integrate every radial integrand exactly.  Mode 0's log rho is [0, R]'s
-    integral less [0, r]'s (log-weighted Gauss); each other [r, R] sum is
-    taken on its own panel.  Targets go in chunks under CORE_BLOCK; one above
-    CORE_TARGET_CAP raises OrderTooLarge, a NaN/Inf sample or value
-    NonFiniteSample.
+    and log(1 - a conj b) = -sum (a conj b)^j / j.  The radial work depends on
+    r alone, so it runs once per distinct target radius (`_core_rings`), shared
+    by every term; then each target weighs its radius's mode sums by its own
+    phases and sums the monomials in a and conj a.  Both stages go in chunks
+    under CORE_BLOCK: radii by their radial elements, targets by their
+    potentials' modes plus monomials.  A target above CORE_TARGET_CAP raises
+    OrderTooLarge, a NaN/Inf sample or value NonFiniteSample.
     """
     targets = np.asarray(z, dtype=complex).ravel()
     for point in targets[~domain.contains(targets)]:
         domain.validate_point(point)   # raises its DomainError
+    radii, where = np.unique(np.abs(targets / domain.radius), return_inverse=True)
+    order = np.argsort(where, kind="stable")   # the targets grouped by radius
+    starts = np.searchsorted(where[order], np.arange(radii.size + 1))
     total = np.zeros(targets.shape, dtype=complex)
     for (mu, nu), f in terms:
         d = int(f.degree)
         n = d + mu + nu   # the band: nodes per radial panel, and every |j| <= n
-        # elements per target of the largest array: the samples on 2n + 2 angles,
+        # elements per radius of the largest array: the samples on 2n + 2 angles,
         # or Q's max(mu, 1) max(nu, 1) potentials' weights of the 2d + 1 modes
         size = 2 * n * max(2 * n + 2, max(mu, 1) * max(nu, 1) * (2 * d + 1))
         if size > CORE_TARGET_CAP:
             raise OrderTooLarge(f"field degree {d} plus orders ({mu}, {nu}) need {size} "
                                 f"elements per target, above CORE_TARGET_CAP = {CORE_TARGET_CAP}; "
                                 "explicit counts take the target-centred rule")
-        c, rho_line, w_line, t_inner, log_ratio, angles, columns, j, coef, exponent, zeroth, \
-            n_p, (i, i_bar, co, source) = _core_plan(mu, nu, d)
+        plan = _core_plan(mu, nu, d)
+        c, j, n_p, (i, i_bar, co, source) = plan[0], plan[7], plan[11], plan[12]
         scale = 2 * np.float64(f.domain.radius) ** (mu + nu)
+        step, per_target = max(1, CORE_BLOCK // size - 1), max(1, CORE_BLOCK // (j.size + co.size))
         # floating-point warnings are silenced here: a NaN/Inf value raises below
         with np.errstate(all="ignore"):
-            step = max(1, CORE_BLOCK // size - 1)
-            for lo in range(0, targets.size, step):
-                a = targets[lo:lo + step] / f.domain.radius
-                r = np.append(np.abs(a), 1.0)   # and [0, R] as the last row
-                rho = r[:, None, None] * rho_line[0] + rho_line[1]   # (T + 1, 2, n)
-                t = np.where(np.isnan(t_inner), r[:, None, None] / rho, t_inner)
-                nodes = f.domain.radius * rho[..., None] * angles
-                modes = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape))
-                wf = (r[:, None, None] * w_line[0] + w_line[1])[..., None] * modes[..., columns]
-                rho_pq = rho[..., None] ** exponent
-                sums = np.einsum("tgnpk,pgk,tgnk,tgnp->tpk",
-                                 (t[..., None] ** np.arange(n + 1))[..., abs(j)], coef, wf, rho_pq)
-                logs = 0
-                if c == 0:   # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
-                    sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * sums[-1]
-                    mode_sums = (np.take(wf, zeroth[0], axis=3) * zeroth[1]
-                                 * rho[..., None] ** zeroth[2])
-                    logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
-                    logs = 2 * (logs[:-1] - logs[-1])
-                # cumsum sums in order whatever the shape, so a value never depends on T
-                sources = np.cumsum(np.exp(1j * np.angle(a)[:, None, None] * j) * sums[:-1],
-                                    axis=2)[..., -1] + logs
-                if n_p:   # P's moments (only the mixed entries, c = 0, have any)
-                    sources = np.concatenate([np.broadcast_to(np.sum(
-                        mode_sums[-1, ..., :n_p], axis=(0, 1)), (a.size, n_p)), sources], axis=1)
-                powers = a[:, None] ** np.arange(mu + nu)
-                value = np.cumsum(co * powers[:, i] * np.conj(powers)[:, i_bar]
-                                  * sources[:, source], axis=1)[:, -1]
-                # an exact 0 stays 0 where R^(mu+nu) overflows
-                total[lo:lo + step] += np.where(value == 0, 0, scale * value)
+            for lo in range(0, radii.size, step):
+                sums, logs, moments = _core_rings(f, plan, np.append(radii[lo:lo + step], 1.0))
+                chunk = order[starts[lo]:starts[min(lo + step, radii.size)]]
+                for at in range(0, chunk.size, per_target):
+                    index = chunk[at:at + per_target]
+                    a, row = targets[index] / f.domain.radius, where[index] - lo
+                    # cumsum sums in order whatever the shape, so a value never depends on T
+                    sources = np.cumsum(np.exp(1j * np.angle(a)[:, None, None] * j) * sums[row],
+                                        axis=2)[..., -1] + logs[row]
+                    if n_p:   # P's moments (only the mixed entries, c = 0, have any)
+                        sources = np.concatenate([np.broadcast_to(moments, (a.size, n_p)),
+                                                  sources], axis=1)
+                    powers = a[:, None] ** np.arange(mu + nu)
+                    value = np.cumsum(co * powers[:, i] * np.conj(powers)[:, i_bar]
+                                      * sources[:, source], axis=1)[:, -1]
+                    # an exact 0 stays 0 where R^(mu+nu) overflows
+                    total[index] += np.where(value == 0, 0, scale * value)
     if not np.isfinite(total).all():
         raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
     return total.reshape(np.shape(z)) if np.ndim(z) else complex(total[0])
+
+
+def _core_rings(f: ScalarField, plan, r):
+    """`_disk_core`'s radial stage at the radii r (over R; the last is 1, for
+    [0, R]): f is sampled on 2 band + 2 angles at `band` Gauss nodes on [0, r]
+    and [r, R]; one FFT gives its modes F_k, |k| <= d, and b^p conj(b)^q f is F
+    shifted by p - q times rho^(p+q), so the panels integrate every radial
+    integrand exactly.  Returns per radius each potential's mode sums (the
+    [0, R] row's folded in for log(1 - a conj b)) and mode 0's log rho, [0, R]'s
+    integral less [0, r]'s (log-weighted Gauss), and P's moments."""
+    c, rho_line, w_line, t_inner, log_ratio, angles, columns, j, coef, exponent, zeroth, \
+        n_p, _ = plan
+    n = t_inner.shape[1]
+    rho = r[:, None, None] * rho_line[0] + rho_line[1]   # (radii, 2, n)
+    t = np.where(np.isnan(t_inner), r[:, None, None] / rho, t_inner)
+    nodes = f.domain.radius * rho[..., None] * angles
+    modes = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape))
+    wf = (r[:, None, None] * w_line[0] + w_line[1])[..., None] * modes[..., columns]
+    rho_pq = rho[..., None] ** exponent
+    sums = np.einsum("tgnpk,pgk,tgnk,tgnp->tpk",
+                     (t[..., None] ** np.arange(n + 1))[..., abs(j)], coef, wf, rho_pq)
+    logs, moments = np.zeros((r.size, 1)), None
+    if c == 0:   # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
+        sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * sums[-1]
+        mode_sums = np.take(wf, zeroth[0], axis=3) * zeroth[1] * rho[..., None] ** zeroth[2]
+        logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
+        logs, moments = 2 * (logs - logs[-1]), np.sum(mode_sums[-1, ..., :n_p], axis=(0, 1))
+    return sums, logs, moments
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:

@@ -729,3 +729,44 @@ def test_core_memory_is_bounded_by_its_chunks():
     # T Tbar zbar^40 = z zbar^41/41 - zbar^40/40, T Tbar |z|^40 = (|z|^42 - 1)/441
     want = z * np.conj(z) ** 41 / 41 - np.conj(z) ** 40 / 40 + (abs(z) ** 42 - 1) / 441
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_core_memory_is_bounded_on_one_radius():
+    # 20,000 targets on one radius: one radial pass, then the targets in chunks
+    f = field_from_expression("zbar^40+z^20*zbar^20", DISK)
+    z = np.tile(0.9 * np.array([1, -1, 1j, -1j]), 5000)
+    tracemalloc.start()
+    try:
+        got = transform(f, z, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pompeiu.operators.CORE_BLOCK * 16
+    want = z * np.conj(z) ** 41 / 41 - np.conj(z) ** 40 / 40 + (abs(z) ** 42 - 1) / 441
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_core_samples_once_per_distinct_radius(monkeypatch):
+    # the 33 x 33 grid's 1,089 targets have 210 distinct radii; each chunk of
+    # them samples its radii plus [0, R] on 2 panels x band nodes x 2 band + 2 angles
+    sampled, points = [], []
+    real = pompeiu.operators.sample
+    monkeypatch.setattr(pompeiu.operators, "sample",
+                        lambda f, nodes: sampled.append(nodes.size) or real(f, nodes))
+    f = field_from_expression("1+z*zbar-2i*z^2", DISK)
+    evaluate_on_grid(lambda z: points.append(z) or transform(f, z, 2, 2), DISK)
+    radii = np.unique(np.abs(points[0])).size
+    band = 2 + 2 + 2
+    assert radii == 210 and len(sampled) < radii
+    assert sum(sampled) == (radii + len(sampled)) * 2 * band * (2 * band + 2)
+
+
+@pytest.mark.parametrize("order", [(1, 0), (0, 2), (2, 2), (3, 1)])
+def test_core_values_ignore_target_order_and_repetition(order):
+    # a target's value depends on the set of radii, not on where it sits
+    f = field_from_expression("1+z*zbar-2i*z^2+zbar^3", DiskDomain(2.5))
+    z = np.concatenate([2.5 * BATCH_TARGETS, 2.5 * BATCH_TARGETS[::-1] * 1j,
+                        2.5 * BATCH_TARGETS[:3]])
+    permutation = np.random.default_rng(3).permutation(z.size)
+    assert np.array_equal(transform(f, z[permutation], *order),
+                          transform(f, z, *order)[permutation])
