@@ -2,19 +2,53 @@
 """Resolution sweep: quadrature error on golden integrals and kernel oracles.
 
 Prints one table per experiment; each row doubles the rule resolution.
+
+`--nested` instead sizes `oracle.NestedOracle`'s three counts (grid radii,
+base rule, top rule): for every candidate it prints the worst error against
+`oracle.exact_transform` compositions over the cells (depth 1-4, R = 1 and
+2.5, seeded (4,4) and (5,5) fields, |z|/R from 0 to 1; each cell the worst
+of its words and NESTED_ANGLES targets, relative to max(R^depth, |value|)),
+the cells worse than at PREVIOUS_NESTED's counts (errors under 1e-13, float64
+round-off, count as 1e-13), the points `_PolarGridField` evaluates and the
+milliseconds on the benchmark's six crosscheck words.  Then it names the
+candidate with the fewest points and no worse cell, and prints every cell at
+PREVIOUS_NESTED's counts beside the oracle's own.
+
+    PYTHONPATH=src python3 scripts/convergence_study.py [--R 1] [--seed 0]
+    PYTHONPATH=src python3 scripts/convergence_study.py --nested [56:12x16:16x32,...]
 """
 
 import argparse
+import itertools
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
+from pompeiu import oracle
 from pompeiu.geometry import DiskDomain
 from pompeiu.kernels import c3
 from pompeiu.operators import ScalarField, apply_T, constant_field, field_from_expression
-from pompeiu.oracle import lemma_lhs_quadrature
+from pompeiu.oracle import NestedOracle, PolynomialField, exact_transform, lemma_lhs_quadrature
 from pompeiu.solver import SolutionSpec, fd_residual, solve_pde
 
 RESOLUTIONS = [(8, 16), (16, 32), (32, 64), (64, 128), (128, 256)]
+
+#: NestedOracle's (grid radii, base rule, top rule) before they were sized to the
+#: spline's error, the reference every candidate is held to
+PREVIOUS_NESTED = (40, (24, 48), (64, 128))
+NESTED_CANDIDATES = list(itertools.product((40, 48, 56, 64),
+                                           ((8, 16), (12, 16), (12, 24), (16, 32), (24, 48)),
+                                           ((16, 32), (32, 64), (64, 128))))
+NESTED_WORDS = {1: (("T",), ("Tbar",)), 2: (("T", "Tbar"), ("T", "T"), ("Tbar", "T")),
+                3: (("T", "T", "Tbar"), ("T", "Tbar", "Tbar")),
+                4: (("T", "T", "Tbar", "Tbar"), ("T", "T", "T", "T"))}
+NESTED_RATIOS = (0.0, 0.3, 0.7, 0.9, 0.99, 1.0)
+NESTED_ANGLES = (0.7, 1.9, 3.2, 4.4, 5.6)
+ROUND_OFF = 1e-13
+#: the crosscheck workload's nested words and targets (`perfbench/workloads.py`)
+CROSSCHECK_WORDS = [("T",) * mu + ("Tbar",) * nu for mu, nu in ((1, 1), (2, 1), (1, 2))]
+CROSSCHECK_TARGETS = (0.18 + 0.22j, -0.31 + 0.12j)
 
 
 def table(title, rows):
@@ -50,11 +84,126 @@ def pde_residual(domain, pts):
     return rows
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def scaled_field(size: int, R: float, seed: int) -> PolynomialField:
+    """A seeded (size, size)-coefficient polynomial in z/R and conj(z)/R."""
+    rng = np.random.default_rng([seed, size])
+    degrees = np.add.outer(np.arange(size), np.arange(size))
+    return PolynomialField((rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size))) / R ** degrees)
+
+
+@contextmanager
+def nested_counts(radii: int, base, top):
+    """NestedOracle at these counts, and a list that collects the number of
+    points each `_PolarGridField._modes` call is handed."""
+    saved = oracle.NESTED_GRID_SHAPE, oracle.NESTED_RESOLUTION, oracle.NESTED_TOP_RESOLUTION
+    modes, points = oracle._PolarGridField._modes, []
+
+    def counted(self, z):
+        points.append(z.size)
+        return modes(self, z)
+
+    oracle.NESTED_GRID_SHAPE = (radii, saved[0][1])
+    oracle.NESTED_RESOLUTION, oracle.NESTED_TOP_RESOLUTION = tuple(base), tuple(top)
+    oracle._PolarGridField._modes = counted
+    try:
+        yield points
+    finally:
+        oracle.NESTED_GRID_SHAPE, oracle.NESTED_RESOLUTION, oracle.NESTED_TOP_RESOLUTION = saved
+        oracle._PolarGridField._modes = modes
+
+
+def nested_cells(config, seed: int) -> dict:
+    """(depth, R, field size, |z|/R) -> the worst error of the cell's words and angles."""
+    worst = {}
+    with nested_counts(*config):
+        for R, size in itertools.product((1.0, 2.5), (4, 5)):
+            poly = scaled_field(size, R, seed)
+            nested = NestedOracle(poly.to_field(DiskDomain(R)))
+            for depth, words in NESTED_WORDS.items():
+                for word in words:
+                    exact = poly
+                    for op in reversed(word):
+                        exact = exact_transform(exact, R, conjugate=op == "Tbar")
+                    for ratio in NESTED_RATIOS:
+                        targets = ratio * R * np.exp(1j * np.array(NESTED_ANGLES))
+                        want = exact(targets)
+                        got = np.array([nested.evaluate(z, word) for z in targets])
+                        err = np.max(np.abs(got - want) / np.maximum(R ** depth, np.abs(want)))
+                        key = (depth, R, size, ratio)
+                        worst[key] = max(worst.get(key, 0.0), float(err))
+    return worst
+
+
+def crosscheck_cost(config, seed: int, repeats: int = 3) -> tuple[int, float]:
+    """Points `_PolarGridField` evaluates and the median milliseconds for the
+    crosscheck workload's six nested evaluations on a seeded (4,4) field."""
+    field = scaled_field(4, 1.0, seed).to_field(DiskDomain(1.0))
+    times = []
+    with nested_counts(*config) as points:
+        for _ in range(repeats):
+            points.clear()
+            start = time.perf_counter()
+            nested = NestedOracle(field)
+            for word, z in itertools.product(CROSSCHECK_WORDS, CROSSCHECK_TARGETS):
+                nested.evaluate(z, word)
+            times.append(time.perf_counter() - start)
+        return sum(points), 1e3 * float(np.median(times))
+
+
+def _config(text: str):
+    """`56:12x16:16x32` -> (56, (12, 16), (16, 32))."""
+    radii, base, top = text.split(":")
+    return int(radii), *(tuple(int(n) for n in part.split("x")) for part in (base, top))
+
+
+def _label(config) -> str:
+    radii, base, top = config
+    return f"{radii}:{base[0]}x{base[1]}:{top[0]}x{top[1]}"
+
+
+def nested_table(candidates, seed: int) -> None:
+    current = (oracle.NESTED_GRID_SHAPE[0], oracle.NESTED_RESOLUTION,
+               oracle.NESTED_TOP_RESOLUTION)
+    cells = {config: nested_cells(config, seed)
+             for config in dict.fromkeys([PREVIOUS_NESTED, current, *candidates])}
+    previous = cells[PREVIOUS_NESTED]
+    floor = lambda err: max(err, ROUND_OFF)
+    print(f"\nNestedOracle counts (radii:base:top) against {_label(PREVIOUS_NESTED)}, seed {seed}")
+    print(f"  {'counts':>16}  {'worst':>9}  {'worse':>5}  {'max ratio':>9}  {'points':>7}  {'ms':>6}")
+    rows = []
+    for config, errors in cells.items():
+        ratios = [floor(errors[key]) / floor(previous[key]) for key in previous]
+        points, ms = crosscheck_cost(config, seed)
+        rows.append((points, config, sum(r > 1 for r in ratios)))
+        print(f"  {_label(config):>16}  {max(errors.values()):9.2e}  {rows[-1][2]:5d}  "
+              f"{max(ratios):9.3f}  {points:7d}  {ms:6.1f}")
+    points, config, _ = min(row for row in rows if row[2] == 0)
+    print(f"  fewest points with no worse cell: {_label(config)} ({points} points); "
+          f"the oracle's: {_label(current)}")
+
+    print(f"\ncells: {_label(PREVIOUS_NESTED)} against the oracle's {_label(current)}")
+    print(f"  {'depth':>5}  {'R':>4}  {'field':>5}  {'|z|/R':>5}  {'previous':>9}  {'oracle':>9}")
+    for (depth, R, size, ratio), err in previous.items():
+        now = cells[current][depth, R, size, ratio]
+        print(f"  {depth:5d}  {R:4g}  {size:2d}x{size:<2d}  {ratio:5g}  {err:9.2e}  "
+              f"{now:9.2e}{'  worse' if floor(now) > floor(err) else ''}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--R", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    parser.add_argument("--nested", nargs="?", const="all", default=None,
+                        help="size NestedOracle's counts: `all` candidates, or a comma "
+                             "list of radii:base:top such as 56:12x16:16x32")
+    args = parser.parse_args(argv)
+    if args.nested is not None:
+        candidates = (NESTED_CANDIDATES if args.nested == "all"
+                      else [_config(text) for text in args.nested.split(",")])
+        nested_table(candidates, args.seed)
+        return
 
     domain = DiskDomain(args.R)
     rng = np.random.default_rng(args.seed)

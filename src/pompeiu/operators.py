@@ -218,8 +218,9 @@ def _disk_core(domain: DiskDomain, terms, z):
         step, per_target = max(1, CORE_BLOCK // size - 1), max(1, CORE_BLOCK // (j.size + co.size))
         # floating-point warnings are silenced here: a NaN/Inf value raises below
         with np.errstate(all="ignore"):
+            edge = None   # [0, R]'s row, from the first chunk
             for lo in range(0, radii.size, step):
-                sums, logs, moments = _core_rings(f, plan, np.append(radii[lo:lo + step], 1.0))
+                sums, logs, moments, edge = _core_rings(f, plan, radii[lo:lo + step], edge)
                 chunk = order[starts[lo]:starts[min(lo + step, radii.size)]]
                 for at in range(0, chunk.size, per_target):
                     index = chunk[at:at + per_target]
@@ -240,16 +241,20 @@ def _disk_core(domain: DiskDomain, terms, z):
     return total.reshape(np.shape(z)) if np.ndim(z) else complex(total[0])
 
 
-def _core_rings(f: ScalarField, plan, r):
-    """`_disk_core`'s radial stage at the radii r (over R; the last is 1, for
-    [0, R]): f is sampled on 2 band + 2 angles at `band` Gauss nodes on [0, r]
-    and [r, R]; one FFT gives its modes F_k, |k| <= d, and b^p conj(b)^q f is F
-    shifted by p - q times rho^(p+q), so the panels integrate every radial
-    integrand exactly.  Returns per radius each potential's mode sums (the
-    [0, R] row's folded in for log(1 - a conj b)) and mode 0's log rho, [0, R]'s
-    integral less [0, r]'s (log-weighted Gauss), and P's moments."""
+def _core_rings(f: ScalarField, plan, r, edge):
+    """`_disk_core`'s radial stage at the radii r (over R): f is sampled on
+    2 band + 2 angles at `band` Gauss nodes on [0, r] and [r, R]; one FFT gives
+    its modes F_k, |k| <= d, and b^p conj(b)^q f is F shifted by p - q times
+    rho^(p+q), so the panels integrate every radial integrand exactly.  Returns
+    per radius each potential's mode sums (for the mixed entries, c = 0, with
+    [0, R]'s folded in for log(1 - a conj b)) and mode 0's log rho, [0, R]'s
+    integral less [0, r]'s (log-weighted Gauss); P's moments; and `edge`, [0, R]'s
+    (sums, log integral, moments), which a None `edge` has computed as one more
+    radius, 1, so that each term's chunks share one."""
     c, rho_line, w_line, t_inner, log_ratio, angles, columns, j, coef, exponent, zeroth, \
         n_p, _ = plan
+    if c == 0 and edge is None:
+        r = np.append(r, 1.0)
     n = t_inner.shape[1]
     rho = r[:, None, None] * rho_line[0] + rho_line[1]   # (radii, 2, n)
     t = np.where(np.isnan(t_inner), r[:, None, None] / rho, t_inner)
@@ -259,13 +264,15 @@ def _core_rings(f: ScalarField, plan, r):
     rho_pq = rho[..., None] ** exponent
     sums = np.einsum("tgnpk,pgk,tgnk,tgnp->tpk",
                      (t[..., None] ** np.arange(n + 1))[..., abs(j)], coef, wf, rho_pq)
-    logs, moments = np.zeros((r.size, 1)), None
-    if c == 0:   # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
-        sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * sums[-1]
-        mode_sums = np.take(wf, zeroth[0], axis=3) * zeroth[1] * rho[..., None] ** zeroth[2]
-        logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
-        logs, moments = 2 * (logs - logs[-1]), np.sum(mode_sums[-1, ..., :n_p], axis=(0, 1))
-    return sums, logs, moments
+    if c != 0:
+        return sums, np.zeros((r.size, 1)), None, None
+    # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
+    mode_sums = np.take(wf, zeroth[0], axis=3) * zeroth[1] * rho[..., None] ** zeroth[2]
+    logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
+    if edge is None:
+        edge = sums[-1], logs[-1], np.sum(mode_sums[-1, ..., :n_p], axis=(0, 1))
+    sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * edge[0]
+    return sums, 2 * (logs - edge[1]), edge[2], edge
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:

@@ -1,8 +1,9 @@
 """Independent brute-force references for the closed-form machinery.
 
 Nested operator application composes single-operator quadratures at the
-fixed NESTED_* resolutions, the lemma left-hand sides are quadrated directly
-from their defining integrals with two-center singular rules, and polynomial
+fixed NESTED_* counts, sized to the error of its radial spline (the floor;
+see `NestedOracle`), the lemma left-hand sides are quadrated directly from
+their defining integrals with two-center singular rules, and polynomial
 test fields carry exact coefficient-level Wirtinger calculus: none of these
 touches the closed-form kernels.  `polydisc_tensor` uses the per-factor
 kernels, which the disk checks cover, to check `apply_polydisc`'s separation.
@@ -31,10 +32,11 @@ MAX_POLY_DEGREE = 8
 MAX_PROGRAM_LENGTH = 4
 MIN_PAIR_SEPARATION = 1e-6
 
-#: NestedOracle: per-node rule, polar grid of each intermediate, outermost rule
-NESTED_RESOLUTION = (24, 48)
-NESTED_GRID_SHAPE = (40, 80)
-NESTED_TOP_RESOLUTION = (64, 128)
+#: NestedOracle: per-node rule, polar grid of each intermediate, outermost rule;
+#: sized by `scripts/convergence_study.py --nested` (see NestedOracle)
+NESTED_RESOLUTION = (12, 16)
+NESTED_GRID_SHAPE = (56, 80)
+NESTED_TOP_RESOLUTION = (16, 32)
 _MODE_FLOOR = 1e-13   # angular modes below this fraction of a grid's largest are dropped
 
 
@@ -244,9 +246,22 @@ class NestedOracle:
     modes, or a polynomial field's exact ones, are weighted and summed per radius
     before one inverse FFT.  Exact per-node nesting costs O(N^depth) and is
     unusable beyond depth 2, while the memoized route is linear in depth and
-    still never touches the closed-form kernels.  No BLAS call: OpenBLAS hands
-    even a (40 x 40)(40 x 80) product to a worker thread, which then competes
-    with the main thread (`tests/test_package.py` keeps matrix products out).
+    still never touches the closed-form kernels.
+
+    The error budget: each grid mode's not-a-knot cubic spline errs by
+    O(h^4) in the radial step h, and that sets the floor: in the sweep of
+    `scripts/convergence_study.py --nested` (depth 1-4, R = 1 and 2.5, (4,4)
+    and (5,5) fields, |z|/R from 0 to 1) the worst error goes 2.5e-7, 1.2e-7,
+    5.7e-8, 4.0e-8 at 40, 48, 56, 64 radii, about (40/64)^4, while base rules
+    of (12, 16) or more nodes and any top rule move it by under 15%.  The
+    counts are sized to it: the fewest `_PolarGridField` evaluations for which
+    no cell reads worse than at the earlier 40 radii with (24, 48) and
+    (64, 128) rules, whose worst cell read 2.8e-7 (errors relative to
+    max(R^depth, |value|), those below 1e-13 counted as 1e-13).
+
+    No BLAS call: OpenBLAS hands even a (40 x 40)(40 x 80) product to a
+    worker thread, which then competes with the main thread
+    (`tests/test_package.py` keeps matrix products out).
 
     The memo table is confined to this instance; share an instance across
     threads only for reads after warm-up.
@@ -328,26 +343,18 @@ def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolutio
 # Direct quadrature of the kernel lemmas' left-hand sides
 # ---------------------------------------------------------------------------
 
-def two_center_integrate(func, domain: DiskDomain, a: complex, b: complex,
-                         resolution=(64, 128)) -> complex:
-    """Integrate f dzbar^dz with grading toward both a and b.
-
-    The disk is split along the perpendicular bisector of [a, b]; each half
-    carries a polar rule centered on its own singularity, so both 1/(z-a)
-    and 1/(zbar-bbar) factors are tamed by the radial Jacobian.
-    """
-    rule_a = build_half_rule(domain, a, b, resolution)
-    rule_b = build_half_rule(domain, b, a, resolution)
-    return integrate(rule_a, func) + integrate(rule_b, func)
-
-
 def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: float,
-                         resolution=(64, 128), contour_count: int = 256) -> complex:
+                         resolution=(64, 128), contour_count: int = 256):
     """Direct numeric value of a kernel identity's defining integral.
 
     kind 'lem5': contour integral of (zbar-bbar)^l (z-b)^(nu-1)/(z-a), indices=(l, nu).
     kind 'lem6': area integral of (zbar-abar)^(mu-1)(z-b)^(nu-1)/((z-a)(zbar-bbar)),
-                 indices=(mu, nu); lemma 4's integrand is its mu = 1 case.
+                 indices=(mu, nu), or a sequence of (mu, nu) for a list of one value
+                 per order; lemma 4's integrand is its mu = 1 case.  The disk is
+                 split along the perpendicular bisector of [a, b] and each half
+                 carries a polar rule centred on its own singularity, so both
+                 1/(z-a) and 1/(zbar-bbar) are tamed by the radial Jacobian; the
+                 two rules are built once and serve every order.
     """
     a, b = complex(a), complex(b)
     require_separated(a, b, radius)
@@ -359,11 +366,15 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
         rule = build_contour_rule(radius, contour_count)
         return integrate(rule, lambda z: (np.conj(z) - bb) ** l * (z - b) ** (nu - 1) / (z - a))
     if kind == "lem6":
-        mu, nu = (int(i) for i in indices)
         ab = np.conj(a)
-        func = lambda z: ((np.conj(z) - ab) ** (mu - 1) * (z - b) ** (nu - 1)
-                          / ((z - a) * (np.conj(z) - bb)))
-        return two_center_integrate(func, domain, a, b, resolution)
+        halves = (build_half_rule(domain, a, b, resolution),
+                  build_half_rule(domain, b, a, resolution))
+        values = []
+        for mu, nu in np.asarray(indices, dtype=int).reshape(-1, 2).tolist():
+            func = lambda z: ((np.conj(z) - ab) ** (mu - 1) * (z - b) ** (nu - 1)
+                              / ((z - a) * (np.conj(z) - bb)))
+            values.append(integrate(halves[0], func) + integrate(halves[1], func))
+        return values if np.ndim(indices) == 2 else values[0]
     raise DomainError(f"unknown lemma kind {kind!r}")
 
 
@@ -477,7 +488,8 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
     The left side is a discrete estimate (finite-difference derivatives of
     transform values, sampled sups and Hoelder quotients); every stencil
     point's value comes from one `apply_mixed` call at the default counts,
-    so a field of finite degree takes the disk-centred core.  Discrete
+    so a field of finite degree takes the disk-centred core, and each
+    stencil's sums at every site and pair end are array rows.  Discrete
     sups under-estimate the continuum ones, so `holds` failing would disprove
     the inequality while passing is consistent with it.  The bound constant
     is astronomically larger than the estimator noise for every admissible
@@ -499,19 +511,31 @@ def check_norm_bound(f: ScalarField, mu: int, nu: int, alpha: float,
     keep = np.abs(pair_a - pair_b) >= MIN_PAIR_SEPARATION * radius
     pair_a, pair_b = pair_a[keep], pair_b[keep]
 
-    # the transform at every stencil point, in one call
+    # every stencil's points about each site and pair end, at steps h and h/2, and
+    # the transform at the distinct ones, in first-seen order, in one call
+    ends = np.concatenate([sites, pair_a, pair_b])
     stencils = [wirtinger_split(i, m - i) for i in range(m + 1)]
-    points = list(dict.fromkeys(
-        complex(p) for stencil in stencils for z in (*sites, *pair_a, *pair_b)
-        for step in (h, h / 2) for p in stencil.sample_points(complex(z), step)))
-    g = dict(zip(points, apply_mixed(f, np.array(points), mu, nu))).__getitem__
+    points = [stencil.sample_points(ends[:, None, None], np.array([[h], [h / 2]]))
+              for stencil in stencils]
+    flat = np.concatenate([p.ravel() for p in points])
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    g = np.empty(first.size, dtype=complex)
+    g[seen] = apply_mixed(f, flat[first[seen]], mu, nu)
+    values = np.split(g[inverse], np.cumsum([p.size for p in points])[:-1])
 
     lhs = 0.0
-    for stencil in stencils:
-        deriv = lambda z: stencil.apply_richardson(g, complex(z), h)
-        sup = max(abs(deriv(z)) for z in sites)
-        hol = max((abs(deriv(za) - deriv(zb)) / abs(za - zb) ** alpha
-                   for za, zb in zip(pair_a, pair_b)), default=0.0)
+    for stencil, shape, vals in zip(stencils, (p.shape for p in points), values):
+        # each row summed as `WirtingerStencil.apply` sums it; then Richardson on
+        # (re, im) pairs, as Python's complex arithmetic does it
+        sums = np.sum(np.asarray(stencil.coeffs) * vals.reshape(shape), axis=2)
+        coarse = (sums[:, 0] / h ** stencil.total_order).view(float)
+        fine = (sums[:, 1] / (h / 2) ** stencil.total_order).view(float)
+        deriv = ((4.0 * fine - coarse) / 3.0).view(complex).tolist()
+        at_a, at_b = deriv[sites.size:sites.size + pair_a.size], deriv[sites.size + pair_a.size:]
+        sup = max(abs(d) for d in deriv[:sites.size])
+        hol = max((abs(da - db) / abs(za - zb) ** alpha
+                   for da, db, za, zb in zip(at_a, at_b, pair_a, pair_b)), default=0.0)
         lhs = max(lhs, sup + (2 * radius) ** alpha * hol)
 
     return NormBoundReport(holds=lhs <= rhs, lhs=lhs, rhs=rhs)

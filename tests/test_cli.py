@@ -285,6 +285,17 @@ def test_verify_norms_prints_its_pinned_measures(capsys, seed, text):
     assert run(capsys, "verify", "--suite", "norms", "--seed", str(seed)) == (0, text)
 
 
+def test_verify_kernels_builds_one_pair_of_half_rules_per_point_pair(capsys, monkeypatch):
+    # four point pairs, each with the four lemma-6 orders on one pair of rules
+    built = []
+    real = pompeiu.oracle.build_half_rule
+    monkeypatch.setattr(pompeiu.oracle, "build_half_rule",
+                        lambda *args: built.append(args[1:3]) or real(*args))
+    code, out = run(capsys, "verify", "--suite", "kernels", "--seed", "3")
+    assert code == 0 and out.count("vs quadrature") == 16
+    assert len(built) == 8 and len(set(built)) == 8
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_command(["op", "apply", "--op", "bogus", "--f", "1", "--z", "0"])

@@ -746,19 +746,40 @@ def test_core_memory_is_bounded_on_one_radius():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_core_samples_once_per_distinct_radius(monkeypatch):
-    # the 33 x 33 grid's 1,089 targets have 210 distinct radii; each chunk of
-    # them samples its radii plus [0, R] on 2 panels x band nodes x 2 band + 2 angles
-    sampled, points = [], []
+def counted_samples(monkeypatch) -> list:
+    """The node count of every `sample` call the core makes from now on."""
+    sampled = []
     real = pompeiu.operators.sample
     monkeypatch.setattr(pompeiu.operators, "sample",
                         lambda f, nodes: sampled.append(nodes.size) or real(f, nodes))
+    return sampled
+
+
+def test_core_samples_once_per_distinct_radius(monkeypatch):
+    # the 33 x 33 grid's 1,089 targets have 210 distinct radii; the chunks
+    # sample them, plus [0, R] once, on 2 panels x band nodes x 2 band + 2 angles
+    sampled, points = counted_samples(monkeypatch), []
     f = field_from_expression("1+z*zbar-2i*z^2", DISK)
     evaluate_on_grid(lambda z: points.append(z) or transform(f, z, 2, 2), DISK)
     radii = np.unique(np.abs(points[0])).size
     band = 2 + 2 + 2
-    assert radii == 210 and len(sampled) < radii
-    assert sum(sampled) == (radii + len(sampled)) * 2 * band * (2 * band + 2)
+    assert radii == 210 and 1 < len(sampled) < radii
+    assert sum(sampled) == (radii + 1) * 2 * band * (2 * band + 2)
+
+
+@pytest.mark.parametrize("order, edge", [((2, 2), 1), ((1, 1), 1), ((2, 0), 0), ((0, 1), 0)])
+def test_core_samples_the_outer_disk_once_per_term(order, edge, monkeypatch):
+    # degree 20 at 400 distinct radii: one or two radii per chunk, and [0, R]'s
+    # row, which only the mixed entries read, sampled once, not once per chunk
+    sampled = counted_samples(monkeypatch)
+    f = field_from_expression("zbar^20+z^3*zbar^5", DISK)
+    z = np.linspace(0.001, 0.999, 400) * np.exp(1j * np.arange(400))
+    got = transform(f, z, *order)
+    band = 20 + sum(order)
+    assert len(sampled) > 100
+    assert sum(sampled) == (400 + edge) * 2 * band * (2 * band + 2)
+    # the shared row gives each target the value a call of its own gives it
+    assert np.array_equal(got[::37], [transform(f, w, *order) for w in z[::37]])
 
 
 @pytest.mark.parametrize("order", [(1, 0), (0, 2), (2, 2), (3, 1)])

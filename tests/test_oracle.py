@@ -13,7 +13,7 @@ from pompeiu import operators as operators_module
 from pompeiu import oracle as oracle_module
 from pompeiu import quadrature as quadrature_module
 from pompeiu.oracle import (MAX_POLY_DEGREE, MIN_PAIR_SEPARATION, NESTED_GRID_SHAPE,
-                            NESTED_RESOLUTION, NestedOracle, PolynomialField, _GRID_PHASES,
+                            NESTED_RESOLUTION, NESTED_TOP_RESOLUTION, NestedOracle, PolynomialField, _GRID_PHASES,
                             _rotation_sum, bound_constants, check_norm_bound,
                             disk_norm_estimate, exact_transform, hoelder_seminorm,
                             lemma_lhs_quadrature, polydisc_norm_estimate)
@@ -31,7 +31,7 @@ def test_nested_single_is_plain_T():
     f = field_from_expression("z*zbar", DISK)
     z = 0.2 - 0.3j
     got = NestedOracle(f).evaluate(z, ["T"])
-    assert got == pytest.approx(apply_T(f, z, (64, 128)), abs=1e-14)
+    assert got == pytest.approx(apply_T(f, z, NESTED_TOP_RESOLUTION), abs=1e-14)
 
 
 def test_nested_TT_of_one_at_origin():
@@ -284,6 +284,33 @@ def test_nested_words_up_to_depth_4_match_exact_transforms(R):
             assert abs(got - want) <= 1e-5 * max(R ** len(word), abs(want))
 
 
+#: `scripts/convergence_study.py --nested` (seed 0): at NestedOracle's counts the
+#: cells below read at most 5.7e-8, and at the counts before them (40 radii,
+#: (24, 48), (64, 128)) up to 2.1e-7; a count cut that costs digits fails here
+NESTED_BUDGET = 1.7e-7
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+@pytest.mark.parametrize("size", (4, 5))
+def test_nested_error_stays_within_its_sized_budget(R, size):
+    # the sweep's seeded (size, size) fields in z/R, depth-1 to 4 words, five
+    # angles per |z|/R up to the circle, relative to max(R^depth, |value|)
+    rng = np.random.default_rng([0, size])
+    degrees = np.add.outer(np.arange(size), np.arange(size))
+    poly = PolynomialField((rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size))) / R ** degrees)
+    oracle = NestedOracle(poly.to_field(DiskDomain(R)))
+    for word in NESTED_WORDS + (("T", "T"), ("Tbar", "T")):
+        exact = poly
+        for op in reversed(word):
+            exact = exact_transform(exact, R, conjugate=op == "Tbar")
+        for q in (0.0, 0.7, 0.99, 1.0):
+            z = q * R * np.exp(1j * np.array([0.7, 1.9, 3.2, 4.4, 5.6]))
+            got = np.array([oracle.evaluate(w, word) for w in z])
+            err = np.abs(got - exact(z)) / np.maximum(R ** len(word), np.abs(exact(z)))
+            assert np.max(err) <= NESTED_BUDGET, (word, q)
+
+
 def test_nested_oracle_memoizes_suffix_grids():
     one = constant_field(1.0, DISK)
     oracle = NestedOracle(one)
@@ -323,6 +350,17 @@ def test_lem6_matches_c3(mu, nu):
     got = lemma_lhs_quadrature("lem6", A, B, (mu, nu), 1.0)
     want = 2j * np.pi * c3(A, B, mu, nu, 1.0)
     assert abs(got - want) <= 1e-5 * max(1.0, abs(got))
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+@pytest.mark.parametrize("resolution", ((64, 128), (None, None), (16, 32)))
+def test_lem6_orders_in_one_call_match_a_call_each(R, resolution):
+    # one pair of half rules serves every order, bit for bit
+    orders = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1))
+    together = lemma_lhs_quadrature("lem6", A * R, B * R, orders, R, resolution)
+    each = [lemma_lhs_quadrature("lem6", A * R, B * R, order, R, resolution) for order in orders]
+    assert np.array(together).tobytes() == np.array(each).tobytes()
+    assert lemma_lhs_quadrature("lem6", A * R, B * R, [(2, 2)], R, resolution) == [each[3]]
 
 
 def test_lemma_quadrature_converges_4x():
@@ -510,6 +548,44 @@ def test_norm_bound_of_a_finite_degree_field_builds_no_area_rule(monkeypatch):
     f = PolynomialField(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).to_field(DISK)
     for mu, nu in ((1, 1), (2, 1), (2, 2)):
         assert check_norm_bound(f, mu, nu, 0.5, sup_points=4, pairs=4).holds
+
+
+def _norm_lhs_per_stencil_call(f, mu, nu, alpha, sup_points, pairs, seed):
+    """check_norm_bound's left side by one `apply_richardson` call per site and
+    pair end, on the same stencil points and the same transform values."""
+    m, radius = mu + nu, f.domain.radius
+    h = (1e-12) ** (1.0 / (m + 2)) * radius
+    rng = np.random.default_rng(seed + 17)
+    sites, pair_a, pair_b = (oracle_module._disk_samples(rng, n, 0.6 * radius)
+                             for n in (sup_points, pairs, pairs))
+    keep = np.abs(pair_a - pair_b) >= MIN_PAIR_SEPARATION * radius
+    pair_a, pair_b = pair_a[keep], pair_b[keep]
+    stencils = [wirtinger_split(i, m - i) for i in range(m + 1)]
+    points = list(dict.fromkeys(
+        complex(p) for stencil in stencils for z in (*sites, *pair_a, *pair_b)
+        for step in (h, h / 2) for p in stencil.sample_points(complex(z), step)))
+    g = dict(zip(points, apply_mixed(f, np.array(points), mu, nu))).__getitem__
+    lhs = 0.0
+    for stencil in stencils:
+        deriv = lambda z: stencil.apply_richardson(g, complex(z), h)
+        sup = max(abs(deriv(z)) for z in sites)
+        hol = max((abs(deriv(za) - deriv(zb)) / abs(za - zb) ** alpha
+                   for za, zb in zip(pair_a, pair_b)), default=0.0)
+        lhs = max(lhs, sup + (2 * radius) ** alpha * hol)
+    return lhs
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+@pytest.mark.parametrize("mu, nu, sup_points, pairs", [(1, 1, 4, 4), (2, 1, 8, 8), (0, 2, 3, 0),
+                                                        (2, 2, 1, 5)])
+def test_norm_bound_stencil_rows_match_a_call_per_point(R, mu, nu, sup_points, pairs):
+    # the array rows sum each stencil as `WirtingerStencil.apply` does: equal bits
+    rng = np.random.default_rng(31)
+    f = PolynomialField(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    f = f.to_field(DiskDomain(R))
+    for alpha, seed in ((0.25, 0), (0.75, 5)):
+        got = check_norm_bound(f, mu, nu, alpha, sup_points, pairs, seed).lhs
+        assert got == _norm_lhs_per_stencil_call(f, mu, nu, alpha, sup_points, pairs, seed)
 
 
 def test_norm_bound_order_cap():

@@ -12,6 +12,7 @@ import pytest
 
 from pompeiu.geometry import DiskDomain
 from pompeiu.operators import constant_field, field_from_expression
+from pompeiu.oracle import NESTED_GRID_SHAPE, NESTED_RESOLUTION, NESTED_TOP_RESOLUTION
 from pompeiu.solver import solve_biharmonic
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -43,6 +44,24 @@ def test_rule_table_smoke(capsys):
     assert lines[3].split()[:2] == ["0.5", "8x16"]
     # the table's default reaches round-off on a degree-1 field
     assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
+
+
+def test_convergence_study_nested_smoke(capsys, monkeypatch):
+    # two |z|/R and one angle per cell: the oracle's counts against the ones
+    # before them, with fewer points and a smaller worst error
+    module = load(SCRIPTS[0].parent / "convergence_study.py")
+    monkeypatch.setattr(module, "NESTED_RATIOS", (0.0, 0.99))
+    monkeypatch.setattr(module, "NESTED_ANGLES", (0.7,))
+    current = module._label((NESTED_GRID_SHAPE[0], NESTED_RESOLUTION, NESTED_TOP_RESOLUTION))
+    module.main(["--nested", current])
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines[3:5]}
+    previous = module._label(module.PREVIOUS_NESTED)
+    assert list(rows) == [previous, current] and rows[previous][1:3] == ["0", "1.000"]
+    assert float(rows[current][0]) < float(rows[previous][0])
+    assert int(rows[current][3]) < int(rows[previous][3])
+    assert lines[5].split()[-1] == current
+    assert len(lines[9:]) == 4 * 2 * 2 * 2   # depth x R x field x |z|/R
 
 
 def test_transform_accuracy_smoke(capsys):
