@@ -6,9 +6,6 @@ log-companion part, `c2` the boundary residue sum, and `c8` the polydisc
 tensor prefactor.  `g_diag` / `g_mixed` are the same kernels normalized for
 the transforms and the PDE solution formulas, and `kernel` is the one table
 of normalized kernels keyed by (mu, nu) that the target-centred rules use.
-`expansion` gives each table entry as P + Q * K, monomials in a, conj a, b
-and conj b times one of the potentials log, 1/(b - a) or 1/(conj b - conj a),
-the form the disk-centred core (`operators`) integrates mode by mode.
 
 Every closed form here is derived from the residue calculus and held to the
 defining integrals numerically: the oracle module quadrates each kernel's
@@ -29,7 +26,6 @@ All functions are pure and broadcast over numpy arrays in `a` and/or `b`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -184,90 +180,31 @@ def g_mixed(z, zeta, mu: int, nu: int, radius: float, log_shift=0.0):
     return out if out.shape else complex(out)
 
 
+def check_entry(mu: int, nu: int) -> tuple[int, int]:
+    """(mu, nu) as an entry of the kernel table: each order an int from 0 to
+    MAX_ORDER (else DomainError or OrderTooLarge), and not both 0, the
+    identity (DomainError)."""
+    mu = _check_order("mu", mu, minimum=0)
+    nu = _check_order("nu", nu, minimum=0)
+    if not (mu or nu):
+        raise DomainError("(mu, nu) = (0, 0) is the identity, not an area transform")
+    return mu, nu
+
+
 def kernel(z, zeta, mu: int, nu: int, radius: float, log_shift=0.0):
     """Entry (mu, nu) of the normalized kernel table: T^mu Tbar^nu f(z) is
     the area integral of kernel(z, w; mu, nu) f(w) dwbar^dw; `log_shift` as for `c3`.
 
     An index of 0 is the identity in that variable: (k, 0) is T^k (`g_diag`),
     (0, k) is Tbar^k = -conj(g_diag) (conjugation flips the 2i of the area
-    element), and mu, nu >= 1 is `g_mixed`.  (0, 0) and negative orders raise
-    DomainError.
+    element), and mu, nu >= 1 is `g_mixed`; orders as by `check_entry`.
     """
-    mu = _check_order("mu", mu, minimum=0)
-    nu = _check_order("nu", nu, minimum=0)
+    mu, nu = check_entry(mu, nu)
     if mu and nu:
         return g_mixed(z, zeta, mu, nu, radius, log_shift)
     if mu:
         return g_diag(z, zeta, mu)
-    if nu:
-        return -np.conj(g_diag(z, zeta, nu))
-    raise DomainError("(mu, nu) = (0, 0) is the identity, not an area transform")
-
-
-# ---------------------------------------------------------------------------
-# The table as monomials times a potential, for the disk-centred core
-# ---------------------------------------------------------------------------
-
-#: a monomial a^i conj(a)^j b^p conj(b)^q is the int i + j B + p B^2 + q B^3, B = _BASE:
-#: multiplying monomials adds their keys, while every exponent stays below B
-_BASE = 64
-
-
-def _poly(*terms) -> dict:
-    """sum of c * prod(factors) over the (c, factors) terms, each factor a
-    polynomial {monomial key: integer coefficient}."""
-    out: dict = {}
-    for c, factors in terms:
-        product = {0: c}
-        for factor in factors:
-            step: dict = {}
-            for k1, c1_ in product.items():
-                for k2, c2_ in factor.items():
-                    step[k1 + k2] = step.get(k1 + k2, 0) + c1_ * c2_
-            product = step
-        for key, value in product.items():
-            out[key] = out.get(key, 0) + value
-    return out
-
-
-@lru_cache(maxsize=None)
-def expansion(mu: int, nu: int):
-    """Entry (mu, nu) of `kernel` on the unit disk as (c, P, Q): the kernel is
-    (sum P + K_c sum Q) / (2 pi i), P and Q tuples of (i, j, p, q, coefficient)
-    for coefficient * a^i conj(a)^j b^p conj(b)^q, K_0 = log((1 - a conj b)/|a - b|^2),
-    K_1 = 1/(b - a) and K_-1 = 1/(conj b - conj a); on the R-disk the kernel is
-    R^(mu+nu-2) times its value at (a/R, b/R).  Expanded once per entry from the
-    c1/c2/c3 sums in integers (times the lcm of their 1/l, divided out last);
-    orders are checked as by `kernel`."""
-    mu = _check_order("mu", mu, minimum=0)
-    nu = _check_order("nu", nu, minimum=0)
-    a, abar, b, bbar = (_BASE ** e for e in range(4))
-    diff_bar = [_poly((1, [{bbar: 1, abar: -1}] * e)) for e in range(mu)]   # (conj b - conj a)^e
-    diff = _poly((1, [{a: 1, b: -1}] * (nu - 1)))                             # (a - b)^(nu-1)
-    if mu and nu:
-        lcm = math.lcm(*range(1, max(mu, nu)))
-        c, sign, scale = 0, (-1) ** mu, math.factorial(mu - 1) * math.factorial(nu - 1) * lcm
-        q_poly = _poly((lcm, [diff_bar[mu - 1], diff]))
-        c1_poly = _poly(*[(-(-1) ** j * math.comb(nu - 1, j) * lcm // l,
-                           [{(nu - 1 - l - j) * a + (l + j) * b: 1}])
-                          for l in range(1, nu) for j in range(nu - l)])
-        p_poly = _poly((1, [diff_bar[mu - 1], c1_poly]), *[
-            (math.comb(mu - 1, l) * lcm // l, [diff_bar[mu - 1 - l], _poly(
-                (-(-1) ** l, [diff_bar[l], diff]),
-                *[(math.comb(l, p) * math.comb(nu - 1, q) * (-1) ** (l - p + nu - 1 - q),
-                   [{(q - p) * a + (nu - 1 - q) * b + (l - p) * bbar: 1}])   # c2(a, b, l, nu, 1)
-                  for p in range(l + 1) for q in range(p, nu)])])
-            for l in range(1, mu)])
-    elif mu or nu:
-        k = mu or nu
-        c, sign, scale, p_poly = (1 if mu else -1), (-1) ** k, math.factorial(k - 1), {}
-        q_poly = diff_bar[k - 1] if mu else _poly((1, [{a: -1, b: 1}] * (k - 1)))
-    else:
-        raise DomainError("(mu, nu) = (0, 0) is the identity, not an area transform")
-    # int / int rounds the exact quotient once
-    return c, *(tuple((*(key // _BASE ** e % _BASE for e in range(4)), sign * value / scale)
-                      for key, value in sorted(poly.items()) if value)
-                for poly in (p_poly, q_poly))
+    return -np.conj(g_diag(z, zeta, nu))
 
 
 # ---------------------------------------------------------------------------

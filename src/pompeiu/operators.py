@@ -7,11 +7,11 @@ powers and `apply_mixed` are its aliases, and `transform_sum` sums entries
 over several fields.  Disk operators take a field on a `DiskDomain`, centred
 at 0 as the closed-form kernels assume.  At the default counts, for fields
 of finite degree, they take the disk-centred core `_disk_core`, exact per
-angular mode up to and on the circle: its radial work runs once per distinct
-target radius, then each target takes its phases and monomials.  Otherwise
-each target gets its polar area rule (`build_area_rule`, a None count from
-`quadrature.RESOLUTION_TABLE`) and the kernel its `log_shift`, in (T x N)
-blocks (`over_targets`) taken in order in the calling thread, each row
+angular mode up to and on the circle: mu + nu single passes on each density's
+modes, then each mode at the distinct target radii and each target's phases.
+Otherwise each target gets its polar area rule (`build_area_rule`, a None
+count from `quadrature.RESOLUTION_TABLE`) and the kernel its `log_shift`, in
+(T x N) blocks (`over_targets`) taken in order in the calling thread, each row
 reduced in a fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
@@ -30,21 +30,23 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import expressions
 from .errors import DimensionCap, DomainError, NonFiniteSample, OrderTooLarge, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .kernels import TWO_PI_I, c3, c8, expansion, kernel
+from .kernels import TWO_PI_I, c3, c8, check_entry, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
-                         build_contour_rule, integrate, radial_rule, rule_counts, sample)
+                         build_contour_rule, integrate, rule_counts, sample)
 
 #: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
-#: `_disk_core` takes distinct radii, then targets, in chunks whose largest
-#: array (field samples or mode weights per radius; phases and monomials per
-#: target) holds at most CORE_BLOCK elements, or one radius or target (1 << 14
-#: ran solve_grid about 18% faster in-process but traced 0.5 MB more); a target
-#: needing more than CORE_TARGET_CAP elements raises OrderTooLarge
+#: `_disk_core` builds its pass tensors, then takes distinct radii, then
+#: targets, in chunks whose largest array (pass weights per radius; modes per
+#: distinct radius; phases per target) holds at most CORE_BLOCK elements, or
+#: one radius or target; a band whose pass tensor, (2 band + 1) (band + 2)^2
+#: weights, exceeds CORE_TARGET_CAP raises OrderTooLarge, and one above
+#: 16 CORE_BLOCK (1 MiB) is built per call and freed before the targets' stage
 CORE_BLOCK = 1 << 13
 CORE_TARGET_CAP = 1 << 20
 
@@ -148,131 +150,145 @@ def transform_sum(domain, terms, z, resolution):
     return over_targets(domain, z, resolution, degree, block)
 
 
-@lru_cache(maxsize=64)
-def _core_plan(mu: int, nu: int, d: int):
-    """`_disk_core`'s constants for entry (mu, nu) and field degree d: c; rho
-    and the weights over the angles as r * line[0] + line[1] on the panels
-    [0, r] and [r, R], shape (2, n), t's [0, r] values s, the log weights over
-    ws; the angles and F's columns k; per potential (p, q) of Q: F_k's mode j,
-    its coefficients on each panel, rho's power; mode 0 of each moment and
-    potential as (F's column, has one, rho's power); each monomial's powers of
-    a and conj a, coefficient and source (P's moments, then Q's potentials)."""
-    c, p_terms, q_terms = expansion(mu, nu)
-    n = d + mu + nu
-    s, ws, shift = radial_rule(n)
-    zero, angles = np.zeros(n), np.exp(2j * np.pi * np.arange(2 * n + 2) / (2 * n + 2))
-    k = np.arange(-d, d + 1)
-    pairs = sorted({(p, q) for *_, p, q, _ in q_terms})
-    j = np.array([k + p - q - c for p, q in pairs])
-    coef = np.stack([np.where(j, 1 / np.maximum(abs(j), 1), 0)] * 2 if c == 0 else
-                    [np.where(c * j < 0, -1.0, 0), np.where(c * j >= 0, 1.0, 0)], axis=1)
-    zeroth = [(p, q) for *_, p, q, _ in p_terms] + pairs
-    column = np.array([q - p + d for p, q in zeroth])
-    has_0 = abs(column - d) <= d
-    i, i_bar, *_ = np.array(p_terms + q_terms, dtype=int).T
-    source = [*range(len(p_terms)), *(len(p_terms) + pairs.index((p, q))
-                                      for *_, p, q, _ in q_terms)]
-    return (c, np.array([[s, 1 - s], [zero, s]]), np.array([[ws, -ws], [zero, ws]]) / angles.size,
-            np.array([s, np.full(n, np.nan)]), shift + np.log(s), angles, k % angles.size,
-            j, coef, np.array([p + q + (c == 0) for p, q in pairs]),
-            (np.where(has_0, column, 0), has_0, np.array([1 + p + q for p, q in zeroth])),
-            len(p_terms), (i, i_bar, np.array([term[4] for term in p_terms + q_terms]), source))
+def _interpolation_rows(x, radii, bary):
+    """The rows that map values at `radii` to their interpolating polynomial's
+    value at each point of x, shape x.shape + (n,): the barycentric formula of
+    the second kind (Berrut & Trefethen, SIAM Rev. 46, 2004), its denominator
+    summed in order (cumsum, whatever the shape); a point on a radius gets that
+    radius's unit row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = bary / (x[..., None] - radii)
+        rows = c / np.cumsum(c, axis=-1)[..., -1:]
+    hit = np.isinf(c)
+    return np.where(hit.any(axis=-1, keepdims=True), hit, rows)
+
+
+@lru_cache(maxsize=16)
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, 1]: numpy's nodes x after two
+    Newton steps on the three-term recurrence, and the weights
+    2/((1 - x^2) P_n'(x)^2) at them.  `leggauss` takes P_n' at its unrefined
+    nodes, and its moments of degree up to 2n - 1 then read relative errors up
+    to 2.2e-13 (n = 41), which each pass of the core would add; these read
+    1e-14."""
+    def legendre(x):   # P_n(x) and P_n'(x)
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
+
+    x = leggauss(n)[0]
+    for _ in range(2):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    x, w = (x - x[::-1]) / 2, 1 / ((1 - x) * (1 + x) * dp ** 2)
+    return (1 + x) / 2, (w + w[::-1]) / 2
+
+
+def _pass_tensor(band: int):
+    """The band + 2 Gauss radii r on [0, 1], their barycentric weights, and the
+    pass tensor W, shape (2 band + 1, n, n), whose row band + k takes mode k's
+    values at r to the mode k - 1 of its transform T there:
+        -2 int_r^1 F_k(rho) (r/rho)^(k-1) drho   (k >= 1),
+         2 int_0^r F_k(rho) (rho/r)^(1-k) drho   (k <= 0),
+    each on n Gauss nodes (the [0, r] integrand's degree reaches 2 band + 1),
+    F_k interpolated there from r.  Every weight is at most 1 in size."""
+    r, w = _gauss(band + 2)
+    bary = (-1.0) ** np.arange(r.size) * np.sqrt(r * (1 - r) * w)
+    k = np.arange(-band, band + 1)[:, None, None]
+    up = k[:, 0, 0] >= 1
+    passes = np.empty((k.size, r.size, r.size))
+    step = max(1, CORE_BLOCK // (k.size * r.size))
+    for lo in range(0, r.size, step):
+        at = r[lo:lo + step, None]
+        outer = at + (1 - at) * r
+        passes[up, lo:lo + step] = np.einsum(
+            "kip,ipj->kij", -2 * (1 - at) * w * (at / outer) ** (k[up] - 1),
+            _interpolation_rows(outer, r, bary))
+        passes[~up, lo:lo + step] = np.einsum(
+            "kip,ipj->kij", 2 * at * w * r ** (1 - k[~up]), _interpolation_rows(at * r, r, bary))
+    return r, bary, passes
+
+
+_cached_pass_tensor = lru_cache(maxsize=8)(_pass_tensor)
+
+
+def _core_modes(f: ScalarField, mu: int, nu: int):
+    """T^mu Tbar^nu f on the unit disk as (r, bary, modes): its modes -band ..
+    band (rows) at the Gauss radii r (columns) of `_pass_tensor`.
+
+    f, of degree d, is sampled once at r R times 2 band + 2 angles, and one FFT
+    gives its modes |k| <= d; then nu Tbar and mu T passes.  Tbar is the T pass
+    between two flips k -> -k, since W is real.  Orders are checked as by
+    `kernels.check_entry`, and the band against CORE_TARGET_CAP, before any sample.
+    """
+    mu, nu = check_entry(mu, nu)
+    d = int(f.degree)
+    band = d + mu + nu   # every intermediate's modes are polynomials of degree <= band
+    size = (2 * band + 1) * (band + 2) ** 2
+    if size > CORE_TARGET_CAP:
+        raise OrderTooLarge(f"field degree {d} plus orders ({mu}, {nu}) need a pass tensor of "
+                            f"{size} elements, above CORE_TARGET_CAP = {CORE_TARGET_CAP}; "
+                            "explicit counts take the target-centred rule")
+    r, bary, passes = (_cached_pass_tensor if size <= 16 * CORE_BLOCK else _pass_tensor)(band)
+    turn = np.exp(2j * np.pi * np.arange(2 * band + 2) / (2 * band + 2))
+    nodes = f.domain.radius * r[:, None] * turn
+    spectrum = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape)) / turn.size
+    modes = np.zeros((2 * band + 1, r.size), dtype=complex)
+    modes[band - d:band + d + 1] = spectrum[:, np.arange(-d, d + 1)].T
+    for flip in [True] * nu + [False] * mu:   # Tbar^nu first, then T^mu
+        if flip:
+            modes = np.ascontiguousarray(modes[::-1])
+        # the real weights on the real and imaginary parts: W is never cast
+        out = np.einsum("kij,kjc->kic", passes, modes.view(float).reshape(*modes.shape, 2))
+        # mode k goes to k - 1; the lowest row is 0 until the last pass
+        modes = np.roll(out.view(complex)[..., 0], -1, axis=0)
+        if flip:
+            modes = np.ascontiguousarray(modes[::-1])
+    return r, bary, modes
 
 
 def _disk_core(domain: DiskDomain, terms, z):
-    """`transform_sum` about the disk's centre, for fields of finite degree d.
+    """`transform_sum` about the disk's centre, for fields of finite degree.
 
-    Entry (mu, nu) is (sum P + K sum Q)/(2 pi i) (`kernels.expansion`): moments
-    and potentials K[b^p conj(b)^q f](a), each exact per angular mode (Daripa,
-    SIAM J. Sci. Stat. Comput. 13, 1992; Daripa & Mashat, Numer. Algorithms
-    18, 1998).  With a = r e^{i alpha} and t = min(r, rho)/max(r, rho), mode j
-    of -log|a - b|^2, 1/(b - a) and 1/(conj b - conj a) weighs t^|j| e^{i j alpha},
-    and log(1 - a conj b) = -sum (a conj b)^j / j.  The radial work depends on
-    r alone, so it runs once per distinct target radius (`_core_rings`), shared
-    by every term; then each target weighs its radius's mode sums by its own
-    phases and sums the monomials in a and conj a.  Both stages go in chunks
-    under CORE_BLOCK: radii by their radial elements, targets by their
-    potentials' modes plus monomials.  A target above CORE_TARGET_CAP raises
-    OrderTooLarge, a NaN/Inf sample or value NonFiniteSample.
+    For a field of degree d every T^j Tbar^i f is band-limited: its mode k is
+    a polynomial in |z| of degree at most the band d + mu + nu.  So each
+    density's transform is composed from mu + nu single passes on its modes
+    (`_core_modes`), each exact per mode with weights of at most 1 (the ring
+    weights of Daripa, SIAM J. Sci. Stat. Comput. 13, 1992).  Then each mode
+    is interpolated to the distinct target radii, once per radius, and each
+    target sums its phases, scaled by R^(mu+nu).  Radii, then targets, go in
+    chunks under CORE_BLOCK.  A NaN/Inf sample or value raises NonFiniteSample.
     """
     targets = np.asarray(z, dtype=complex).ravel()
     for point in targets[~domain.contains(targets)]:
         domain.validate_point(point)   # raises its DomainError
+    composed = [(_core_modes(f, mu, nu), np.float64(f.domain.radius) ** (mu + nu))
+                for (mu, nu), f in terms]
     radii, where = np.unique(np.abs(targets / domain.radius), return_inverse=True)
     order = np.argsort(where, kind="stable")   # the targets grouped by radius
     starts = np.searchsorted(where[order], np.arange(radii.size + 1))
     total = np.zeros(targets.shape, dtype=complex)
-    for (mu, nu), f in terms:
-        d = int(f.degree)
-        n = d + mu + nu   # the band: nodes per radial panel, and every |j| <= n
-        # elements per radius of the largest array: the samples on 2n + 2 angles,
-        # or Q's max(mu, 1) max(nu, 1) potentials' weights of the 2d + 1 modes
-        size = 2 * n * max(2 * n + 2, max(mu, 1) * max(nu, 1) * (2 * d + 1))
-        if size > CORE_TARGET_CAP:
-            raise OrderTooLarge(f"field degree {d} plus orders ({mu}, {nu}) need {size} "
-                                f"elements per target, above CORE_TARGET_CAP = {CORE_TARGET_CAP}; "
-                                "explicit counts take the target-centred rule")
-        plan = _core_plan(mu, nu, d)
-        c, j, n_p, (i, i_bar, co, source) = plan[0], plan[7], plan[11], plan[12]
-        scale = 2 * np.float64(f.domain.radius) ** (mu + nu)
-        step, per_target = max(1, CORE_BLOCK // size - 1), max(1, CORE_BLOCK // (j.size + co.size))
+    for (r, bary, modes), scale in composed:
+        k = np.arange(modes.shape[0]) - modes.shape[0] // 2
+        step, per_target = max(1, CORE_BLOCK // modes.size), max(1, CORE_BLOCK // k.size)
         # floating-point warnings are silenced here: a NaN/Inf value raises below
         with np.errstate(all="ignore"):
-            edge = None   # [0, R]'s row, from the first chunk
             for lo in range(0, radii.size, step):
-                sums, logs, moments, edge = _core_rings(f, plan, radii[lo:lo + step], edge)
+                rows = _interpolation_rows(radii[lo:lo + step], r, bary)
+                # cumsum sums in order whatever the shape, so a value never depends on T
+                rings = np.cumsum(rows[:, None, :] * modes, axis=2)[..., -1]
                 chunk = order[starts[lo]:starts[min(lo + step, radii.size)]]
                 for at in range(0, chunk.size, per_target):
                     index = chunk[at:at + per_target]
-                    a, row = targets[index] / f.domain.radius, where[index] - lo
-                    # cumsum sums in order whatever the shape, so a value never depends on T
-                    sources = np.cumsum(np.exp(1j * np.angle(a)[:, None, None] * j) * sums[row],
-                                        axis=2)[..., -1] + logs[row]
-                    if n_p:   # P's moments (only the mixed entries, c = 0, have any)
-                        sources = np.concatenate([np.broadcast_to(moments, (a.size, n_p)),
-                                                  sources], axis=1)
-                    powers = a[:, None] ** np.arange(mu + nu)
-                    value = np.cumsum(co * powers[:, i] * np.conj(powers)[:, i_bar]
-                                      * sources[:, source], axis=1)[:, -1]
+                    phases = np.exp(1j * np.angle(targets[index])[:, None] * k)
+                    value = np.cumsum(phases * rings[where[index] - lo], axis=1)[:, -1]
                     # an exact 0 stays 0 where R^(mu+nu) overflows
                     total[index] += np.where(value == 0, 0, scale * value)
     if not np.isfinite(total).all():
         raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
     return total.reshape(np.shape(z)) if np.ndim(z) else complex(total[0])
-
-
-def _core_rings(f: ScalarField, plan, r, edge):
-    """`_disk_core`'s radial stage at the radii r (over R): f is sampled on
-    2 band + 2 angles at `band` Gauss nodes on [0, r] and [r, R]; one FFT gives
-    its modes F_k, |k| <= d, and b^p conj(b)^q f is F shifted by p - q times
-    rho^(p+q), so the panels integrate every radial integrand exactly.  Returns
-    per radius each potential's mode sums (for the mixed entries, c = 0, with
-    [0, R]'s folded in for log(1 - a conj b)) and mode 0's log rho, [0, R]'s
-    integral less [0, r]'s (log-weighted Gauss); P's moments; and `edge`, [0, R]'s
-    (sums, log integral, moments), which a None `edge` has computed as one more
-    radius, 1, so that each term's chunks share one."""
-    c, rho_line, w_line, t_inner, log_ratio, angles, columns, j, coef, exponent, zeroth, \
-        n_p, _ = plan
-    if c == 0 and edge is None:
-        r = np.append(r, 1.0)
-    n = t_inner.shape[1]
-    rho = r[:, None, None] * rho_line[0] + rho_line[1]   # (radii, 2, n)
-    t = np.where(np.isnan(t_inner), r[:, None, None] / rho, t_inner)
-    nodes = f.domain.radius * rho[..., None] * angles
-    modes = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape))
-    wf = (r[:, None, None] * w_line[0] + w_line[1])[..., None] * modes[..., columns]
-    rho_pq = rho[..., None] ** exponent
-    sums = np.einsum("tgnpk,pgk,tgnk,tgnp->tpk",
-                     (t[..., None] ** np.arange(n + 1))[..., abs(j)], coef, wf, rho_pq)
-    if c != 0:
-        return sums, np.zeros((r.size, 1)), None, None
-    # log(1 - a conj b), and mode 0's log rho, from [0, R]'s sums
-    mode_sums = np.take(wf, zeroth[0], axis=3) * zeroth[1] * rho[..., None] ** zeroth[2]
-    logs = np.einsum("tnp,n->tp", mode_sums[:, 0, :, n_p:], log_ratio)
-    if edge is None:
-        edge = sums[-1], logs[-1], np.sum(mode_sums[-1, ..., :n_p], axis=(0, 1))
-    sums = sums - (j >= 1) * r[:, None, None] ** abs(j) * edge[0]
-    return sums, 2 * (logs - edge[1]), edge[2], edge
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:

@@ -117,9 +117,10 @@ class PolynomialField:
         return " + ".join(terms) or "0"
 
 
-def exact_transform(field: PolynomialField, radius: float,
-                    conjugate: bool = False) -> PolynomialField:
-    """Exact single transform of a polynomial field on the origin-centered disk.
+def transform_monomials(coefficients: dict, radius, conjugate: bool = False) -> dict:
+    """Exact single transform of sum c[p,q] z^p zbar^q, given as {(p, q): c},
+    on the origin-centred disk, in the arithmetic of c and radius (floats, or
+    fractions.Fraction for an exact composition).
 
     Apply the interior inversion identity to the antiderivative
     F = z^p zbar^(q+1)/(q+1): the transform of the monomial is F minus its
@@ -127,12 +128,12 @@ def exact_transform(field: PolynomialField, radius: float,
     R^(2(q+1)) z^(p-q-1)/(z - target), nonzero only when p >= q+1.  The
     conjugate transform mirrors the roles of the exponents.
     """
-    out: dict[tuple[int, int], complex] = {}
+    out: dict = {}
 
     def add(key, val):
-        out[key] = out.get(key, 0j) + val
+        out[key] = out[key] + val if key in out else val
 
-    for (p, q), v in np.ndenumerate(field.coeffs):
+    for (p, q), v in coefficients.items():
         if v == 0:
             continue
         if not conjugate:
@@ -143,7 +144,15 @@ def exact_transform(field: PolynomialField, radius: float,
             add((p + 1, q), v / (p + 1))
             if q >= p + 1:
                 add((0, q - p - 1), -v * radius ** (2 * (p + 1)) / (p + 1))
-    return PolynomialField.from_dict(out)
+    return out
+
+
+def exact_transform(field: PolynomialField, radius: float,
+                    conjugate: bool = False) -> PolynomialField:
+    """Exact single transform of a polynomial field on the origin-centered
+    disk (`transform_monomials`)."""
+    return PolynomialField.from_dict(transform_monomials(
+        dict(np.ndenumerate(field.coeffs)), radius, conjugate))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +378,15 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
         ab = np.conj(a)
         halves = (build_half_rule(domain, a, b, resolution),
                   build_half_rule(domain, b, a, resolution))
-        values = []
-        for mu, nu in np.asarray(indices, dtype=int).reshape(-1, 2).tolist():
-            func = lambda z: ((np.conj(z) - ab) ** (mu - 1) * (z - b) ** (nu - 1)
-                              / ((z - a) * (np.conj(z) - bb)))
-            values.append(integrate(halves[0], func) + integrate(halves[1], func))
+        orders = np.asarray(indices, dtype=int).reshape(-1, 2).tolist()
+        sums = []
+        for h in halves:   # one half at a time: its three factors serve every order
+            with np.errstate(all="ignore"):
+                d_bar, d = np.conj(h.nodes) - ab, h.nodes - b
+                den = (h.nodes - a) * (np.conj(h.nodes) - bb)
+            sums.append([integrate(h, lambda _: d_bar ** (mu - 1) * d ** (nu - 1) / den)
+                         for mu, nu in orders])
+        values = [first + second for first, second in zip(*sums)]
         return values if np.ndim(indices) == 2 else values[0]
     raise DomainError(f"unknown lemma kind {kind!r}")
 

@@ -3,8 +3,7 @@
 These are the target-centred rules: they serve transforms at explicit
 counts or of fields of unknown degree, 2T, the polydisc factors and every
 oracle but the norm-bound check, while the default counts of a field of
-finite degree take the disk-centred core (`operators`), which shares
-`radial_rule` and `sample`.
+finite degree take the disk-centred core (`operators`), which shares `sample`.
 Area rules are polar about the singularity of the intended integrand: along
 each ray |w - center| = rho(theta) s, s in [0, 1], with rho the distance to
 the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule

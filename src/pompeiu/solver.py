@@ -4,9 +4,10 @@ Solutions are parametrized by holomorphic free functions, given as expression
 fields in z on the problem's disk (`_is_zero` refuses any other).  The
 evaluator is g_0 plus one `operators.transform_sum` over the densities
 (A, conj f_i, g_j): at the default counts one disk-centred core call, each
-density at its own degree plus orders; at explicit counts, or with a density
-of unknown degree, one target-centred rule per target whose integrand sums
-every kernel entry.
+density sampled once and composed by the passes of its own table entry, all
+of them sharing the targets' distinct radii; at explicit counts, or with a
+density of unknown degree, one target-centred rule per target whose integrand
+sums every kernel entry.
 """
 
 from __future__ import annotations

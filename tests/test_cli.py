@@ -602,6 +602,16 @@ def test_values_on_the_circle_are_exact(capsys, argv):
     assert code == 0 and abs(parse_complex(out.strip())) <= 1e-12
 
 
+@pytest.mark.parametrize("z, exact, tolerance", [("0.9", 6.350717367e-52, 1e-2),
+                                                  ("0.5", 5.357670911549494e-40, 1e-12)])
+def test_highest_mixed_order_is_right(capsys, z, exact, tolerance):
+    # T^20 Tbar^20 1, exact from the monomial rule composed in fractions; summing
+    # the kernel's cancelling monomials printed -1.09e-39 at 0.9 and 4 digits at 0.5
+    code, out = run(capsys, "op", "apply", "--op", "mixed", "--f", "1", "--z", z,
+                    "--mu", "20", "--nu", "20")
+    assert code == 0 and abs(parse_complex(out.strip()) - exact) <= tolerance * exact
+
+
 @pytest.mark.parametrize("order", [("1", "1"), ("2", "2")])
 def test_extent_1_grid_is_exact(capsys, order):
     # corners on the circle; T Tbar and T^2 Tbar^2 of 1 + z zbar - 2i z^2 exactly

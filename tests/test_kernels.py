@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, OrderTooLarge
 from pompeiu.geometry import COINCIDENCE_EPS, DiskDomain, MultiIndex
 from pompeiu.kernels import (c1, c2, c3, c3_special_cases,
-                             c8, expansion, g_diag, g_mixed, kernel, log_term)
+                             c8, g_diag, g_mixed, kernel, log_term)
 
 R = 1.0
 
@@ -308,44 +308,3 @@ def test_kernel_table_entries():
     for mu, nu in ((0, 0), (-1, 0), (0, -1), (-2, 3)):
         with pytest.raises(DomainError):
             kernel(z, w, mu, nu, R)
-
-
-
-# ---------------------------------------------------------------------------
-# The table as monomials times a potential (the disk-centred core's form)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("mu", range(7))
-def test_expansion_evaluates_to_the_kernel_table(mu):
-    # every entry up to (6, 6) at seeded separated pairs on the unit disk:
-    # g_mixed's scaled c3, g_diag and -conj(g_diag), within 1e-13 of the sum
-    # of |terms| (the size of what the expansion adds up)
-    rng = np.random.default_rng(mu)
-    for nu in range(7):
-        if mu == nu == 0:
-            continue
-        c, p_terms, q_terms = expansion(mu, nu)
-        assert c == (0 if mu and nu else 1 if mu else -1) and (mu and nu or not p_terms)
-        for _ in range(12):
-            a, b = np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-            if abs(a - b) < 1e-3:
-                continue
-            potential = {0: log_term(a, b, 1.0), 1: 1 / (b - a), -1: 1 / np.conj(b - a)}[c]
-            terms = [co * a ** i * np.conj(a) ** i_bar * b ** p * np.conj(b) ** q * factor
-                     for factor, entries in ((1, p_terms), (potential, q_terms))
-                     for i, i_bar, p, q, co in entries]
-            got = sum(terms) / (2j * np.pi)
-            size = sum(abs(t) for t in terms) / (2 * np.pi)
-            assert abs(got - kernel(a, b, mu, nu, 1.0)) <= 1e-13 * size
-            if mu and nu:
-                scale = (-1) ** mu / (2j * np.pi * math.factorial(mu - 1) * math.factorial(nu - 1))
-                assert abs(got - scale * c3(a, b, mu, nu, 1.0)) <= 1e-13 * size
-
-
-def test_expansion_checks_orders_as_the_table_does():
-    with pytest.raises(DomainError):
-        expansion(0, 0)
-    with pytest.raises(DomainError):
-        expansion(-1, 2)
-    with pytest.raises(OrderTooLarge):
-        expansion(21, 1)

@@ -6,13 +6,18 @@ not `main`, so a public name a script uses cannot disappear unnoticed.
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pompeiu.geometry import DiskDomain
-from pompeiu.operators import constant_field, field_from_expression
-from pompeiu.oracle import NESTED_GRID_SHAPE, NESTED_RESOLUTION, NESTED_TOP_RESOLUTION
+from pompeiu.operators import constant_field, field_from_expression, transform
+from pompeiu.oracle import (NESTED_GRID_SHAPE, NESTED_RESOLUTION, NESTED_TOP_RESOLUTION,
+                            PolynomialField)
 from pompeiu.solver import solve_biharmonic
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -27,6 +32,9 @@ def load(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+TRANSFORM_ACCURACY = load(SCRIPTS[0].parent / "transform_accuracy.py")
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
@@ -73,6 +81,34 @@ def test_transform_accuracy_smoke(capsys):
     assert sorted(report["entries"]) == ["0,1", "0,2", "1,0", "1,1", "2,0"]
     assert report["core"] <= 1e-14 and report["rule"] > 1e-9
     assert report["core"] == max(core for core, _ in report["entries"].values())
+
+
+def test_transform_accuracy_sweeps_the_orders_on_the_core(capsys):
+    # --orders: every (mu, nu) up to (2, 2) on degree-0 and degree-4 fields
+    TRANSFORM_ACCURACY.main(["--seeds", "1", "--orders", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["entries"]) == 8 and "rule" not in report
+    assert report["core"] == max(max(e) for e in report["entries"].values()) <= 1e-14
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 4), st.integers(0, 1 << 16),
+       st.sampled_from([1.0, 2.5]),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi)), min_size=1, max_size=3))
+def test_core_matches_the_exact_composition(mu, nu, degree, seed, R, drawn):
+    # T^mu Tbar^nu of a seeded field against the monomial rule composed in
+    # fractions, at |z|/R in the script's RATIOS and at the drawn points.  The
+    # core's error is round-off of the entry's scale, not of each value: against
+    # the largest of three drawn values alone, all in a tail, it read up to 3e-10
+    assume(mu + nu >= 1)
+    module = TRANSFORM_ACCURACY
+    coefficients = module.seeded_field(np.random.default_rng(seed), degree)
+    field = PolynomialField.from_dict(coefficients).to_field(DiskDomain(R))
+    ratios, angles = np.array([(q, 0.3) for q in module.RATIOS] + drawn).T
+    z = R * ratios * np.exp(1j * angles)
+    parts = module.compose(module.exact_parts(coefficients), Fraction(R), True, nu)
+    want = module.exact_values(module.compose(parts, Fraction(R), False, mu), z)
+    assert np.max(np.abs(transform(field, z, mu, nu) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_biharmonic_demo_writes_its_grid(tmp_path, capsys):

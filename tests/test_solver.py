@@ -214,7 +214,7 @@ def test_fd_residual_near_boundary_raises():
 
 def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     # each density's band, its degree plus its table entry's orders, sets the
-    # disk-centred core's radial nodes per panel (band) and angles (2 band + 2):
+    # disk-centred core's Gauss radii (band + 2) and angles (2 band + 2):
     # A at (nu, mu), g_j at (j, 0), conj(f_i) at (nu, i); a density of unknown
     # degree sends the sum to the target-centred rule at degree inf; a zero datum,
     # however spelled, takes no pass
@@ -222,7 +222,7 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     shapes, degrees = [], []
     sample, rule = operators.sample, operators.build_area_rule
     monkeypatch.setattr(operators, "sample",
-                        lambda f, nodes: shapes.append(nodes.shape[2:]) or sample(f, nodes))
+                        lambda f, nodes: shapes.append(nodes.shape) or sample(f, nodes))
     monkeypatch.setattr(operators, "build_area_rule",
                         lambda *args: degrees.append(args[3]) or rule(*args))
     rhs = field_from_expression("z*zbar", DISK)
@@ -232,8 +232,8 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     solve_pde(SolutionSpec(1, 2, rhs, (zero, cube), (zero,)))(0.3)
     solve_pde(SolutionSpec(2, 1, rhs, (zero,), (zero, square)))(0.3)
     solve_pde(SolutionSpec(1, 1, None, (zero,), (zero,)), DISK)(0.3)
-    # nodes are (targets, panel, radial node, angle)
-    assert shapes == [(6, 14), (4, 10), (5, 12), (4, 10), (5, 12)] and degrees == []
+    # nodes are (radius, angle), sampled once per density
+    assert shapes == [(8, 14), (6, 10), (7, 12), (6, 10), (7, 12)] and degrees == []
     solve_pde(SolutionSpec(1, 1, replace(rhs, degree=math.inf), (zero,), (zero,)))(0.3)
     assert degrees == [math.inf]
 
