@@ -755,6 +755,22 @@ def counted_samples(monkeypatch) -> list:
     return sampled
 
 
+def test_core_samples_once_per_distinct_radius(monkeypatch):
+    # the 33 x 33 grid's 1,089 targets have 210 distinct radii: the density is
+    # sampled once, and the chunks interpolate its modes once to each radius
+    sampled, points, radial = counted_samples(monkeypatch), [], []
+    real = pompeiu.operators._interpolation_rows
+    monkeypatch.setattr(pompeiu.operators, "_interpolation_rows",   # 2-D x builds a pass tensor
+                        lambda x, r, bary: (x.ndim == 1 and radial.append(x.size))
+                        or real(x, r, bary))
+    f = field_from_expression("1+z*zbar-2i*z^2", DISK)
+    evaluate_on_grid(lambda z: points.append(z) or transform(f, z, 2, 2), DISK)
+    radii = np.unique(np.abs(points[0])).size
+    band = 2 + 2 + 2
+    assert radii == 210 and sampled == [(band + 2) * (2 * band + 2)]
+    assert 1 < len(radial) < radii and sum(radial) == radii
+
+
 @pytest.mark.parametrize("order", [(2, 2), (1, 1), (2, 0), (0, 1)])
 def test_core_samples_each_density_once(order, monkeypatch):
     # degree 20 at 400 distinct radii, then each 37th target alone: every call
