@@ -6,11 +6,12 @@ Prints one table per experiment; each row doubles the rule resolution.
 `--nested` instead sizes `oracle.NestedOracle`'s three counts (grid radii,
 base rule, top rule): for every candidate it prints the worst error against
 `oracle.exact_transform` compositions over the cells (depth 1-4, R = 1 and
-2.5, seeded (4,4) and (5,5) fields, |z|/R from 0 to 1; each cell the worst
-of its words and NESTED_ANGLES targets, relative to max(R^depth, |value|)),
-the cells worse than at PREVIOUS_NESTED's counts (errors under 1e-13, float64
-round-off, count as 1e-13), the points `_PolarGridField` evaluates and the
-milliseconds on the benchmark's six crosscheck words.  Then it names the
+2.5, (4,4) and (5,5) fields, |z|/R from 0 to 1; each cell the worst of its
+words, its NESTED_ANGLES targets and the fields of NESTED_SEEDS, relative to
+max(R^depth, |value|)), the cells worse than at PREVIOUS_NESTED's counts
+(errors under 1e-13, float64 round-off, count as 1e-13), the points
+`_PolarGridField` evaluates and the milliseconds on the benchmark's six
+crosscheck words (on the first seed's (4,4) field).  Then it names the
 candidate with the fewest points and no worse cell, and prints every cell at
 PREVIOUS_NESTED's counts beside the oracle's own.
 
@@ -45,6 +46,9 @@ NESTED_WORDS = {1: (("T",), ("Tbar",)), 2: (("T", "Tbar"), ("T", "T"), ("Tbar", 
                 4: (("T", "T", "Tbar", "Tbar"), ("T", "T", "T", "T"))}
 NESTED_RATIOS = (0.0, 0.3, 0.7, 0.9, 0.99, 1.0)
 NESTED_ANGLES = (0.7, 1.9, 3.2, 4.4, 5.6)
+#: a cell's worst over several seeded fields: on one seed the cells are not
+#: monotone in the counts (near |z| = 0, depth 4 reads cancelling contributions)
+NESTED_SEEDS = (0, 1, 2)
 ROUND_OFF = 1e-13
 #: the crosscheck workload's nested words and targets (`perfbench/workloads.py`)
 CROSSCHECK_WORDS = [("T",) * mu + ("Tbar",) * nu for mu, nu in ((1, 1), (2, 1), (1, 2))]
@@ -113,11 +117,12 @@ def nested_counts(radii: int, base, top):
         oracle._PolarGridField._modes = modes
 
 
-def nested_cells(config, seed: int) -> dict:
-    """(depth, R, field size, |z|/R) -> the worst error of the cell's words and angles."""
+def nested_cells(config) -> dict:
+    """(depth, R, field size, |z|/R) -> the worst error of the cell's words,
+    angles and seeds."""
     worst = {}
     with nested_counts(*config):
-        for R, size in itertools.product((1.0, 2.5), (4, 5)):
+        for seed, R, size in itertools.product(NESTED_SEEDS, (1.0, 2.5), (4, 5)):
             poly = scaled_field(size, R, seed)
             nested = NestedOracle(poly.to_field(DiskDomain(R)))
             for depth, words in NESTED_WORDS.items():
@@ -128,7 +133,7 @@ def nested_cells(config, seed: int) -> dict:
                     for ratio in NESTED_RATIOS:
                         targets = ratio * R * np.exp(1j * np.array(NESTED_ANGLES))
                         want = exact(targets)
-                        got = np.array([nested.evaluate(z, word) for z in targets])
+                        got = nested.evaluate(targets, word)
                         err = np.max(np.abs(got - want) / np.maximum(R ** depth, np.abs(want)))
                         key = (depth, R, size, ratio)
                         worst[key] = max(worst.get(key, 0.0), float(err))
@@ -162,19 +167,21 @@ def _label(config) -> str:
     return f"{radii}:{base[0]}x{base[1]}:{top[0]}x{top[1]}"
 
 
-def nested_table(candidates, seed: int) -> None:
+def nested_table(candidates) -> None:
     current = (oracle.NESTED_GRID_SHAPE[0], oracle.NESTED_RESOLUTION,
                oracle.NESTED_TOP_RESOLUTION)
-    cells = {config: nested_cells(config, seed)
+    cells = {config: nested_cells(config)
              for config in dict.fromkeys([PREVIOUS_NESTED, current, *candidates])}
     previous = cells[PREVIOUS_NESTED]
     floor = lambda err: max(err, ROUND_OFF)
-    print(f"\nNestedOracle counts (radii:base:top) against {_label(PREVIOUS_NESTED)}, seed {seed}")
+    seeds = ",".join(map(str, NESTED_SEEDS))
+    print(f"\nNestedOracle counts (radii:base:top) against {_label(PREVIOUS_NESTED)}, "
+          f"seeds {seeds}")
     print(f"  {'counts':>16}  {'worst':>9}  {'worse':>5}  {'max ratio':>9}  {'points':>7}  {'ms':>6}")
     rows = []
     for config, errors in cells.items():
         ratios = [floor(errors[key]) / floor(previous[key]) for key in previous]
-        points, ms = crosscheck_cost(config, seed)
+        points, ms = crosscheck_cost(config, NESTED_SEEDS[0])
         rows.append((points, config, sum(r > 1 for r in ratios)))
         print(f"  {_label(config):>16}  {max(errors.values()):9.2e}  {rows[-1][2]:5d}  "
               f"{max(ratios):9.3f}  {points:7d}  {ms:6.1f}")
@@ -194,7 +201,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--R", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the tables; --nested takes NESTED_SEEDS")
     parser.add_argument("--nested", nargs="?", const="all", default=None,
                         help="size NestedOracle's counts: `all` candidates, or a comma "
                              "list of radii:base:top such as 56:12x16:16x32")
@@ -202,7 +210,7 @@ def main(argv=None):
     if args.nested is not None:
         candidates = (NESTED_CANDIDATES if args.nested == "all"
                       else [_config(text) for text in args.nested.split(",")])
-        nested_table(candidates, args.seed)
+        nested_table(candidates)
         return
 
     domain = DiskDomain(args.R)

@@ -47,7 +47,7 @@ def _check_order(name: str, value: int, minimum: int = 1) -> int:
     return value
 
 
-def _power(x, n: int):
+def power(x, n: int):
     """x ** n, with x^0 the scalar 1 and x^1 = x (numpy takes complex
     arrays to those two powers in a slow elementwise loop).  Above that
     numpy's binary powering sets the rounding: complex array products round
@@ -56,8 +56,8 @@ def _power(x, n: int):
 
 
 def _powers(x, n: int) -> list:
-    """[x^0, x^1, ..., x^n], each formed once by `_power`."""
-    return [_power(x, i) for i in range(n + 1)]
+    """[x^0, x^1, ..., x^n], each formed once by `power`."""
+    return [power(x, i) for i in range(n + 1)]
 
 
 def log_term(a, b, radius: float):
@@ -140,7 +140,7 @@ def c3(a, b, mu: int, nu: int, radius: float, log_shift=0.0):
     b = np.asarray(b, dtype=complex)
     # powers of conj(b) - conj(a); (-diff_bar)^l is (-1)^l times its entry
     diff_bar = _powers(np.conj(b) - np.conj(a), mu - 1)
-    diff = _power(a - b, nu - 1)
+    diff = power(a - b, nu - 1)
     total = diff_bar[mu - 1] * (c1(a, b, nu) + diff * (log_term(a, b, radius) - 2 * log_shift))
     for l in range(1, mu):
         # (1.0 / l): numpy's division by l, at the cost of a multiply

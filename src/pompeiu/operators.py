@@ -30,14 +30,13 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import expressions
 from .errors import DimensionCap, DomainError, NonFiniteSample, OrderTooLarge, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .kernels import TWO_PI_I, c3, c8, check_entry, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
-                         build_contour_rule, integrate, rule_counts, sample)
+                         build_contour_rule, integrate, radial_rule, rule_counts, sample)
 
 #: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
@@ -163,29 +162,6 @@ def _interpolation_rows(x, radii, bary):
     return np.where(hit.any(axis=-1, keepdims=True), hit, rows)
 
 
-@lru_cache(maxsize=16)
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes and weights on [0, 1]: numpy's nodes x after two
-    Newton steps on the three-term recurrence, and the weights
-    2/((1 - x^2) P_n'(x)^2) at them.  `leggauss` takes P_n' at its unrefined
-    nodes, and its moments of degree up to 2n - 1 then read relative errors up
-    to 2.2e-13 (n = 41), which each pass of the core would add; these read
-    1e-14."""
-    def legendre(x):   # P_n(x) and P_n'(x)
-        p0, p1 = np.ones(n), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
-
-    x = leggauss(n)[0]
-    for _ in range(2):
-        p, dp = legendre(x)
-        x = x - p / dp
-    dp = legendre(x)[1]
-    x, w = (x - x[::-1]) / 2, 1 / ((1 - x) * (1 + x) * dp ** 2)
-    return (1 + x) / 2, (w + w[::-1]) / 2
-
-
 def _pass_tensor(band: int):
     """The band + 2 Gauss radii r on [0, 1], their barycentric weights, and the
     pass tensor W, shape (2 band + 1, n, n), whose row band + k takes mode k's
@@ -194,7 +170,7 @@ def _pass_tensor(band: int):
          2 int_0^r F_k(rho) (rho/r)^(1-k) drho   (k <= 0),
     each on n Gauss nodes (the [0, r] integrand's degree reaches 2 band + 1),
     F_k interpolated there from r.  Every weight is at most 1 in size."""
-    r, w = _gauss(band + 2)
+    r, w = radial_rule(band + 2)[:2]
     bary = (-1.0) ** np.arange(r.size) * np.sqrt(r * (1 - r) * w)
     k = np.arange(-band, band + 1)[:, None, None]
     up = k[:, 0, 0] >= 1

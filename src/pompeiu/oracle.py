@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DepthCap, DimensionCap, DomainError, NonFiniteSample
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain, require_separated, wirtinger_split
-from .kernels import c3, c8
+from .kernels import c3, c8, power
 from .operators import ScalarField, apply_mixed, apply_T, apply_Tbar
 from .quadrature import build_area_rule, build_contour_rule, build_half_rule, integrate
 
@@ -188,7 +188,8 @@ class _PolarGridField:
         self.domain = domain
         self._h = domain.radius / (len(values) - 1)
         y = np.fft.fft(values, axis=1, norm="forward")
-        m2 = np.einsum("ij,jm->im", _not_a_knot(len(values)), y)   # no BLAS: see NestedOracle
+        # the real map on (re, im) pairs: no complex cast of it, and no BLAS (see NestedOracle)
+        m2 = np.einsum("ij,jm->im", _not_a_knot(len(values)), y.view(float)).view(complex)
         # per radial interval, the cubic's t^3..t^0 coefficients (t = r/h - k)
         cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
                           y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
@@ -225,18 +226,30 @@ _GRID_PHASES = np.exp(2j * np.pi * np.arange(NESTED_GRID_SHAPE[1]) / NESTED_GRID
 
 
 def _rotation_sum(inner, nodes, density) -> np.ndarray:
-    """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, shape
-    (nt,).  Rotating by 2 pi j/nt multiplies a grid or polynomial field's mode m by
-    e^{2 pi i m j/nt}, so its density-weighted modes are summed, scattered into the nt
-    FFT slots (a polynomial's |m| <= 8 < nt/2) and inverted by one inverse FFT; any
-    other field is sampled at each rotated node, 128 nodes (10,240 points) per call."""
+    """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, for
+    nodes and density of shape (..., n): shape (..., nt).  Rotating by 2 pi j/nt
+    multiplies a grid or polynomial field's mode m by e^{2 pi i m j/nt}, so one
+    `_modes` call per chunk of whole rows (at most BLOCK points, or one row) gives
+    their modes, each row's density-weighted sums fill its nt FFT slots (a
+    polynomial's |m| <= 8 < nt/2), and one inverse FFT inverts them all; any other
+    field is sampled at each row's rotated nodes, 128 nodes (10,240 points) per call."""
+    n = np.shape(nodes)[-1]
+    rows, weights = np.reshape(nodes, (-1, n)), np.reshape(density, (-1, n))
+    total = np.zeros((len(rows), _GRID_PHASES.size), dtype=complex)
     if isinstance(inner, (_PolarGridField, PolynomialField)):
-        total = np.zeros(_GRID_PHASES.size, dtype=complex)
-        total[inner._freq] = np.einsum("nm,n->m", inner._modes(nodes), density)
-        return np.fft.ifft(total, norm="forward")
-    return sum(np.sum(inner(nodes[lo:lo + 128, None] * _GRID_PHASES)
-                      * density[lo:lo + 128, None], axis=0)
-               for lo in range(0, nodes.size, 128))
+        step = max(1, _PolarGridField.BLOCK // n)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            modes = inner._modes(chunk.ravel()).reshape(*chunk.shape, -1)
+            total[lo:lo + step, inner._freq] = np.einsum("rnm,rn->rm", modes,
+                                                         weights[lo:lo + step])
+        total = np.fft.ifft(total, norm="forward")
+    else:
+        for row, at, d in zip(total, rows, weights):
+            row[:] = sum(np.sum(inner(at[lo:lo + 128, None] * _GRID_PHASES)
+                                * d[lo:lo + 128, None], axis=0)
+                         for lo in range(0, n, 128))
+    return total.reshape(*np.shape(nodes)[:-1], -1)
 
 
 _SINGLE_OPS = {"T": apply_T, "Tbar": apply_Tbar}
@@ -245,28 +258,30 @@ _SINGLE_OPS = {"T": apply_T, "Tbar": apply_Tbar}
 class NestedOracle:
     """Evaluate operator words like [T, T, Tbar] by literal composition.
 
-    The outermost operator is quadrated directly at the requested target.
-    Each deeper intermediate field is materialized once, on demand, on a
-    polar grid (one single-operator quadrature per grid node) and kept as
-    angular Fourier modes with a radial cubic spline per mode, keeping only the
-    modes above 1e-13 of its largest: within nt * 1e-13 of the largest mode
-    of the all-mode interpolant (`_PolarGridField`).  The grids are memoized
-    per program suffix and share one batch of base rules; an inner grid's kept
-    modes, or a polynomial field's exact ones, are weighted and summed per radius
-    before one inverse FFT.  Exact per-node nesting costs O(N^depth) and is
+    The outermost operator is quadrated directly at the requested targets,
+    one rule call for all of them.  Each deeper intermediate field is
+    materialized once, on demand, on a polar grid (a single-operator
+    quadrature at every grid node) and kept as angular Fourier modes with a
+    radial cubic spline per mode, keeping only the modes above 1e-13 of its
+    largest: within nt * 1e-13 of the largest mode of the all-mode
+    interpolant (`_PolarGridField`).  The grids are memoized per program
+    suffix and share one batch of base rules; an inner grid's kept modes, or
+    a polynomial field's exact ones, come from chunks of whole grid radii,
+    are weighted and summed per radius, and one inverse FFT ends the grid
+    (`_rotation_sum`).  Exact per-node nesting costs O(N^depth) and is
     unusable beyond depth 2, while the memoized route is linear in depth and
     still never touches the closed-form kernels.
 
     The error budget: each grid mode's not-a-knot cubic spline errs by
     O(h^4) in the radial step h, and that sets the floor: in the sweep of
     `scripts/convergence_study.py --nested` (depth 1-4, R = 1 and 2.5, (4,4)
-    and (5,5) fields, |z|/R from 0 to 1) the worst error goes 2.5e-7, 1.2e-7,
-    5.7e-8, 4.0e-8 at 40, 48, 56, 64 radii, about (40/64)^4, while base rules
-    of (12, 16) or more nodes and any top rule move it by under 15%.  The
-    counts are sized to it: the fewest `_PolarGridField` evaluations for which
-    no cell reads worse than at the earlier 40 radii with (24, 48) and
-    (64, 128) rules, whose worst cell read 2.8e-7 (errors relative to
-    max(R^depth, |value|), those below 1e-13 counted as 1e-13).
+    and (5,5) fields of seeds 0-2, |z|/R from 0 to 1) the worst error goes
+    3.9e-7, 1.8e-7, 1.1e-7, 7.1e-8 at 40, 48, 56, 64 radii, about (40/64)^4,
+    while base rules of (12, 16) or more nodes and any top rule move it by
+    under 25%.  The counts are sized to it: the fewest `_PolarGridField`
+    evaluations for which no cell reads worse than at the earlier 40 radii
+    with (24, 48) and (64, 128) rules, whose worst cell read 3.8e-7 (errors
+    relative to max(R^depth, |value|), those below 1e-13 counted as 1e-13).
 
     No BLAS call: OpenBLAS hands even a (40 x 40)(40 x 80) product to a
     worker thread, which then competes with the main thread
@@ -295,15 +310,17 @@ class NestedOracle:
         # One base rule per radius; rules at the other grid angles are its
         # rotations (the disk is rotation-invariant about 0), so each grid row is
         # one batched quadrature: 1/(w - z) = e^{-i t}/(n0 - r), w = e^{i t} n0,
-        # z = e^{i t} r.  `_rotation_sum` weights an inner field's modes by the density
-        # and sums them per radius before one inverse FFT; no BLAS (see the docstring).
-        values = np.array([_rotation_sum(inner_evaluator, n,
-                                         w / ((n if op == "T" else np.conj(n)) - r))
-                           for r, n, w in zip(self._radii, self._base.nodes, self._base.weights)])
+        # z = e^{i t} r.  `_rotation_sum` forms every row from chunks of whole
+        # radii and one inverse FFT; no BLAS (see the docstring).
+        nodes = self._base.nodes
+        density = (nodes if op == "T" else np.conj(nodes)) - self._radii[:, None]
+        np.divide(self._base.weights, density, out=density)
+        values = _rotation_sum(inner_evaluator, nodes, density)
         values *= (np.conj(_GRID_PHASES) if op == "T" else _GRID_PHASES) / (-2j * np.pi)
         return _PolarGridField(self.domain, values)
 
-    def evaluate(self, z: complex, program) -> complex:
+    def evaluate(self, z, program):
+        """`program` at z, a complex or an array (of values), by one top rule call."""
         program = tuple(program)
         if len(program) == 0:
             raise DomainError("empty operator program")
@@ -313,7 +330,7 @@ class NestedOracle:
             if op not in _SINGLE_OPS:
                 raise DomainError(f"unknown operator {op!r}; expected 'T' or 'Tbar'")
         field = ScalarField(self._field_for(program[1:]), self.domain)
-        return _SINGLE_OPS[program[0]](field, complex(z), NESTED_TOP_RESOLUTION)
+        return _SINGLE_OPS[program[0]](field, z, NESTED_TOP_RESOLUTION)
 
 
 def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolution) -> complex:
@@ -373,7 +390,7 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
     if kind == "lem5":
         l, nu = (int(i) for i in indices)
         rule = build_contour_rule(radius, contour_count)
-        return integrate(rule, lambda z: (np.conj(z) - bb) ** l * (z - b) ** (nu - 1) / (z - a))
+        return integrate(rule, lambda z: power(np.conj(z) - bb, l) * power(z - b, nu - 1) / (z - a))
     if kind == "lem6":
         ab = np.conj(a)
         halves = (build_half_rule(domain, a, b, resolution),
@@ -384,7 +401,7 @@ def lemma_lhs_quadrature(kind: str, a: complex, b: complex, indices, radius: flo
             with np.errstate(all="ignore"):
                 d_bar, d = np.conj(h.nodes) - ab, h.nodes - b
                 den = (h.nodes - a) * (np.conj(h.nodes) - bb)
-            sums.append([integrate(h, lambda _: d_bar ** (mu - 1) * d ** (nu - 1) / den)
+            sums.append([integrate(h, lambda _: power(d_bar, mu - 1) * power(d, nu - 1) / den)
                          for mu, nu in orders])
         values = [first + second for first, second in zip(*sums)]
         return values if np.ndim(indices) == 2 else values[0]

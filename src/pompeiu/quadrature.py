@@ -66,16 +66,31 @@ class Rule:
 def radial_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes s and weights w on [0, 1], and log_shift = v/w - log s.
 
+    Numpy's `leggauss` nodes x after two Newton steps, and the weights
+    2/((1 - x^2) P_n'(x)^2) at them: `leggauss`'s own, taken at its unrefined
+    nodes, read moment errors up to 2.2e-13 (n = 41), these 1e-14.
+
     The product weights v_k = w_k sum_m (2m+1) P~_m(s_k) M_m integrate
     p(s) log s exactly for p of degree < n (Atkinson, The Numerical Solution
     of Integral Equations of the Second Kind, 1997): P~_m are the shifted
     Legendre polynomials, M_m = int_0^1 P~_m log s ds = (-1)^(m+1)/(m(m+1)), M_0 = -1.
     """
-    x, w = leggauss(n)
+    def legendre(x):   # P_n(x) and P_n'(x)
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / ((1 - x) * (1 + x))
+
+    x = leggauss(n)[0]
+    for _ in range(2):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    x, w = (x - x[::-1]) / 2, 1 / ((1 - x) * (1 + x) * dp ** 2)
     m = np.arange(1, n)
     moments = np.concatenate([[-1.0], (-1.0) ** (m + 1) / (m * (m + 1))])
-    s = (x + 1) / 2
-    return s, w / 2, legval(x, (2 * np.arange(n) + 1) * moments) - np.log(s)
+    s = (1 + x) / 2
+    return s, (w + w[::-1]) / 2, legval(x, (2 * np.arange(n) + 1) * moments) - np.log(s)
 
 
 @lru_cache(maxsize=1)

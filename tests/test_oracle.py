@@ -107,6 +107,45 @@ def test_second_level_grid_rotations_match_pointwise_evaluation():
         assert np.max(np.abs(row - pointwise)) <= 1e-13
 
 
+@pytest.mark.parametrize("inner", ("polynomial", "grid", "sampled"))
+def test_rotation_sum_rows_equal_one_call_per_row(inner):
+    # a 2-D call takes each chunk of whole rows' modes in one `_modes` call and
+    # one einsum, then one inverse FFT (a sampled field, row by row); each row
+    # must be the 1-D call's, bit for bit, across a partial last chunk
+    rng = np.random.default_rng(27)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    field = {"polynomial": poly,
+             "grid": NestedOracle(poly.to_field(DISK))._field_for(("T",)),
+             "sampled": lambda z: z * np.conj(z) + np.conj(z)}[inner]
+    radii = np.linspace(0.0, 1.0, 13)
+    rule = build_area_rule(DISK, radii, NESTED_RESOLUTION)
+    density = rule.weights / (rule.nodes - radii[:, None])
+    assert 13 * rule.nodes.shape[1] > 2 * oracle_module._PolarGridField.BLOCK
+    rows = _rotation_sum(field, rule.nodes, density)
+    each = np.array([_rotation_sum(field, n, d) for n, d in zip(rule.nodes, density)])
+    assert rows.shape == (13, NESTED_GRID_SHAPE[1])
+    assert rows.tobytes() == each.tobytes()
+
+
+@pytest.mark.parametrize("suffix, kind", [(("Tbar",), PolynomialField),
+                                          (("T", "Tbar"), oracle_module._PolarGridField)])
+def test_grid_build_takes_its_inner_modes_in_chunks_of_whole_radii(suffix, kind, monkeypatch):
+    # every grid radius's base rule, in chunks of at most BLOCK points: 56
+    # radii of 192 nodes in 12 `_modes` calls, not one per radius
+    rng = np.random.default_rng(28)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    nested = NestedOracle(poly.to_field(DISK))
+    nested._field_for(suffix[1:])
+    sizes, real = [], kind._modes
+    monkeypatch.setattr(kind, "_modes", lambda self, z: sizes.append(z.size) or real(self, z))
+    nested._field_for(suffix)
+    nodes = NESTED_RESOLUTION[0] * NESTED_RESOLUTION[1]
+    per_chunk = oracle_module._PolarGridField.BLOCK // nodes
+    assert sizes == [per_chunk * nodes] * (NESTED_GRID_SHAPE[0] // per_chunk) + [
+        NESTED_GRID_SHAPE[0] % per_chunk * nodes]
+    assert sum(sizes) == NESTED_GRID_SHAPE[0] * nodes
+
+
 @pytest.mark.parametrize("R", (1.0, 2.5))
 @pytest.mark.parametrize("shape", ("monomial", "degree (8,8)"))
 def test_polynomial_rotations_match_the_sampled_sum(R, shape, monkeypatch):
@@ -306,9 +345,30 @@ def test_nested_error_stays_within_its_sized_budget(R, size):
             exact = exact_transform(exact, R, conjugate=op == "Tbar")
         for q in (0.0, 0.7, 0.99, 1.0):
             z = q * R * np.exp(1j * np.array([0.7, 1.9, 3.2, 4.4, 5.6]))
-            got = np.array([oracle.evaluate(w, word) for w in z])
+            got = oracle.evaluate(z, word)
             err = np.abs(got - exact(z)) / np.maximum(R ** len(word), np.abs(exact(z)))
             assert np.max(err) <= NESTED_BUDGET, (word, q)
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_nested_targets_in_one_call_equal_a_call_each(R, monkeypatch):
+    # one top-level rule call over the array; each value is the lone
+    # target's, bit for bit, and a complex target still gives a complex
+    rng = np.random.default_rng([0, 5])
+    poly = PolynomialField(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    oracle = NestedOracle(poly.to_field(DiskDomain(R)))
+    z = np.outer((0.0, 0.7, 0.99, 1.0), R * np.exp(1j * np.array([0.7, 1.9, 3.2])))
+    for word in (("T",), ("Tbar", "T"), ("T", "T", "Tbar", "Tbar")):
+        each = np.array([[oracle.evaluate(w, word) for w in row] for row in z])
+        calls = []
+        top = oracle_module._SINGLE_OPS[word[0]]
+        with monkeypatch.context() as patch:
+            patch.setitem(oracle_module._SINGLE_OPS, word[0],
+                          lambda *args: calls.append(np.shape(args[1])) or top(*args))
+            got = oracle.evaluate(z, word)
+        assert calls == [z.shape] and got.shape == z.shape
+        assert got.tobytes() == each.tobytes()
+    assert type(oracle.evaluate(0.3 + 0.1j, ("T",))) is complex
 
 
 def test_nested_oracle_memoizes_suffix_grids():
@@ -361,6 +421,24 @@ def test_lem6_orders_in_one_call_match_a_call_each(R, resolution):
     each = [lemma_lhs_quadrature("lem6", A * R, B * R, order, R, resolution) for order in orders]
     assert np.array(together).tobytes() == np.array(each).tobytes()
     assert lemma_lhs_quadrature("lem6", A * R, B * R, [(2, 2)], R, resolution) == [each[3]]
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_lemma_integrands_equal_the_literal_powers_bit_for_bit(R, monkeypatch):
+    # `power` takes x^0 as the scalar 1 and x^1 as x itself; every value must
+    # be the literal `**` integrand's, at exponents 0 to 3
+    a, b = A * R, B * R
+    orders = [(mu, nu) for mu in range(1, 5) for nu in range(1, 5)]
+    lem5 = [(l, nu) for l in range(4) for nu in range(1, 5)]
+
+    def values():
+        return (lemma_lhs_quadrature("lem6", a, b, orders, R, (16, 32))
+                + [lemma_lhs_quadrature("lem5", a, b, order, R, contour_count=64)
+                   for order in lem5])
+
+    got = values()
+    monkeypatch.setattr(oracle_module, "power", lambda x, n: x ** n)
+    assert np.array(got).tobytes() == np.array(values()).tobytes()
 
 
 def test_lemma_quadrature_converges_4x():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
 from pompeiu.geometry import DiskDomain, PolydiscDomain, require_separated
+from pompeiu.operators import _pass_tensor
 from pompeiu.quadrature import (TABLE_DEGREE, build_area_rule, build_contour_rule,
-                                build_half_rule, integrate)
+                                build_half_rule, integrate, radial_rule)
 
 
 def total_weight(rule):
@@ -82,6 +83,18 @@ def test_product_weights_integrate_s_power_times_log_s(n_radial):
     for j in range(n_radial):
         got = np.sum(rule.weights * s ** (j - 1) * (np.log(s) + rule.log_shift)) / (4j * np.pi)
         assert abs(got + 1 / (j + 1) ** 2) <= 1e-14, j
+
+
+@pytest.mark.parametrize("n", [24, 41, 81])
+def test_radial_rule_moments_hold_to_round_off(n):
+    # numpy's `leggauss` weights, taken at its unrefined nodes, read up to
+    # 2.2e-13 here (n = 41); the refined rule serves the target-centred rules
+    # and the disk-centred core's passes alike
+    s, w, _ = radial_rule(n)
+    m = np.arange(2 * n)
+    moments = np.array([np.sum(w * s ** k) for k in m]) * (m + 1)
+    assert np.max(np.abs(moments - 1)) <= 2e-14
+    assert np.array_equal(_pass_tensor(n - 2)[0], s)
 
 
 @pytest.mark.parametrize("ratio, counts", [
