@@ -1,11 +1,11 @@
 """Independent brute-force references for the closed-form machinery.
 
 Nested operator application composes single-operator quadratures at the
-fixed NESTED_* counts, sized to the error of its radial spline (the floor;
-see `NestedOracle`), the lemma left-hand sides are quadrated directly from
-their defining integrals with two-center singular rules, and polynomial
-test fields carry exact coefficient-level Wirtinger calculus: none of these
-touches the closed-form kernels.  `polydisc_tensor` uses the per-factor
+fixed NESTED_* counts, exact in r for polynomial fields (see `NestedOracle`);
+the lemma left-hand sides are quadrated directly from their defining
+integrals with two-center singular rules, and polynomial test fields carry
+exact coefficient-level Wirtinger calculus: none of these touches the
+closed-form kernels.  `polydisc_tensor` uses the per-factor
 kernels, which the disk checks cover, to check `apply_polydisc`'s separation.
 
 Discrete Hoelder/semi-norm estimators are sups over finite seeded samples and
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -35,7 +35,7 @@ MIN_PAIR_SEPARATION = 1e-6
 #: NestedOracle: per-node rule, polar grid of each intermediate, outermost rule;
 #: sized by `scripts/convergence_study.py --nested` (see NestedOracle)
 NESTED_RESOLUTION = (12, 16)
-NESTED_GRID_SHAPE = (56, 80)
+NESTED_GRID_SHAPE = (12, 80)
 NESTED_TOP_RESOLUTION = (16, 32)
 _MODE_FLOOR = 1e-13   # angular modes below this fraction of a grid's largest are dropped
 
@@ -159,60 +159,59 @@ def exact_transform(field: PolynomialField, radius: float,
 # Nested operator application (the literal composition route)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _not_a_knot(n: int) -> np.ndarray:
-    """The map from n samples at unit spacing to their not-a-knot cubic
-    spline's second derivatives (third derivative continuous at 1 and n-2)."""
-    a, d = np.zeros((n, n)), np.zeros((n, n))
-    k = np.arange(1, n - 1)
-    a[k, k - 1] = a[k, k + 1] = d[k, k - 1] = d[k, k + 1] = 1.0
-    a[k, k], d[k, k] = 4.0, -2.0
-    a[0, :3] = a[-1, -3:] = (1.0, -2.0, 1.0)
-    return np.linalg.solve(a, 6.0 * d)
+def _lobatto_radii(radius: float, count: int) -> np.ndarray:
+    """The Chebyshev-Lobatto radii R (1 - cos(pi j/(n-1)))/2, j = 0..n-1: 0 and R included."""
+    return radius * (1.0 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2
+
+
+def _geometry(z, radii) -> tuple[np.ndarray, np.ndarray]:
+    """The second-form barycentric rows at min(|z|, R) for flat z on the radii
+    (weights (-1)^j, halved at both ends; a point on a radius takes its unit
+    row), and exp(i arg z), whose powers are a grid's phases: unlike z/|z| it
+    is finite at 0, and arg(-0.0+0j) = pi.  A NestedOracle forms its nodes' once."""
+    x = np.minimum(np.abs(z), radii[-1])[:, None]
+    w = (-1.0) ** np.arange(radii.size) * np.r_[0.5, np.ones(radii.size - 2), 0.5]
+    hit = x == radii
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.where(hit.any(axis=1, keepdims=True), hit, w / (x - radii))
+    return rows / np.sum(rows, axis=1, keepdims=True), np.exp(1j * np.angle(z))
 
 
 class _PolarGridField:
-    """Field sampled at radii i*h and angles 2 pi j/nt (nt even), held as its
-    trigonometric interpolant sum_m c_m(r) e^{i m theta} (Nyquist mode as a
-    cosine), each angular Fourier mode c_m a not-a-knot cubic spline in r.
-
-    Only the modes m with b_m > _MODE_FLOOR * max b are kept (`_freq`, signed
-    frequencies, also valid FFT indices), where b_m, the largest sum of
-    |cubic coefficients| over the radial intervals, bounds |c_m(r)| for all r:
-    the truncated interpolant is within sum_dropped b_m < nt * 1e-13 * max b
-    of the all-mode one, and a grid with content in every mode keeps all nt."""
+    """Field sampled at n Chebyshev-Lobatto radii (`_lobatto_radii`) and the
+    angles 2 pi j/nt (nt even), held as its trigonometric interpolant
+    sum_m c_m(r) e^{i m theta} (Nyquist mode as a cosine), each c_m the
+    polynomial through its values on the radii: exact if c_m is a polynomial
+    of degree below n, as for polynomial fields, and spectrally accurate for
+    smooth ones.  Only the modes with b_m > _MODE_FLOOR * max b are kept
+    (`_freq`, signed frequencies, also valid FFT indices), b_m the largest |c_m|
+    on the radii: |c_m(r)| <= Lambda_n b_m, with the Lebesgue constant
+    Lambda_n <= 1 + (2/pi) log(n - 1), so the truncated interpolant is within
+    Lambda_n nt 1e-13 max b of the all-mode one; content in every mode keeps all nt."""
 
     BLOCK = 1024   # points per block of `__call__`: bounds the (points x modes) temporaries
 
     def __init__(self, domain: DiskDomain, values):
         self.domain = domain
-        self._h = domain.radius / (len(values) - 1)
+        self._radii = _lobatto_radii(domain.radius, len(values))
         y = np.fft.fft(values, axis=1, norm="forward")
-        # the real map on (re, im) pairs: no complex cast of it, and no BLAS (see NestedOracle)
-        m2 = np.einsum("ij,jm->im", _not_a_knot(len(values)), y.view(float)).view(complex)
-        # per radial interval, the cubic's t^3..t^0 coefficients (t = r/h - k)
-        cubic = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
-                          y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
-        bound = np.sum(np.abs(cubic), axis=0).max(axis=0)   # b_m >= |c_m(r)| for every r
+        bound = np.max(np.abs(y), axis=0)   # b_m, the largest |c_m| on the radii
         nt = y.shape[1]
         keep = (bound > _MODE_FLOOR * bound.max()) | ~np.isfinite(bound.max())   # NaN/Inf: all
         self._freq = ((np.arange(nt) + nt // 2) % nt - nt // 2)[keep]
         self._imag_sign = np.sign(self._freq) * (self._freq != -(nt // 2))
-        self._cubic = np.take(cubic, self._freq, axis=2).view(float)   # as float pairs
+        self._values = np.take(y, self._freq, axis=1).view(float)   # as float pairs
 
-    def _modes(self, z) -> np.ndarray:
-        """c_m(|z|) e^{i m arg z} for flat z and the kept m, shape (z.size, kept)."""
-        x = np.minimum(np.abs(z), self.domain.radius) / self._h
-        k = np.minimum(x.astype(int), self._cubic.shape[1] - 1)
-        t = x - k
-        modes = np.einsum("pnm,np->nm", np.take(self._cubic, k, axis=1),
-                          np.stack([t * t * t, t * t, t, np.ones_like(t)], axis=1)).view(complex)
-        # powers of exp(i arg z), not of z/|z|: finite at 0, and arg(-0.0+0j) = pi
+    def _modes(self, z, at=None) -> np.ndarray:
+        """c_m(|z|) e^{i m arg z} for flat z and the kept m, shape (z.size, kept);
+        `at` is z's `_geometry` on these radii, if formed already."""
+        rows, unit = _geometry(z, self._radii) if at is None else at
+        # the real rows on (re, im) pairs: no complex cast of them, and no BLAS (see NestedOracle)
+        modes = np.einsum("pn,nm->pm", rows, self._values).view(complex)
         m = np.abs(self._freq)
-        phases = _powers(np.exp(1j * np.angle(z)), m.max(initial=0) + 1)[m].T
+        phases = _powers(unit, m.max(initial=0) + 1)[m].T
         phases.imag *= self._imag_sign   # conjugates m < 0; the Nyquist mode is cos(m arg z)
-        modes *= phases
-        return modes
+        return np.multiply(modes, phases, out=modes)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -225,28 +224,29 @@ class _PolarGridField:
 _GRID_PHASES = np.exp(2j * np.pi * np.arange(NESTED_GRID_SHAPE[1]) / NESTED_GRID_SHAPE[1])
 
 
-def _rotation_sum(inner, nodes, density) -> np.ndarray:
+def _rotation_sum(inner, nodes, density, at=None) -> np.ndarray:
     """sum_n density_n * inner(e^{2 pi i j/nt} nodes_n) at every grid angle j, for
     nodes and density of shape (..., n): shape (..., nt).  Rotating by 2 pi j/nt
     multiplies a grid or polynomial field's mode m by e^{2 pi i m j/nt}, so one
-    `_modes` call per chunk of whole rows (at most BLOCK points, or one row) gives
-    their modes, each row's density-weighted sums fill its nt FFT slots (a
-    polynomial's |m| <= 8 < nt/2), and one inverse FFT inverts them all; any other
-    field is sampled at each row's rotated nodes, 128 nodes (10,240 points) per call."""
+    `_modes` call per chunk of whole rows (at most BLOCK points, or one row; a
+    grid's at its slice of the nodes' `_geometry` `at`, if given) gives their
+    modes, each row's density-weighted sums fill its nt FFT slots (a polynomial's
+    |m| <= 8 < nt/2), and one inverse FFT inverts them all; any other field is
+    sampled at each row's rotated nodes, 128 nodes (10,240 points) per call."""
     n = np.shape(nodes)[-1]
     rows, weights = np.reshape(nodes, (-1, n)), np.reshape(density, (-1, n))
     total = np.zeros((len(rows), _GRID_PHASES.size), dtype=complex)
     if isinstance(inner, (_PolarGridField, PolynomialField)):
         step = max(1, _PolarGridField.BLOCK // n)
         for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            modes = inner._modes(chunk.ravel()).reshape(*chunk.shape, -1)
-            total[lo:lo + step, inner._freq] = np.einsum("rnm,rn->rm", modes,
-                                                         weights[lo:lo + step])
+            chunk, part = rows[lo:lo + step], slice(lo * n, (lo + step) * n)
+            shared = ([a[part] for a in at],) if at and isinstance(inner, _PolarGridField) else ()
+            modes = inner._modes(chunk.ravel(), *shared).reshape(*chunk.shape, -1)
+            total[lo:lo + step, inner._freq] = np.einsum("rnm,rn->rm", modes, weights[lo:lo + step])
         total = np.fft.ifft(total, norm="forward")
     else:
-        for row, at, d in zip(total, rows, weights):
-            row[:] = sum(np.sum(inner(at[lo:lo + 128, None] * _GRID_PHASES)
+        for row, at_row, d in zip(total, rows, weights):
+            row[:] = sum(np.sum(inner(at_row[lo:lo + 128, None] * _GRID_PHASES)
                                 * d[lo:lo + 128, None], axis=0)
                          for lo in range(0, n, 128))
     return total.reshape(*np.shape(nodes)[:-1], -1)
@@ -261,27 +261,25 @@ class NestedOracle:
     The outermost operator is quadrated directly at the requested targets,
     one rule call for all of them.  Each deeper intermediate field is
     materialized once, on demand, on a polar grid (a single-operator
-    quadrature at every grid node) and kept as angular Fourier modes with a
-    radial cubic spline per mode, keeping only the modes above 1e-13 of its
-    largest: within nt * 1e-13 of the largest mode of the all-mode
-    interpolant (`_PolarGridField`).  The grids are memoized per program
-    suffix and share one batch of base rules; an inner grid's kept modes, or
-    a polynomial field's exact ones, come from chunks of whole grid radii,
-    are weighted and summed per radius, and one inverse FFT ends the grid
-    (`_rotation_sum`).  Exact per-node nesting costs O(N^depth) and is
-    unusable beyond depth 2, while the memoized route is linear in depth and
-    still never touches the closed-form kernels.
+    quadrature at every grid node) and kept as angular Fourier modes, each a
+    polynomial in r on Chebyshev-Lobatto radii, only the modes above 1e-13 of
+    its largest (`_PolarGridField`).  The grids are memoized per program
+    suffix and share one batch of base rules and their nodes' `_geometry`; an
+    inner grid's kept modes, or a polynomial field's exact ones, come from
+    chunks of whole grid radii, are weighted and summed per radius, and one
+    inverse FFT ends the grid (`_rotation_sum`).  Exact per-node nesting costs
+    O(N^depth) and is unusable beyond depth 2, while the memoized route is
+    linear in depth and still never touches the closed-form kernels.
 
-    The error budget: each grid mode's not-a-knot cubic spline errs by
-    O(h^4) in the radial step h, and that sets the floor: in the sweep of
+    The error budget and envelope: T raises a polynomial's degree by 1, so the
+    deepest grid of a depth-k word on a degree-d field has modes of degree at
+    most d + k - 1 in r, exact on n radii if d + k <= n.  In the sweep of
     `scripts/convergence_study.py --nested` (depth 1-4, R = 1 and 2.5, (4,4)
-    and (5,5) fields of seeds 0-2, |z|/R from 0 to 1) the worst error goes
-    3.9e-7, 1.8e-7, 1.1e-7, 7.1e-8 at 40, 48, 56, 64 radii, about (40/64)^4,
-    while base rules of (12, 16) or more nodes and any top rule move it by
-    under 25%.  The counts are sized to it: the fewest `_PolarGridField`
-    evaluations for which no cell reads worse than at the earlier 40 radii
-    with (24, 48) and (64, 128) rules, whose worst cell read 3.8e-7 (errors
-    relative to max(R^depth, |value|), those below 1e-13 counted as 1e-13).
+    and (5,5) fields of seeds 0-2, |z|/R from 0 to 1, errors relative to
+    max(R^depth, |value|)) every cell reads at most 2.1e-15 at 12 radii, the
+    fewest with every cell at round-off (1e-13), and up to 2e-8 at 10.  At the
+    edge, (6,6) fields, depth 3 reads 1.5e-9 and depth 4 8e-4 at |z| = R, from
+    the (12, 16) base rule's 16 angles; 14 radii and (12, 32) read 1.3e-15.
 
     No BLAS call: OpenBLAS hands even a (40 x 40)(40 x 80) product to a
     worker thread, which then competes with the main thread
@@ -297,8 +295,10 @@ class NestedOracle:
         self.domain = f.domain
         self._memo: dict[tuple[str, ...], object] = {(): f.evaluator}
         # the grid radii and one (nr, N) batch of base rules about them, for every word
-        self._radii = np.linspace(0.0, self.domain.radius, NESTED_GRID_SHAPE[0])
+        self._radii = _lobatto_radii(self.domain.radius, NESTED_GRID_SHAPE[0])
         self._base = build_area_rule(self.domain, self._radii, NESTED_RESOLUTION)
+        # the base nodes' barycentric rows and phases, for every grid built from a grid
+        self._at = _geometry(self._base.nodes.ravel(), self._radii)
 
     def _field_for(self, suffix: tuple[str, ...]):
         if suffix not in self._memo:
@@ -315,7 +315,7 @@ class NestedOracle:
         nodes = self._base.nodes
         density = (nodes if op == "T" else np.conj(nodes)) - self._radii[:, None]
         np.divide(self._base.weights, density, out=density)
-        values = _rotation_sum(inner_evaluator, nodes, density)
+        values = _rotation_sum(inner_evaluator, nodes, density, self._at)
         values *= (np.conj(_GRID_PHASES) if op == "T" else _GRID_PHASES) / (-2j * np.pi)
         return _PolarGridField(self.domain, values)
 

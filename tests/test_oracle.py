@@ -130,19 +130,20 @@ def test_rotation_sum_rows_equal_one_call_per_row(inner):
 @pytest.mark.parametrize("suffix, kind", [(("Tbar",), PolynomialField),
                                           (("T", "Tbar"), oracle_module._PolarGridField)])
 def test_grid_build_takes_its_inner_modes_in_chunks_of_whole_radii(suffix, kind, monkeypatch):
-    # every grid radius's base rule, in chunks of at most BLOCK points: 56
-    # radii of 192 nodes in 12 `_modes` calls, not one per radius
+    # every grid radius's base rule, in chunks of at most BLOCK points: 12
+    # radii of 192 nodes in 3 `_modes` calls, not one per radius
     rng = np.random.default_rng(28)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     nested = NestedOracle(poly.to_field(DISK))
     nested._field_for(suffix[1:])
     sizes, real = [], kind._modes
-    monkeypatch.setattr(kind, "_modes", lambda self, z: sizes.append(z.size) or real(self, z))
+    monkeypatch.setattr(kind, "_modes",
+                        lambda self, z, *at: sizes.append(z.size) or real(self, z, *at))
     nested._field_for(suffix)
     nodes = NESTED_RESOLUTION[0] * NESTED_RESOLUTION[1]
     per_chunk = oracle_module._PolarGridField.BLOCK // nodes
-    assert sizes == [per_chunk * nodes] * (NESTED_GRID_SHAPE[0] // per_chunk) + [
-        NESTED_GRID_SHAPE[0] % per_chunk * nodes]
+    full, rest = divmod(NESTED_GRID_SHAPE[0], per_chunk)
+    assert sizes == [per_chunk * nodes] * full + ([rest * nodes] if rest else [])
     assert sum(sizes) == NESTED_GRID_SHAPE[0] * nodes
 
 
@@ -195,34 +196,43 @@ def test_grid_phases_at_signed_zeros_and_on_the_axes(R):
     assert np.max(np.abs(field._modes(z) - radial * phases)) <= 3e-14 * np.max(np.abs(radial))
 
 
+def _lobatto_radii(radius, count):
+    return radius * (1 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2
+
+
 def _all_mode_interpolant(values, radius):
     """Every angular Fourier mode of a polar grid (the Nyquist one as a cosine),
-    each a not-a-knot cubic spline in r in its textbook form; returns the
-    evaluator and the per-mode bounds b_m of `_PolarGridField`'s docstring."""
+    each the Lagrange polynomial through its values at the Chebyshev-Lobatto
+    radii in its textbook product form; returns the evaluator and the per-mode
+    bounds b_m (largest |c_m| on the radii) of `_PolarGridField`'s docstring."""
     nr, nt = values.shape
     y = np.fft.fft(values, axis=1) / nt
-    m2 = np.einsum("ij,jm->im", oracle_module._not_a_knot(nr), y)
-    power = np.stack([(m2[1:] - m2[:-1]) / 6, m2[:-1] / 2,
-                      y[1:] - y[:-1] - (2 * m2[:-1] + m2[1:]) / 6, y[:-1]])
+    r = _lobatto_radii(radius, nr)
     freq = np.fft.fftfreq(nt, 1 / nt)
 
     def evaluate(z):
-        x = np.abs(z) / (radius / (nr - 1))
-        k = np.minimum(x.astype(int), nr - 2)
-        t = (x - k)[:, None]
-        c = ((1 - t) * y[k] + t * y[k + 1]
-             + ((1 - t) ** 3 - (1 - t)) * m2[k] / 6 + (t ** 3 - t) * m2[k + 1] / 6)
+        x = np.abs(z)
+        basis = np.ones((x.size, nr))
+        for j in range(nr):
+            for k in range(nr):
+                if k != j:
+                    basis[:, j] *= (x - r[k]) / (r[j] - r[k])
+        c = np.einsum("pj,jm->pm", basis, y)
         phases = np.exp(1j * np.outer(np.angle(z), freq))
         phases[:, nt // 2] = np.cos(nt // 2 * np.angle(z))
         return np.sum(c * phases, axis=1)
 
-    return evaluate, np.abs(power).sum(axis=0).max(axis=0)
+    return evaluate, np.abs(y).max(axis=0)
 
 
 def _polar_grid(radius, func):
     nr, nt = NESTED_GRID_SHAPE
-    r = np.linspace(0.0, radius, nr)
+    r = _lobatto_radii(radius, nr)
     return func(r[:, None] * np.exp(2j * np.pi * np.arange(nt) / nt)[None, :])
+
+
+def _lebesgue_bound(count):
+    return 1 + 2 / np.pi * np.log(count - 1)
 
 
 def _off_grid_points(radius):
@@ -244,29 +254,47 @@ def test_grid_with_content_in_every_mode_keeps_them_all(R):
 @pytest.mark.parametrize("R", (1.0, 2.5))
 def test_polynomial_grid_keeps_its_modes_within_the_stated_bound(R):
     # z^p zbar^q carries angular mode p - q: p, q <= 3 gives 7 modes, the other
-    # 73 are FFT round-off, dropped within sum_dropped b_m < nt * 1e-13 * max b_m
+    # 73 are FFT round-off, dropped within Lambda_n sum_dropped b_m < Lambda_n nt
+    # 1e-13 max b_m; the kept modes are polynomials of degree <= 6 < nr in r, so
+    # the grid reproduces the field itself
     rng = np.random.default_rng(25)
     poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     values = _polar_grid(R, poly)
     field = oracle_module._PolarGridField(DiskDomain(R), values)
     reference, bound = _all_mode_interpolant(values, R)
-    nt = NESTED_GRID_SHAPE[1]
+    nr, nt = NESTED_GRID_SHAPE
     dropped = np.delete(bound, field._freq % nt)
     assert len(field._freq) <= 7 and set(field._freq) <= set(range(-3, 4))
     assert np.sum(dropped) < nt * 1e-13 * np.max(bound)
     z = _off_grid_points(R)
     # plus the float64 round-off of summing the reference's 80 modes
-    assert np.max(np.abs(field(z) - reference(z))) <= np.sum(dropped) + 1e-14 * np.max(bound)
+    assert (np.max(np.abs(field(z) - reference(z)))
+            <= _lebesgue_bound(nr) * np.sum(dropped) + 1e-14 * np.max(bound))
+    assert np.max(np.abs(field(z) - poly(z))) <= 1e-13 * np.max(bound)
 
 
 def test_nyquist_only_grid_is_a_cosine_in_angle():
-    g = lambda r: 1.0 + r - 0.5 * r ** 3   # a cubic: the not-a-knot spline is exact
     nr, nt = NESTED_GRID_SHAPE
-    r = np.linspace(0.0, 1.0, nr)
+    # degree nr - 1: the interpolant through nr radii is exact
+    g = lambda r: 1.0 + r - 0.5 * r ** 3 + 0.25 * r ** (nr - 1)
+    r = _lobatto_radii(1.0, nr)
     field = oracle_module._PolarGridField(DISK, np.outer(g(r), (-1.0) ** np.arange(nt)))
     z = _off_grid_points(1.0)
     assert len(field._freq) == 1
     assert np.max(np.abs(field(z) - g(np.abs(z)) * np.cos(nt // 2 * np.angle(z)))) <= 1e-13
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_grid_radii_are_chebyshev_lobatto_with_both_ends_exact(R):
+    nested = NestedOracle(constant_field(1.0, DiskDomain(R)))
+    radii = nested._radii
+    assert radii.shape == (NESTED_GRID_SHAPE[0],) and radii[0] == 0.0 and radii[-1] == R
+    assert np.allclose(radii, _lobatto_radii(R, NESTED_GRID_SHAPE[0]), rtol=0, atol=1e-15 * R)
+    # a point on a radius takes that radius's values: no 0/0 at the ends
+    values = _polar_grid(R, lambda z: z * np.conj(z) + z)
+    field = oracle_module._PolarGridField(DiskDomain(R), values)
+    on = radii * np.exp(2j * np.pi * 3 / NESTED_GRID_SHAPE[1])
+    assert np.max(np.abs(field(on) - values[:, 3])) <= 1e-14 * R * R
 
 
 def test_truncated_grid_edge_cases():
@@ -323,10 +351,10 @@ def test_nested_words_up_to_depth_4_match_exact_transforms(R):
             assert abs(got - want) <= 1e-5 * max(R ** len(word), abs(want))
 
 
-#: `scripts/convergence_study.py --nested` (seed 0): at NestedOracle's counts the
-#: cells below read at most 5.7e-8, and at the counts before them (40 radii,
-#: (24, 48), (64, 128)) up to 2.1e-7; a count cut that costs digits fails here
-NESTED_BUDGET = 1.7e-7
+#: `scripts/convergence_study.py --nested` (seeds 0-2): at NestedOracle's counts
+#: every cell reads at most 2.1e-15, and at 10 radii up to 2e-8; a count cut
+#: that costs digits fails here
+NESTED_BUDGET = 2e-14
 
 
 @pytest.mark.parametrize("R", (1.0, 2.5))
@@ -369,6 +397,46 @@ def test_nested_targets_in_one_call_equal_a_call_each(R, monkeypatch):
         assert calls == [z.shape] and got.shape == z.shape
         assert got.tobytes() == each.tobytes()
     assert type(oracle.evaluate(0.3 + 0.1j, ("T",))) is complex
+
+
+def test_nested_values_at_criterion_4_targets_are_exact_to_round_off():
+    # the acceptance criterion's (4,4) fields, targets and words against exact
+    # compositions, relative to max(1, |value|) as the benchmark measures them
+    rng = np.random.default_rng(1004)
+    targets = np.array([0.18 + 0.22j, -0.31 + 0.12j])
+    words = [("T",) * k for k in (1, 2, 3)] + [
+        ("T",) * mu + ("Tbar",) * nu for mu, nu in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3))]
+    for _ in range(2):
+        poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        oracle = NestedOracle(poly.to_field(DISK))
+        for word in words:
+            exact = poly
+            for op in reversed(word):
+                exact = exact_transform(exact, 1.0, conjugate=op == "Tbar")
+            want = exact(targets)
+            err = np.abs(oracle.evaluate(targets, word) - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(err) <= 1e-13, word
+
+
+def test_shared_node_geometry_equals_a_fresh_one_bit_for_bit():
+    # a NestedOracle forms its base nodes' barycentric rows and phases once;
+    # every grid it builds from a grid must equal the build without them, for
+    # any number of kept modes
+    rng = np.random.default_rng(29)
+    poly = PolynomialField(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    nested = NestedOracle(poly.to_field(DISK))
+    inner = nested._field_for(("Tbar",))
+    nodes = nested._base.nodes
+    density = nested._base.weights / (np.conj(nodes) - nested._radii[:, None])
+    shared = _rotation_sum(inner, nodes, density, nested._at)
+    assert shared.tobytes() == _rotation_sum(inner, nodes, density).tobytes()
+    values = rng.standard_normal(NESTED_GRID_SHAPE) + 1j * rng.standard_normal(NESTED_GRID_SHAPE)
+    wide = oracle_module._PolarGridField(DISK, values)
+    points = nodes[2:7].ravel()
+    at = [a[2 * nodes.shape[1]:7 * nodes.shape[1]] for a in nested._at]
+    assert len(wide._freq) > len(inner._freq)
+    for field in (inner, wide):
+        assert field._modes(points, at).tobytes() == field._modes(points).tobytes()
 
 
 def test_nested_oracle_memoizes_suffix_grids():

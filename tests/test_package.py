@@ -41,8 +41,7 @@ def test_no_module_forms_a_matrix_product():
     # matrix-vector sum) to OpenBLAS, whose worker thread then competes with
     # the main thread: on a 2-vCPU host one such product per NestedOracle grid
     # took the crosscheck words to 1.58x the CPU time (6.0 s against 3.8 s with
-    # OPENBLAS_NUM_THREADS=1, six passes) for about 5% more wall time;
-    # `_not_a_knot`'s LAPACK solve, once per size, showed no such cost
+    # OPENBLAS_NUM_THREADS=1, six passes) for about 5% more wall time
     products = {"dot", "matmul", "inner", "vdot", "tensordot", "multi_dot"}
     package = Path(pompeiu.__file__).resolve().parent
     found = []

@@ -55,22 +55,24 @@ def test_rule_table_smoke(capsys):
 
 
 def test_convergence_study_nested_smoke(capsys, monkeypatch):
-    # one seed, two |z|/R and one angle per cell: the oracle's counts against
-    # the ones before them, with fewer points and a smaller worst error
+    # one seed, two |z|/R and one angle per cell: the oracle's counts read
+    # round-off in every cell with fewer points than more radii, and two fewer
+    # radii lose digits
     module = load(SCRIPTS[0].parent / "convergence_study.py")
     monkeypatch.setattr(module, "NESTED_SEEDS", (0,))
     monkeypatch.setattr(module, "NESTED_RATIOS", (0.0, 0.99))
     monkeypatch.setattr(module, "NESTED_ANGLES", (0.7,))
-    current = module._label((NESTED_GRID_SHAPE[0], NESTED_RESOLUTION, NESTED_TOP_RESOLUTION))
-    module.main(["--nested", current])
+    radii = NESTED_GRID_SHAPE[0]
+    current, fewer, more = (module._label((n, NESTED_RESOLUTION, NESTED_TOP_RESOLUTION))
+                            for n in (radii, radii - 2, radii + 4))
+    module.main(["--nested", f"{fewer},{more}"])
     lines = capsys.readouterr().out.splitlines()
-    rows = {line.split()[0]: line.split()[1:] for line in lines[3:5]}
-    previous = module._label(module.PREVIOUS_NESTED)
-    assert list(rows) == [previous, current] and rows[previous][1:3] == ["0", "1.000"]
-    assert float(rows[current][0]) < float(rows[previous][0])
-    assert int(rows[current][3]) < int(rows[previous][3])
-    assert lines[5].split()[-1] == current
-    assert len(lines[9:]) == 4 * 2 * 2 * 2   # depth x R x field x |z|/R
+    rows = {line.split()[0]: line.split()[1:] for line in lines[3:6]}
+    assert list(rows) == [current, fewer, more]
+    assert float(rows[current][0]) <= module.ROUND_OFF and rows[current][1] == "0"
+    assert int(rows[fewer][1]) > 0 and int(rows[more][2]) > int(rows[current][2])
+    assert f"<= {module.ROUND_OFF:g}: {current} (" in lines[6] and lines[6].endswith(current)
+    assert len(lines[10:]) == 4 * 2 * 3 * 2   # depth x R x field x |z|/R
 
 
 def test_transform_accuracy_smoke(capsys):
