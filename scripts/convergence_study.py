@@ -9,7 +9,8 @@ it prints the worst error against exact compositions of
 `oracle.transform_monomials` over the cells (depth 1-4, R = 1 and 2.5, (4,4)
 and (5,5) fields, |z|/R from 0 to 1; each cell the worst of its words, its
 NESTED_ANGLES targets and the fields of NESTED_SEEDS, relative to
-max(R^depth, |value|)), the cells above ROUND_OFF, the points
+max(R^depth, |value|)), the cells above ROUND_OFF or refused (outside the
+envelope that `NestedOracle.evaluate` enforces at those counts), the points
 `_PolarGridField` evaluates and the milliseconds on the benchmark's six
 crosscheck words (on the first seed's (4,4) field).  Then it names the
 candidate with the fewest points and every cell at most ROUND_OFF, and prints
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from pompeiu import oracle
+from pompeiu.errors import DepthCap
 from pompeiu.geometry import DiskDomain
 from pompeiu.kernels import c3
 from pompeiu.operators import ScalarField, apply_T, constant_field, field_from_expression
@@ -47,8 +49,8 @@ NESTED_ANGLES = (0.7, 1.9, 3.2, 4.4, 5.6)
 #: a cell's worst over several seeded fields: on one seed the cells are not
 #: monotone in the counts (near |z| = 0, depth 4 reads cancelling contributions)
 NESTED_SEEDS = (0, 1, 2)
-#: the fields the counts are sized on, and the envelope's edge: depth 4 on a
-#: (6,6) field reads up to 8e-4 at |z| = R with the (12, 16) base rule's 16 angles
+#: the fields the counts are sized on, and the envelope's edge: the oracle refuses
+#: depth 3 and 4 on a (6,6) field at its counts
 NESTED_SIZES, EDGE_SIZE = (4, 5), 6
 ROUND_OFF = 1e-13
 #: the crosscheck workload's nested words and targets (`perfbench/workloads.py`)
@@ -120,8 +122,8 @@ def nested_counts(radii: int, base, top):
 
 def nested_cells(config, sizes=NESTED_SIZES) -> dict:
     """(depth, R, field size, |z|/R) -> the worst error of the cell's words,
-    angles and seeds; the exact values compose `transform_monomials`, which has
-    no degree cap."""
+    angles and seeds, or None where the oracle refuses the cell (DepthCap); the
+    exact values compose `transform_monomials`, which has no degree cap."""
     worst = {}
     with nested_counts(*config):
         for seed, R, size in itertools.product(NESTED_SEEDS, (1.0, 2.5), sizes):
@@ -133,12 +135,16 @@ def nested_cells(config, sizes=NESTED_SIZES) -> dict:
                     for op in reversed(word):
                         terms = transform_monomials(terms, R, conjugate=op == "Tbar")
                     for ratio in NESTED_RATIOS:
+                        key = (depth, R, size, ratio)
                         targets = ratio * R * np.exp(1j * np.array(NESTED_ANGLES))
                         want = sum(c * targets ** p * np.conj(targets) ** q
                                    for (p, q), c in terms.items())
-                        got = nested.evaluate(targets, word)
+                        try:
+                            got = nested.evaluate(targets, word)
+                        except DepthCap:   # the same for every word, seed and |z| of the cell
+                            worst[key] = None
+                            continue
                         err = np.max(np.abs(got - want) / np.maximum(R ** depth, np.abs(want)))
-                        key = (depth, R, size, ratio)
                         worst[key] = max(worst.get(key, 0.0), float(err))
     return worst
 
@@ -174,15 +180,17 @@ def nested_table(candidates) -> None:
     current = (oracle.NESTED_GRID_SHAPE[0], oracle.NESTED_RESOLUTION,
                oracle.NESTED_TOP_RESOLUTION)
     seeds = ",".join(map(str, NESTED_SEEDS))
-    print(f"\nNestedOracle counts (radii:base:top), seeds {seeds}, cells above {ROUND_OFF:g}")
+    print(f"\nNestedOracle counts (radii:base:top), seeds {seeds}, cells above {ROUND_OFF:g} "
+          "or refused")
     print(f"  {'counts':>16}  {'worst':>9}  {'above':>5}  {'points':>7}  {'ms':>6}")
     rows = []
     for config in dict.fromkeys([current, *candidates]):
         errors = nested_cells(config)
-        above = sum(err > ROUND_OFF for err in errors.values())
+        measured = [err for err in errors.values() if err is not None]
+        above = len(errors) - sum(err <= ROUND_OFF for err in measured)   # refused included
         points, ms = crosscheck_cost(config, NESTED_SEEDS[0])
         rows.append((points, config, above))
-        print(f"  {_label(config):>16}  {max(errors.values()):9.2e}  {above:5d}  "
+        print(f"  {_label(config):>16}  {max(measured, default=0.0):9.2e}  {above:5d}  "
               f"{points:7d}  {ms:6.1f}")
     fit = [row for row in rows if row[2] == 0]
     if fit:
@@ -197,8 +205,8 @@ def nested_table(candidates) -> None:
     print(f"  {'depth':>5}  {'R':>4}  {'field':>5}  {'|z|/R':>5}  {'error':>9}")
     cells = nested_cells(current, NESTED_SIZES + (EDGE_SIZE,))
     for (depth, R, size, ratio), err in sorted(cells.items()):
-        print(f"  {depth:5d}  {R:4g}  {size:2d}x{size:<2d}  {ratio:5g}  {err:9.2e}"
-              f"{'  above' if err > ROUND_OFF else ''}")
+        value = "  refused" if err is None else f"{err:9.2e}{'  above' if err > ROUND_OFF else ''}"
+        print(f"  {depth:5d}  {R:4g}  {size:2d}x{size:<2d}  {ratio:5g}  {value}")
 
 
 def main(argv=None):

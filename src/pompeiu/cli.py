@@ -95,72 +95,85 @@ def _single(args, *names: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole `pmp` parser, every subcommand's flags included."""
+    return _parser(_COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of `names` only (a command: its own).
+    A part-built one still names all five in the usage line that reports an unknown flag."""
     top = argparse.ArgumentParser(prog="pmp", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    kern = sub.add_parser("kernel", help="evaluate closed-form kernels")
-    kern_sub = kern.add_subparsers(dest="action", required=True)
-    ke = kern_sub.add_parser("eval")
-    ke.add_argument("--kind", choices=["c1", "c2", "c3", "c8", "gdiag", "gmixed"], default="c3")
-    ke.add_argument("--a", default="0", help="target point (z)")
-    ke.add_argument("--b", default="0", help="source point (eta/zeta)")
-    ke.add_argument("--mu", type=_orders)
-    ke.add_argument("--nu", type=_orders)
-    ke.add_argument("--k", type=int, help="order for c1/gdiag")
-    ke.add_argument("--l", type=int, help="first order for c2")
-    _add_radius_and_out(ke)
-
-    op = sub.add_parser("op", help="apply transforms to a field")
-    op_sub = op.add_subparsers(dest="action", required=True)
-    oa = op_sub.add_parser("apply")
-    oa.add_argument("--op", required=True,
-                    choices=["T", "Tbar", "S", "Sbar", "2T", "2Tbar", "mixed", "dual", "polydisc"])
-    oa.add_argument("--f", required=True, help="field expression")
-    oa.add_argument("--z", required=True, help="target point (comma list on the polydisc)")
-    oa.add_argument("--power", type=int, help="iterate T/Tbar this many times")
-    oa.add_argument("--mu", type=_orders)
-    oa.add_argument("--nu", type=_orders)
-    oa.add_argument("--n", type=int, help="polydisc factor count")
-    _add_radius_and_out(oa)
-    _add_resolution(oa)
-    oa.add_argument("--contour-n", dest="contour_n", type=int, help="contour rule node count")
-
-    so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
-    so.add_argument("--mu", type=int, default=1)
-    so.add_argument("--nu", type=int, default=1)
-    so.add_argument("--rhs", default=None, help="right-hand side expression (omit: homogeneous)")
-    so.add_argument("--g", action="append", default=None, help="g_j expression (repeat nu times)")
-    so.add_argument("--f", action="append", default=None, help="f_i expression (repeat mu times)")
-    so.add_argument("--biharmonic", action="store_true",
-                    help="solve LaplacianSquared u = rhs with harmonic parts --h1/--h2")
-    so.add_argument("--h1", default="0")
-    so.add_argument("--h2", default="0")
-    so.add_argument("--z", default=None, help="evaluate at this point")
-    so.add_argument("--grid", type=int, default=None, help="export an N x N grid")
-    so.add_argument("--format", choices=["csv", "json"], default="csv")
-    so.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
-    _add_radius_and_out(so)
-    _add_resolution(so)
-
-    ve = sub.add_parser("verify", help="run a seeded property suite")
-    ve.add_argument("--suite", required=True, choices=["kernels", "operators", "pde", "norms"])
-    ve.add_argument("--seed", type=int, default=0)
-    _add_radius_and_out(ve)
-    _add_resolution(ve)
-    ve.add_argument("--contour-n", dest="contour_n", type=int, help="contour rule node count")
-
-    ex = sub.add_parser("export", help="sample a field or transform on a grid")
-    ex.add_argument("--f", required=True, help="field expression")
-    ex.add_argument("--op", default=None,
-                    choices=["T", "Tbar", "mixed"], help="transform to apply at each grid point")
-    ex.add_argument("--mu", type=_orders)
-    ex.add_argument("--nu", type=_orders)
-    ex.add_argument("--grid", type=int, default=17)
-    ex.add_argument("--extent", type=float, default=0.95)
-    ex.add_argument("--format", choices=["csv", "json"], default="csv")
-    ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
-    _add_radius_and_out(ex)
-    _add_resolution(ex)
+    every = {} if len(names) == len(_COMMANDS) else {"metavar": "{%s}" % ",".join(_COMMANDS)}
+    sub = top.add_subparsers(dest="command", required=True, **every)
+    if "kernel" in names:
+        kern = sub.add_parser("kernel", help="evaluate closed-form kernels")
+        ke = kern.add_subparsers(dest="action", required=True).add_parser("eval")
+        ke.add_argument("--kind", choices=["c1", "c2", "c3", "c8", "gdiag", "gmixed"],
+                        default="c3")
+        ke.add_argument("--a", default="0", help="target point (z)")
+        ke.add_argument("--b", default="0", help="source point (eta/zeta)")
+        ke.add_argument("--mu", type=_orders)
+        ke.add_argument("--nu", type=_orders)
+        ke.add_argument("--k", type=int, help="order for c1/gdiag")
+        ke.add_argument("--l", type=int, help="first order for c2")
+        _add_radius_and_out(ke)
+    if "op" in names:
+        op = sub.add_parser("op", help="apply transforms to a field")
+        oa = op.add_subparsers(dest="action", required=True).add_parser("apply")
+        oa.add_argument("--op", required=True, choices=["T", "Tbar", "S", "Sbar", "2T", "2Tbar",
+                                                        "mixed", "dual", "polydisc"])
+        oa.add_argument("--f", required=True, help="field expression")
+        oa.add_argument("--z", required=True, help="target point (comma list on the polydisc)")
+        oa.add_argument("--power", type=int, help="iterate T/Tbar this many times")
+        oa.add_argument("--mu", type=_orders)
+        oa.add_argument("--nu", type=_orders)
+        oa.add_argument("--n", type=int, help="polydisc factor count")
+        _add_radius_and_out(oa)
+        _add_resolution(oa)
+        oa.add_argument("--contour-n", dest="contour_n", type=int,
+                        help="contour rule node count")
+    if "solve" in names:
+        so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
+        so.add_argument("--mu", type=int, default=1)
+        so.add_argument("--nu", type=int, default=1)
+        so.add_argument("--rhs", default=None,
+                        help="right-hand side expression (omit: homogeneous)")
+        so.add_argument("--g", action="append", default=None,
+                        help="g_j expression (repeat nu times)")
+        so.add_argument("--f", action="append", default=None,
+                        help="f_i expression (repeat mu times)")
+        so.add_argument("--biharmonic", action="store_true",
+                        help="solve LaplacianSquared u = rhs with harmonic parts --h1/--h2")
+        so.add_argument("--h1", default="0")
+        so.add_argument("--h2", default="0")
+        so.add_argument("--z", default=None, help="evaluate at this point")
+        so.add_argument("--grid", type=int, default=None, help="export an N x N grid")
+        so.add_argument("--format", choices=["csv", "json"], default="csv")
+        so.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
+        _add_radius_and_out(so)
+        _add_resolution(so)
+    if "verify" in names:
+        ve = sub.add_parser("verify", help="run a seeded property suite")
+        ve.add_argument("--suite", required=True,
+                        choices=["kernels", "operators", "pde", "norms"])
+        ve.add_argument("--seed", type=int, default=0)
+        _add_radius_and_out(ve)
+        _add_resolution(ve)
+        ve.add_argument("--contour-n", dest="contour_n", type=int,
+                        help="contour rule node count")
+    if "export" in names:
+        ex = sub.add_parser("export", help="sample a field or transform on a grid")
+        ex.add_argument("--f", required=True, help="field expression")
+        ex.add_argument("--op", default=None, choices=["T", "Tbar", "mixed"],
+                        help="transform to apply at each grid point")
+        ex.add_argument("--mu", type=_orders)
+        ex.add_argument("--nu", type=_orders)
+        ex.add_argument("--grid", type=int, default=17)
+        ex.add_argument("--extent", type=float, default=0.95)
+        ex.add_argument("--format", choices=["csv", "json"], default="csv")
+        ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
+        _add_radius_and_out(ex)
+        _add_resolution(ex)
     return top
 
 
@@ -388,16 +401,19 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+#: subcommand -> its body, in the order of `pmp --help`
+_COMMANDS = {"kernel": _cmd_kernel, "op": _cmd_op, "solve": _cmd_solve,
+             "verify": _cmd_verify, "export": _cmd_export}
+
+
 def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
-    parser = build_parser()
+    parser = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
     if args.command in _READS and (unread := _unread_flag(args)):
         parser.exit(2, f"pmp: error: {unread}\n")
-    command = {"kernel": _cmd_kernel, "op": _cmd_op, "solve": _cmd_solve,
-               "verify": _cmd_verify, "export": _cmd_export}[args.command]
     try:
-        return command(args)
+        return _COMMANDS[args.command](args)
     except PompeiuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

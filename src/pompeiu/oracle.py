@@ -271,15 +271,17 @@ class NestedOracle:
     O(N^depth) and is unusable beyond depth 2, while the memoized route is
     linear in depth and still never touches the closed-form kernels.
 
-    The error budget and envelope: T raises a polynomial's degree by 1, so the
-    deepest grid of a depth-k word on a degree-d field has modes of degree at
-    most d + k - 1 in r, exact on n radii if d + k <= n.  In the sweep of
-    `scripts/convergence_study.py --nested` (depth 1-4, R = 1 and 2.5, (4,4)
-    and (5,5) fields of seeds 0-2, |z|/R from 0 to 1, errors relative to
-    max(R^depth, |value|)) every cell reads at most 2.1e-15 at 12 radii, the
-    fewest with every cell at round-off (1e-13), and up to 2e-8 at 10.  At the
-    edge, (6,6) fields, depth 3 reads 1.5e-9 and depth 4 8e-4 at |z| = R, from
-    the (12, 16) base rule's 16 angles; 14 radii and (12, 32) read 1.3e-15.
+    The envelope, which `evaluate` enforces (DepthCap): a depth-k word on a
+    degree-d field needs d + k <= n radii, as T raises a degree by 1 and the
+    deepest grid is a polynomial of degree d + k - 1 in r.  A rule of N angles
+    resolves integrands whose largest power of w or conj(w) is at most N/2 - 2
+    (measured for N = 12 to 32), so with e the field's (a PolynomialField's own,
+    else d; unknown degree is refused) a word needs e + k <= N/2 of the base rule
+    if it builds grids and e + k <= N/2 - 1 of the top rule.  At the shipped
+    counts: d + k <= 12 and e + k <= 8, where the `convergence_study.py --nested`
+    sweep (depth 1-4, R = 1 and 2.5, (4,4) and (5,5) fields of seeds 0-2, |z| <= R,
+    relative to max(R^depth, |value|)) reads at most 2.1e-15; outside, (6,6)
+    fields at depth 3 read 1.5e-9 and conj(z)^7 under [T, T] 1e-2.
 
     No BLAS call: OpenBLAS hands even a (40 x 40)(40 x 80) product to a
     worker thread, which then competes with the main thread
@@ -299,6 +301,8 @@ class NestedOracle:
         self._base = build_area_rule(self.domain, self._radii, NESTED_RESOLUTION)
         # the base nodes' barycentric rows and phases, for every grid built from a grid
         self._at = _geometry(self._base.nodes.ravel(), self._radii)
+        poly = f.evaluator if isinstance(f.evaluator, PolynomialField) else None
+        self._degree, self._power = f.degree, max(poly.coeffs.shape) - 1 if poly else f.degree
 
     def _field_for(self, suffix: tuple[str, ...]):
         if suffix not in self._memo:
@@ -329,6 +333,10 @@ class NestedOracle:
         for op in program:
             if op not in _SINGLE_OPS:
                 raise DomainError(f"unknown operator {op!r}; expected 'T' or 'Tbar'")
+        k, e = len(program), self._power   # the envelope: see the docstring
+        if e + k > NESTED_TOP_RESOLUTION[1] // 2 - 1 or k > 1 and (
+                e + k > NESTED_RESOLUTION[1] // 2 or self._degree + k > self._radii.size):
+            raise DepthCap(f"depth {k} on a field of degree {self._degree} is outside the envelope")
         field = ScalarField(self._field_for(program[1:]), self.domain)
         return _SINGLE_OPS[program[0]](field, z, NESTED_TOP_RESOLUTION)
 

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pompeiu
+from pompeiu import cli
 from pompeiu.cli import build_parser, format_complex, run_command
 from pompeiu.errors import DomainError
 from pompeiu.expressions import parse_complex
@@ -398,6 +399,63 @@ def test_subcommand_flag_set(names):
     parser = _subparser(*names)
     flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
     assert flags == SUBCOMMAND_FLAGS[names]
+
+
+@pytest.mark.parametrize("argv", [["solve", "--g", "z", "--z", "0"],
+                                  *([*names, "--help"] for names in SUBCOMMAND_FLAGS)],
+                         ids=" ".join)
+def test_a_command_builds_only_its_own_subcommands_flags(argv, capsys, monkeypatch):
+    # `run_command` builds the subparser argv[0] names and no other one's flags
+    added, real = [], argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *flags, **kw: added.extend(flags) or real(self, *flags, **kw))
+    (names,) = [names for names in SUBCOMMAND_FLAGS if names[0] == argv[0]]
+    assert _outcome(capsys, argv)[0] == 0
+    assert set(added) - {"-h", "--help"} == SUBCOMMAND_FLAGS[names]
+
+
+#: help, usage errors (the top-level parser's among them) and a refusal of a flag
+#: the op never reads
+SURFACE = [["--help"], *([*names[:1], "--help"] for names in SUBCOMMAND_FLAGS),
+           ["kernel", "eval", "--help"], ["op", "apply", "--help"],
+           [], ["bogus"], ["sol"], ["--", "solve"], ["solve", "--bogus"], ["op"], ["op", "apply"],
+           ["op", "apply", "--op", "bogus", "--f", "1", "--z", "0"], ["verify", "--suite", "x"],
+           ["op", "apply", "--op", "T", "--f", "zbar", "--z", "0.1", "--mu", "1,2"]]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = run_command(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "100"])
+@pytest.mark.parametrize("argv", SURFACE, ids=lambda argv: " ".join(argv) or "no argv")
+def test_a_command_prints_what_the_whole_parser_prints(argv, columns, capsys, monkeypatch):
+    # a parser with one subcommand's flags must print the whole one's bytes; the
+    # top-level usage line that reports `solve --bogus` lists all five subcommands
+    monkeypatch.setenv("COLUMNS", columns)
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parser", lambda names, part=cli._parser: part(cli._COMMANDS))
+    assert got == _outcome(capsys, argv)
+    code, out, err = got
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+
+def test_the_top_level_usage_errors_keep_their_text(capsys, monkeypatch):
+    # the whole parser names an unknown subcommand as `argument command`; a
+    # part-built one lists every subcommand in the usage of an unknown flag
+    monkeypatch.setenv("COLUMNS", "100")
+    assert _outcome(capsys, ["sol"]) == (2, "", (
+        "usage: pmp [-h] {kernel,op,solve,verify,export} ...\n"
+        "pmp: error: argument command: invalid choice: 'sol' "
+        "(choose from 'kernel', 'op', 'solve', 'verify', 'export')\n"))
+    assert _outcome(capsys, ["solve", "--bogus"]) == (2, "", (
+        "usage: pmp [-h] {kernel,op,solve,verify,export} ...\n"
+        "pmp: error: unrecognized arguments: --bogus\n"))
 
 
 @pytest.mark.parametrize("argv", [

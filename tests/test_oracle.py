@@ -16,7 +16,7 @@ from pompeiu.oracle import (MAX_POLY_DEGREE, MIN_PAIR_SEPARATION, NESTED_GRID_SH
                             NESTED_RESOLUTION, NESTED_TOP_RESOLUTION, NestedOracle, PolynomialField, _GRID_PHASES,
                             _rotation_sum, bound_constants, check_norm_bound,
                             disk_norm_estimate, exact_transform, hoelder_seminorm,
-                            lemma_lhs_quadrature, polydisc_norm_estimate)
+                            lemma_lhs_quadrature, polydisc_norm_estimate, transform_monomials)
 from pompeiu.quadrature import build_area_rule
 
 DISK = DiskDomain(1.0)
@@ -376,6 +376,51 @@ def test_nested_error_stays_within_its_sized_budget(R, size):
             got = oracle.evaluate(z, word)
             err = np.abs(got - exact(z)) / np.maximum(R ** len(word), np.abs(exact(z)))
             assert np.max(err) <= NESTED_BUDGET, (word, q)
+
+
+@pytest.mark.parametrize("R", (1.0, 2.5))
+def test_nested_refuses_a_degree_plus_depth_beyond_its_radii(R):
+    # the deepest grid of a depth-k word on a degree-d field has degree d + k - 1
+    # in r, exact on the 12 radii while d + k <= 12: a (6,6) field (degree 10) at
+    # depth 3 read 1.5e-9, and at depth 2 reads round-off
+    rng = np.random.default_rng([0, 6])
+    degrees = np.add.outer(np.arange(6), np.arange(6))
+    poly = PolynomialField((rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+                           / R ** degrees)
+    oracle = NestedOracle(poly.to_field(DiskDomain(R)))
+    z = R * np.array([0.0, 0.7, 0.99, 1.0]) * np.exp(0.7j)
+    with pytest.raises(DepthCap):
+        oracle.evaluate(z, ("T", "T", "Tbar"))
+    exact = exact_transform(exact_transform(poly, R, conjugate=True), R)
+    err = np.abs(oracle.evaluate(z, ("T", "Tbar")) - exact(z)) / np.maximum(R * R, np.abs(exact(z)))
+    assert np.max(err) <= NESTED_BUDGET
+
+
+@pytest.mark.parametrize("p, q, word, inside", [
+    (0, 6, ("T", "T"), True), (0, 7, ("T", "T"), False), (6, 0, ("Tbar", "Tbar"), True),
+    (7, 0, ("Tbar", "Tbar"), False), (0, 14, ("T",), True), (0, 15, ("T",), False)])
+def test_nested_refuses_powers_beyond_its_angles(p, q, word, inside):
+    # a rule of N angles resolves powers of w or conj(w) up to N/2 - 2: past that,
+    # the base rule's 16 read conj(z)^7 under [T, T] to 1e-2 and the top rule's 32
+    # conj(z)^15 under T to 6e-2, although both fields are inside d + k <= 12 radii
+    oracle = NestedOracle(field_from_expression(f"z^{p}*zbar^{q}", DISK))
+    z = np.array([0.0, 0.3 + 0.2j, -0.7j, 0.99, np.exp(2.1j)])
+    if not inside:
+        with pytest.raises(DepthCap):
+            oracle.evaluate(z, word)
+        return
+    terms = {(p, q): 1.0}
+    for op in reversed(word):
+        terms = transform_monomials(terms, 1.0, conjugate=op == "Tbar")
+    want = sum(c * z ** a * np.conj(z) ** b for (a, b), c in terms.items())
+    assert np.max(np.abs(oracle.evaluate(z, word) - want)) <= NESTED_BUDGET
+
+
+def test_nested_refuses_a_field_of_unknown_degree():
+    # nothing bounds the powers of a sampled field, so no word is inside the envelope
+    oracle = NestedOracle(ScalarField(lambda w: np.conj(w), DISK))
+    with pytest.raises(DepthCap):
+        oracle.evaluate(0.3, ("T",))
 
 
 @pytest.mark.parametrize("R", (1.0, 2.5))
