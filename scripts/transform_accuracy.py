@@ -12,9 +12,8 @@ the entry's targets.  Prints one JSON line.
 Default: every kernel-table entry (mu, nu) with mu + nu <= BAND (8), on a
 field of degree BAND - mu - nu with seeded unit-modulus coefficients, against
 two quadratures: the default counts (the disk-centred core) and the
-target-centred rule at the counts its table gives that target
-(`quadrature.rule_counts`).  Each route's worst error, and the worst per entry
-as [core, rule], keyed "mu,nu".
+target-centred rule at `quadrature.DEFAULT_COUNTS`.  Each route's worst
+error, and the worst per entry as [core, rule], keyed "mu,nu".
 
 --orders N: every (mu, nu) up to (N, N), for fields of degree 0 and 4, on the
 core alone (the rule's kernels lose digits at high orders; see
@@ -35,7 +34,7 @@ import numpy as np
 from pompeiu.geometry import DiskDomain
 from pompeiu.operators import transform
 from pompeiu.oracle import PolynomialField, transform_monomials
-from pompeiu.quadrature import DEFAULT_RESOLUTION, rule_counts
+from pompeiu.quadrature import DEFAULT_COUNTS
 
 RADII = (1.0, 2.5)
 RATIOS = (0.0, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1.0)
@@ -106,9 +105,7 @@ def errors(seed: int, radius: float, mu: int, nu: int, band: int) -> tuple[float
     z = targets(radius)
     parts = compose(exact_parts(coefficients), Fraction(radius), True, nu)
     want = exact_values(compose(parts, Fraction(radius), False, mu), z)
-    core = transform(field, z, mu, nu)
-    counts = rule_counts(field.domain, z, DEFAULT_RESOLUTION, field.degree + mu + nu).tolist()
-    rule = np.array([transform(field, w, mu, nu, tuple(c)) for w, c in zip(z, counts)])
+    core, rule = transform(field, z, mu, nu), transform(field, z, mu, nu, DEFAULT_COUNTS)
     return relative_error(core, want), relative_error(rule, want)
 
 

@@ -1,10 +1,10 @@
-"""Command-line surface: kernel evaluation, operator application, solving,
-verification suites, and grid export.
+"""The `pmp` command line: its parsers, the subcommand bodies and the
+`verify` suites.
 
-Complex values print as `re±imi` with 15 significant digits.  Grid output is
-CSV (`x,y,re,im`, header row, row-major) or JSON with a config echo.  Usage
-errors exit 2, numeric failures exit 1, and `verify` exits nonzero when any
-property fails.  Each subcommand declares only the flags it reads.
+`run_command` builds the top-level parser with only the subparser that
+argv[0] names, refuses a flag the chosen form never reads (`_unread_flag`,
+`_unread_solve_flag`: exit 2), and turns a PompeiuError into one `error:`
+line (exit 1).  `pmp --help` prints `_DESCRIPTION`, not this docstring.
 """
 
 from __future__ import annotations
@@ -21,7 +21,16 @@ from .geometry import DiskDomain, MultiIndex, PolydiscDomain
 from .operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjugate_dual,
                         apply_polydisc, apply_S, apply_Sbar, apply_T, evaluate_on_grid,
                         field_from_expression, transform)
-from .quadrature import DEFAULT_CONTOUR_COUNT
+from .quadrature import DEFAULT_CONTOUR_COUNT, DEFAULT_COUNTS
+
+_DESCRIPTION = """Command-line surface: kernel evaluation, operator application, solving,
+verification suites, and grid export.
+
+Complex values print as `re±imi` with 15 significant digits.  Grid output is
+CSV (`x,y,re,im`, header row, row-major) or JSON with a config echo.  Usage
+errors exit 2, numeric failures exit 1, and `verify` exits nonzero when any
+property fails.  Each subcommand declares only the flags it reads.
+"""
 
 
 def format_complex(z: complex) -> str:
@@ -36,14 +45,17 @@ def _add_radius_and_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_resolution(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nr", type=int, help="radial quadrature nodes (default: per target)")
-    p.add_argument("--ntheta", type=int, help="angular quadrature nodes (default: per target)")
+    neither = "given neither flag, T^mu Tbar^nu take the disk-centred core"
+    p.add_argument("--nr", type=int,
+                   help=f"radial quadrature nodes (default: {DEFAULT_COUNTS[0]}; {neither})")
+    p.add_argument("--ntheta", type=int,
+                   help=f"angular quadrature nodes (default: {DEFAULT_COUNTS[1]}; {neither})")
 
 
 #: the flags only some --op, --suite or --kind choices read, with their defaults
-#: (None counts: the disk-centred core, or `quadrature.RESOLUTION_TABLE` per
-#: target where the rules serve); parsers leave them None, so `_unread_flag`
-#: can tell which were given
+#: (None counts: the disk-centred core, or their entries of
+#: `quadrature.DEFAULT_COUNTS` where the rules serve); parsers leave them None,
+#: so `_unread_flag` can tell which were given
 _OPTIONAL = {"mu": (1,), "nu": (1,), "power": 1, "n": 1, "k": 1, "l": 1, "nr": None,
              "ntheta": None, "contour_n": DEFAULT_CONTOUR_COUNT}
 
@@ -77,6 +89,27 @@ def _unread_flag(args) -> str | None:
     return None
 
 
+#: solve's switches -> (the flags it never reads with the switch given, and
+#: without it); the parser leaves these flags None, so `_unread_solve_flag`
+#: can tell which were given, and then fills in _SOLVE_DEFAULTS
+_SOLVE_UNREAD = {"biharmonic": (("mu", "nu", "g", "f"), ("h1", "h2")),
+                 "grid": (("z",), ("format", "seed"))}
+_SOLVE_DEFAULTS = {"mu": 1, "nu": 1, "h1": "0", "h2": "0", "format": "csv", "seed": 0}
+
+
+def _unread_solve_flag(args) -> str | None:
+    """`_unread_flag` for `solve`, whose forms --biharmonic and --grid pick."""
+    for switch, (given, left_out) in _SOLVE_UNREAD.items():
+        on = getattr(args, switch) is not None
+        for name in given if on else left_out:
+            if getattr(args, name) is not None:
+                return f"--{name} is not read by solve {'' if on else 'without '}--{switch}"
+    for name, default in _SOLVE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    return None
+
+
 def _orders(text: str) -> tuple[int, ...]:
     """`--mu`/`--nu`: one order, or a comma list (the polydisc and c8)."""
     try:
@@ -102,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser(names) -> argparse.ArgumentParser:
     """The top-level parser with the subparsers of `names` only (a command: its own).
     A part-built one still names all five in the usage line that reports an unknown flag."""
-    top = argparse.ArgumentParser(prog="pmp", description=__doc__)
+    top = argparse.ArgumentParser(prog="pmp", description=_DESCRIPTION)
     every = {} if len(names) == len(_COMMANDS) else {"metavar": "{%s}" % ",".join(_COMMANDS)}
     sub = top.add_subparsers(dest="command", required=True, **every)
     if "kernel" in names:
@@ -134,22 +167,22 @@ def _parser(names) -> argparse.ArgumentParser:
                         help="contour rule node count")
     if "solve" in names:
         so = sub.add_parser("solve", help="assemble a solution of d^mu dbar^nu u = A")
-        so.add_argument("--mu", type=int, default=1)
-        so.add_argument("--nu", type=int, default=1)
+        so.add_argument("--mu", type=int)
+        so.add_argument("--nu", type=int)
         so.add_argument("--rhs", default=None,
                         help="right-hand side expression (omit: homogeneous)")
         so.add_argument("--g", action="append", default=None,
                         help="g_j expression (repeat nu times)")
         so.add_argument("--f", action="append", default=None,
                         help="f_i expression (repeat mu times)")
-        so.add_argument("--biharmonic", action="store_true",
+        so.add_argument("--biharmonic", action="store_true", default=None,
                         help="solve LaplacianSquared u = rhs with harmonic parts --h1/--h2")
-        so.add_argument("--h1", default="0")
-        so.add_argument("--h2", default="0")
+        so.add_argument("--h1")
+        so.add_argument("--h2")
         so.add_argument("--z", default=None, help="evaluate at this point")
         so.add_argument("--grid", type=int, default=None, help="export an N x N grid")
-        so.add_argument("--format", choices=["csv", "json"], default="csv")
-        so.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
+        so.add_argument("--format", choices=["csv", "json"])
+        so.add_argument("--seed", type=int, help="echoed into the JSON config")
         _add_radius_and_out(so)
         _add_resolution(so)
     if "verify" in names:
@@ -410,7 +443,7 @@ def run_command(argv) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     args = parser.parse_args(argv)
-    if args.command in _READS and (unread := _unread_flag(args)):
+    if unread := (_unread_flag if args.command in _READS else _unread_solve_flag)(args):
         parser.exit(2, f"pmp: error: {unread}\n")
     try:
         return _COMMANDS[args.command](args)

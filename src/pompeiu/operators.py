@@ -10,9 +10,9 @@ of finite degree, they take the disk-centred core `_disk_core`, exact per
 angular mode up to and on the circle: mu + nu single passes on each density's
 modes, then each mode at the distinct target radii and each target's phases.
 Otherwise each target gets its polar area rule (`build_area_rule`, a None
-count from `quadrature.RESOLUTION_TABLE`) and the kernel its `log_shift`, in
-(T x N) blocks (`over_targets`) taken in order in the calling thread, each row
-reduced in a fixed order.
+count from `quadrature.DEFAULT_COUNTS`) and the kernel its `log_shift`, in
+(T x N) blocks taken in order in the calling thread, each row reduced in a
+fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 `apply_polydisc` sums one-disk moments of an expression field's monomials.
@@ -38,7 +38,7 @@ from .kernels import TWO_PI_I, c3, c8, check_entry, kernel
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
                          build_contour_rule, integrate, radial_rule, rule_counts, sample)
 
-#: nodes per (T x N) pass in `over_targets` (a node budget: 33 targets x 8192 nodes ran slow)
+#: nodes per (T x N) pass of the rule path (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
 #: `_disk_core` builds its pass tensors, then takes distinct radii, then
 #: targets, in chunks whose largest array (pass weights per radius; modes per
@@ -102,27 +102,6 @@ def field_from_expression(text: str, domain) -> ScalarField:
 # The transform core and its aliases
 # ---------------------------------------------------------------------------
 
-def over_targets(domain: DiskDomain, z, resolution, degree: float, block):
-    """`block(zs, counts)`, the values at a 1-D array of targets given their
-    `rule_counts`, over `z`: a complex (giving a complex) or an array (an array
-    of its shape).  Targets of equal counts form blocks, in order, of at most
-    BLOCK_NODES nodes (or one target), evaluated one after another."""
-    targets = np.asarray(z, dtype=complex).ravel()
-    groups: dict[tuple, list[int]] = {}
-    for i, counts in enumerate(rule_counts(domain, targets, resolution, degree).tolist()):
-        groups.setdefault(tuple(counts), []).append(i)
-    block_counts, blocks = [], []
-    for counts, index in groups.items():
-        size = max(1, BLOCK_NODES // (counts[0] * counts[1]))
-        starts = range(0, len(index), size)
-        block_counts += [counts] * len(starts)
-        blocks += [index[k:k + size] for k in starts]
-    values = np.empty(targets.shape, dtype=complex)
-    for index, counts in zip(blocks, block_counts):
-        values[index] = block(targets[index], counts)
-    return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
-
-
 def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION):
     """T^mu Tbar^nu f(z), z a complex or an array, entry (mu, nu) of the kernel table.
 
@@ -134,19 +113,23 @@ def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION
 
 def transform_sum(domain, terms, z, resolution):
     """The sum of T^mu Tbar^nu f(z) over `terms`, ((mu, nu), f) pairs of fields
-    on `domain`; z a complex or an array.  The disk-centred core at the default
-    counts with every degree finite, else one polar rule per target (at the
-    largest degree plus orders) whose `log_shift` the kernels take."""
-    degree = max([f.degree + mu + nu for (mu, nu), f in terms], default=0)
-    if (tuple(resolution) == DEFAULT_RESOLUTION and degree < math.inf
-            and isinstance(domain, DiskDomain)):
+    on `domain`; z a complex (giving a complex) or an array (an array of its
+    shape).  The disk-centred core at the default counts with every degree
+    finite, else one polar rule per target whose `log_shift` the kernels take,
+    the targets in order in blocks of at most BLOCK_NODES nodes (or one target)."""
+    if (tuple(resolution) == DEFAULT_RESOLUTION and isinstance(domain, DiskDomain)
+            and all(f.degree < math.inf for _, f in terms)):
         return _disk_core(domain, terms, z)
-
-    def block(zs, counts):
-        r = build_area_rule(domain, zs, counts, degree)
-        return integrate(r, lambda w: sum(kernel(zs[:, None], w, *entry, domain.radius,
-                                                 r.log_shift) * f(w) for entry, f in terms))
-    return over_targets(domain, z, resolution, degree, block)
+    targets = np.asarray(z, dtype=complex).ravel()
+    counts = rule_counts(domain, targets, resolution)
+    size = max(1, BLOCK_NODES // math.prod(counts))
+    values = np.empty(targets.shape, dtype=complex)
+    for lo in range(0, targets.size, size):
+        zs = targets[lo:lo + size, None]
+        r = build_area_rule(domain, zs, counts)
+        values[lo:lo + size] = integrate(r, lambda w: sum(
+            kernel(zs, w, *entry, domain.radius, r.log_shift) * f(w) for entry, f in terms))
+    return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
 
 
 def _interpolation_rows(x, radii, bary):
@@ -305,7 +288,7 @@ def apply_conjugate_dual(f: ScalarField, z: complex, mu: int, nu: int,
 
 def apply_2T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
     """Regularized square kernel: -1/(2 pi i) * int (f(w)-f(z))/(w-z)^2 dwbar^dw."""
-    r = build_area_rule(f.domain, z, resolution, f.degree + 2)
+    r = build_area_rule(f.domain, z, resolution)
     with np.errstate(all="ignore"):
         fz = complex(f(np.asarray(complex(z))))
     if not cmath.isfinite(fz):
@@ -345,11 +328,10 @@ def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_
 
 
 @lru_cache(maxsize=256)
-def cached_area_rule(domain: DiskDomain, center: complex,
-                     resolution: tuple[int, int], degree: float) -> Rule:
+def cached_area_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]) -> Rule:
     """`build_area_rule` for `apply_polydisc`'s factors; the LRU stays only
     because `perfbench/workloads.py` reads its `cache_clear`/`cache_info`."""
-    return build_area_rule(domain, center, resolution, degree)
+    return build_area_rule(domain, center, resolution)
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
@@ -377,8 +359,7 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     nu.require_length(n)
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
-    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution), f.degree + m + k)
-             for w, m, k in zip(z, mu.entries, nu.entries)]
+    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution)) for w in z]
     wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius,
                             rule.log_shift) for j, rule in enumerate(rules)]
     # floating-point warnings are silenced here: a NaN/Inf total raises below

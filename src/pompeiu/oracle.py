@@ -355,8 +355,7 @@ def polydisc_tensor(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex, resolutio
     mu.require_length(n)
     nu.require_length(n)
     z = f.domain.validate_point(z)
-    rules = [build_area_rule(f.domain.factor_disk, w, resolution, f.degree + m + k)
-             for w, m, k in zip(z, mu.entries, nu.entries)]
+    rules = [build_area_rule(f.domain.factor_disk, w, resolution) for w in z]
     wk = [rule.weights * c3(w, rule.nodes, m, k, f.domain.radius, rule.log_shift)
           for rule, w, m, k in zip(rules, z, mu.entries, nu.entries)]
     tail_nodes = np.meshgrid(*(r.nodes for r in rules[1:]), indexing="ij", sparse=True)

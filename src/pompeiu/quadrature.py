@@ -9,10 +9,10 @@ each ray |w - center| = rho(theta) s, s in [0, 1], with rho the distance to
 the circle, so the Jacobian cancels a 1/|w - center| pole and the radial rule
 is one Gauss-Legendre panel in s.  A rule's per-node `log_shift` turns the
 -2 log s of a kernel's log|w - center|^2 into product integration
-(`kernels.c3`).  A count left as None comes from RESOLUTION_TABLE at
-|center|/R and the integrand's degree; T centres give one (T, N) rule.  Area
-and half rules move each node within the exclusion radius COINCIDENCE_EPS * R
-of their center (`geometry`'s; the kernels refuse it) onto a kept node, weight 0.
+(`kernels.c3`).  A count left as None is its entry of DEFAULT_COUNTS; T
+centres give one (T, N) rule.  Area and half rules move each node within the
+exclusion radius COINCIDENCE_EPS * R of their center (`geometry`'s; the
+kernels refuse it) onto a kept node, weight 0.
 
 Weights carry the 2i area factor (dzbar ^ dz = 2i dx dy), and contour weights
 carry dz = i R e^{i theta} dtheta, so operator formulas transcribe literally.
@@ -32,22 +32,16 @@ from numpy.polynomial.legendre import leggauss, legval
 from .errors import DomainError, NonFiniteSample, ResolutionTooLow
 from .geometry import AREA_FACTOR, COINCIDENCE_EPS, DiskDomain, require_separated
 
-#: (|center|/R edge, (n_radial, n_angular)), measured by scripts/rule_table.py:
-#: an area rule's default counts are those of the first row whose edge is >= |center|/R,
-#: raised to at least (64, 128) above TABLE_DEGREE, the largest integrand degree
-#: (the field's total degree in w, conj w plus the kernel's orders mu + nu) the
-#: rows serve: one degree more, (16, 32) reads 1.4e-13 where (64, 128) reads 1.8e-15
-RESOLUTION_TABLE = ((0.5, (16, 32)), (0.8, (16, 48)), (0.9, (24, 64)), (0.95, (24, 96)),
-                    (0.98, (32, 128)), (1.0, (64, 160)))
-TABLE_DEGREE = 11
-_TABLE_EDGES = np.array([edge for edge, _ in RESOLUTION_TABLE[:-1]])   # beyond: the last row
-_TABLE_COUNTS = np.array([counts for _, counts in RESOLUTION_TABLE])
-#: both counts chosen by RESOLUTION_TABLE
+#: the (n_radial, n_angular) a count left as None takes, whatever the centre
+#: and the integrand (scripts/rule_table.py: from 0.99 R out fewer angles lose
+#: digits, 64x128 reading 1.1e-11 on (1,1) there against 8.0e-14)
+DEFAULT_COUNTS = (64, 160)
+#: both counts left as None: DEFAULT_COUNTS, or the disk-centred core (`operators`)
 DEFAULT_RESOLUTION = (None, None)
 DEFAULT_CONTOUR_COUNT = 256
 
-# freeing a 1 MiB block lifts glibc's mmap/trim thresholds, so the 128 KiB
-# arrays of 8192-node rules are reused instead of mapped and faulted anew
+# freeing a 1 MiB block lifts glibc's mmap/trim thresholds, so the 160 KiB
+# arrays of DEFAULT_COUNTS rules are reused instead of mapped and faulted anew
 np.empty(1 << 17)
 
 
@@ -122,35 +116,28 @@ def _boundary_distance(domain: DiskDomain, center: complex,
     return np.maximum(-x + np.sqrt(np.maximum(under, 0.0)), 0.0)
 
 
-def rule_counts(domain: DiskDomain, centers, resolution, degree: float) -> np.ndarray:
-    """The (n_radial, n_angular) of the area rule about each of `centers`, a
-    (T, 2) array; a None count is the table's at |center|/R for `degree`."""
+def rule_counts(domain: DiskDomain, centers, resolution) -> tuple[int, int]:
+    """The (n_radial, n_angular) of the area rules about `centers`, each entry
+    of `resolution` or, left as None, of DEFAULT_COUNTS; a centre outside the
+    disk raises DomainError and a count below 4 x 8 ResolutionTooLow."""
     if not isinstance(domain, DiskDomain):
         raise DomainError(f"area rules need a DiskDomain, got {domain!r}")
     centers = np.asarray(centers, dtype=complex).ravel()
     for center in centers[~domain.contains(centers)]:
         domain.validate_point(center)   # raises its DomainError
-    if None in resolution:   # explicit counts skip the table
-        counts = _TABLE_COUNTS[np.searchsorted(_TABLE_EDGES, np.abs(centers) / domain.radius)]
-        if degree > TABLE_DEGREE:
-            counts = np.maximum(counts, (64, 128))
-    else:
-        counts = np.empty((centers.size, 2), dtype=int)
-    for i, count in enumerate(resolution):
-        if count is not None:
-            counts[:, i] = count
-    if any(count is not None and count < low for count, low in zip(resolution, (4, 8))):
-        got = tuple(counts[0].tolist()) if len(counts) else tuple(resolution)
-        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {got}")
+    counts = tuple(default if count is None else count
+                   for count, default in zip(resolution, DEFAULT_COUNTS))
+    if counts[0] < 4 or counts[1] < 8:
+        raise ResolutionTooLow(f"need n_radial >= 4 and n_angular >= 8, got {counts}")
     return counts
 
 
-def _polar_rule(domain: DiskDomain, center, resolution, directions, degree: float) -> Rule:
-    """Polar rule about `center`, or (T, N) rules about T centres at their largest
+def _polar_rule(domain: DiskDomain, center, resolution, directions) -> Rule:
+    """Polar rule about `center`, or (T, N) rules about T centres, at their
     `rule_counts`; `directions(centres, n_angular)`, given them as (T, 1, 1),
     gives the unit directions, their angular weights and the radial extent rho."""
     column = np.asarray(center, dtype=complex).reshape(-1, 1)
-    n_radial, n_angular = rule_counts(domain, column, resolution, degree).max(axis=0).tolist()
+    n_radial, n_angular = rule_counts(domain, column, resolution)
     s, ws, shift = radial_rule(n_radial)
     # silenced: a NaN/Inf node or weight (R near the float range) raises in `integrate`
     with np.errstate(all="ignore"):
@@ -170,9 +157,9 @@ def _polar_rule(domain: DiskDomain, center, resolution, directions, degree: floa
 
 
 def build_area_rule(domain: DiskDomain, singularity: complex,
-                    resolution=DEFAULT_RESOLUTION, degree: float = math.inf) -> Rule:
+                    resolution=DEFAULT_RESOLUTION) -> Rule:
     """Polar rule over the whole disk centered at `singularity` (a row per
-    entry of an array); None counts are the table's for `degree` (inf: unknown).
+    entry of an array).
 
     Angular rule: equispaced trapezoid (spectrally accurate since the radial
     extent is a smooth periodic function of the angle).  Radial rule: one
@@ -183,13 +170,12 @@ def build_area_rule(domain: DiskDomain, singularity: complex,
         return (cos_t + 1j * sin_t, np.full(n_angular, 2 * np.pi / n_angular),
                 _boundary_distance(domain, centres, cos_t, sin_t))
 
-    return _polar_rule(domain, singularity, resolution, directions, degree)
+    return _polar_rule(domain, singularity, resolution, directions)
 
 
 def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                     resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> Rule:
-    """Rule on the half of the disk nearer `center` than `other`; None counts
-    are those of an integrand of unknown degree, which serve every kernel.
+    """Rule on the half of the disk nearer `center` than `other`.
 
     The disk is cut along the perpendicular bisector of [center, other]; the
     piece containing `center` gets a polar rule centered on it.  The angular
@@ -235,7 +221,7 @@ def build_half_rule(domain: DiskDomain, center: complex, other: complex,
                              np.inf)
         return cos_t + 1j * sin_t, np.concatenate(wt_parts), np.minimum(rho_d, rho_b)
 
-    return _polar_rule(domain, center, resolution, directions, math.inf)
+    return _polar_rule(domain, center, resolution, directions)
 
 
 def build_contour_rule(radius: float, count: int = DEFAULT_CONTOUR_COUNT) -> Rule:

@@ -134,19 +134,18 @@ def test_op_apply_polydisc(capsys):
 
 
 def test_polydisc_single_resolution_flag_is_honoured(capsys):
-    # each of --nr / --ntheta replaces its own entry of the table default,
-    # (16, 32) for both factors at |z_j| <= 0.5 R
+    # each of --nr / --ntheta replaces its own entry of DEFAULT_COUNTS, (64, 160)
     base = ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1*z1bar*z2",
             "--z", "0.3,0.1i", "--mu", "1,1", "--nu", "1,1"]
     outs = {}
-    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "32"),
-                  ("--ntheta", "16"), ("--nr", "16", "--ntheta", "16")):
+    for extra in ((), ("--nr", "8"), ("--nr", "8", "--ntheta", "160"),
+                  ("--ntheta", "16"), ("--nr", "64", "--ntheta", "16")):
         code, outs[extra] = run(capsys, *base, *extra)
         assert code == 0
     assert outs[("--nr", "8")] != outs[()]
-    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "32")]
+    assert outs[("--nr", "8")] == outs[("--nr", "8", "--ntheta", "160")]
     assert outs[("--ntheta", "16")] != outs[()]
-    assert outs[("--ntheta", "16")] == outs[("--nr", "16", "--ntheta", "16")]
+    assert outs[("--ntheta", "16")] == outs[("--nr", "64", "--ntheta", "16")]
 
 
 def test_polydisc_nine_factors(capsys):
@@ -523,6 +522,53 @@ def test_flags_the_op_never_reads_are_usage_errors(argv, flag, op, capsys):
     assert captured.err == f"pmp: error: {flag} is not read by {op}\n"
 
 
+@pytest.mark.parametrize("refused, read, message", [
+    (["--biharmonic", "--rhs", "1", "--z", "0.1", "--mu", "3"], ["--rhs", "1", "--z", "0.1",
+     "--mu", "3"], "--mu is not read by solve --biharmonic"),
+    (["--biharmonic", "--rhs", "1", "--z", "0.1", "--nu", "2"], ["--rhs", "1", "--z", "0.1",
+     "--nu", "2"], "--nu is not read by solve --biharmonic"),
+    (["--biharmonic", "--rhs", "1", "--z", "0.1", "--g", "z"], ["--rhs", "1", "--z", "0.1",
+     "--g", "z"], "--g is not read by solve --biharmonic"),
+    (["--biharmonic", "--rhs", "1", "--z", "0.1", "--f", "1"], ["--rhs", "1", "--z", "0.1",
+     "--f", "1"], "--f is not read by solve --biharmonic"),
+    (["--rhs", "1", "--z", "0.1", "--h1", "z"], ["--biharmonic", "--rhs", "1", "--z", "0.1",
+     "--h1", "z"], "--h1 is not read by solve without --biharmonic"),
+    (["--rhs", "1", "--z", "0.1", "--h2", "z"], ["--biharmonic", "--rhs", "1", "--z", "0.1",
+     "--h2", "z"], "--h2 is not read by solve without --biharmonic"),
+    (["--rhs", "1", "--grid", "2", "--z", "0.1"], ["--rhs", "1", "--z", "0.1"],
+     "--z is not read by solve --grid"),
+    (["--rhs", "1", "--z", "0.1", "--format", "json"], ["--rhs", "1", "--grid", "2",
+     "--format", "json"], "--format is not read by solve without --grid"),
+    (["--rhs", "1", "--z", "0.1", "--seed", "2"], ["--rhs", "1", "--grid", "2", "--seed", "2"],
+     "--seed is not read by solve without --grid"),
+], ids=["biharmonic-mu", "biharmonic-nu", "biharmonic-g", "biharmonic-f", "h1", "h2",
+        "grid-z", "format", "seed"])
+def test_solve_refuses_the_flags_its_form_never_reads(refused, read, message, capsys):
+    # --biharmonic and --grid pick the form; the other form reads the flag
+    assert _outcome(capsys, ["solve", *refused]) == (2, "", f"pmp: error: {message}\n")
+    code, out, err = _outcome(capsys, ["solve", *read])
+    assert code == 0 and out and err == ""
+
+
+def test_solve_grid_0_picks_the_grid_form(capsys):
+    # a given --grid, 0 included, picks the grid form, which reads --format
+    assert _outcome(capsys, ["solve", "--rhs", "1", "--grid", "0", "--format", "json"]) == (
+        1, "", f"error: {GRID_ERROR.format(0, 0.95)}\n")
+
+
+def test_top_level_help_prints_the_description_paragraph(capsys, monkeypatch):
+    # the parser's own text, not the `cli` module docstring, which describes the code
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = _outcome(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert out.split("\n\n")[1] == (
+        "Command-line surface: kernel evaluation, operator application, solving, verification"
+        " suites, and\ngrid export. Complex values print as `re±imi` with 15 significant digits."
+        " Grid output is CSV\n(`x,y,re,im`, header row, row-major) or JSON with a config echo."
+        " Usage errors exit 2, numeric\nfailures exit 1, and `verify` exits nonzero when any"
+        " property fails. Each subcommand declares only\nthe flags it reads.")
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "eval", "--kind", "c3", "--mu", "x", "--a", "0", "--b", "0.5"],
     ["kernel", "eval", "--kind", "c8", "--mu", "1,x", "--nu", "1,1"],
@@ -585,9 +631,9 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
      "S target |z| = 0.999 is outside |z| <= 0.913982 (aliasing (|z|/R)^256 above 1e-10)"),
     (["op", "apply", "--op", "Sbar", "--f", "1+z*zbar", "--z", "0.5", "--contour-n", "8"],
      "1", "S target |z| = 0.5 is outside |z| <= 0.0562341 (aliasing (|z|/R)^8 above 1e-10)"),
-    # below the radial floor; the table fills in the angular count of |z| = 0.3
+    # below the radial floor; DEFAULT_COUNTS fills in the angular count
     (["op", "apply", "--op", "T", "--f", "1+z*zbar", "--z", "0.3", "--nr", "3"], "1",
-     "need n_radial >= 4 and n_angular >= 8, got (3, 32)"),
+     "need n_radial >= 4 and n_angular >= 8, got (3, 160)"),
     # grids need a point on each axis and corners inside the closed disk
     (["export", "--f", "z", "--grid", "-3"], "1", GRID_ERROR.format(-3, 0.95)),
     (["solve", "--rhs", "1", "--grid", "-2"], "1", GRID_ERROR.format(-2, 0.95)),

@@ -536,8 +536,8 @@ def test_fields_carry_their_degree():
 
 @pytest.mark.parametrize("l", [12, 33, 60])
 def test_default_resolution_follows_the_field_degree(l):
-    # T zbar^l = zbar^(l+1)/(l+1); the table's 16x32 reads 1e-2 on zbar^33, so
-    # a field above TABLE_DEGREE takes at least 64x128, exact to round-off
+    # T zbar^l = zbar^(l+1)/(l+1): the disk-centred core resolves band l + 1,
+    # exact to round-off, where a fixed 16x32 rule reads 2e-2 on zbar^33
     f = field_from_expression(f"zbar^{l}", DISK)
     for q in (0.0, 0.3, 0.6, 0.9):
         z = q * cmath.exp(0.7j)
@@ -551,7 +551,7 @@ def test_default_resolution_follows_the_field_degree(l):
 def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch, capsys):
     # real transform grids, byte-identical at every PMP_THREADS value: a (2,2)
     # solve and a (1,1) export take the disk-centred core, and the explicit-count
-    # export runs the target-centred rule over 19 blocks of `over_targets`
+    # export runs the target-centred rule over 19 blocks of BLOCK_NODES
     commands = (["solve", "--mu", "2", "--nu", "2", "--rhs", "1+z*zbar", "--grid", "17"],
                 ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17"],
                 ["export", "--op", "mixed", "--f", "1+z*zbar-2i*z^2", "--grid", "17",
@@ -566,7 +566,7 @@ def test_grid_evaluation_deterministic_and_thread_safe(monkeypatch, capsys):
     assert len(outputs["1"].splitlines()) == 3 * (1 + 17 * 17)
 
 
-#: targets across every RESOLUTION_TABLE row, the circle included
+#: targets from the centre out to the circle, 0.999 R among them
 BATCH_TARGETS = np.array([0, 0.3 + 0.2j, -0.45j, 0.7 - 0.1j, 0.85j, -0.93, 0.96 + 0.1j,
                           0.6 - 0.78j, 0.999j, cmath.exp(0.4j)])
 
@@ -603,7 +603,7 @@ def test_extent_1_grid_matches_single_targets(order):
     f = field_from_expression("1+z*zbar-2i*z^2", DISK)
     grid = evaluate_on_grid(lambda z: transform(f, z, *order), DISK, n=5, extent=1.0)
     corner = complex(grid.xs[0], grid.ys[0])
-    assert np.any(build_area_rule(DISK, corner, degree=4 + sum(order)).weights == 0)
+    assert np.any(build_area_rule(DISK, corner).weights == 0)
     points = grid.xs[None, :] + 1j * grid.ys[:, None]
     single = np.array([[transform(f, complex(z), *order) for z in row] for row in points])
     assert np.all(np.isfinite(grid.values))
@@ -681,8 +681,8 @@ NEAR_FIELD = PolynomialField(np.exp(2j * np.pi * np.random.default_rng(0).random
 @pytest.mark.parametrize("order, R", [((1, 1), 1.0), ((2, 2), 1.0), ((2, 2), 2.5)])
 @pytest.mark.parametrize("ratio", [0.99, 0.999, 1 - 1e-6, 1.0])
 def test_default_counts_hold_up_to_the_circle(order, R, ratio):
-    # the near-boundary cells, five angles each: the target-centred rule at its
-    # table's counts read up to 1.1e-5 at (1,1) and 3.8e-6 at (2,2), R = 2.5
+    # the near-boundary cells, five angles each: the target-centred rule at
+    # DEFAULT_COUNTS reads up to 1.1e-5 at (1,1) and 3.8e-6 at (2,2), R = 2.5
     f = NEAR_FIELD.to_field(DiskDomain(R))
     z = ratio * R * np.exp(1j * (0.3 + 2 * np.pi * np.arange(5) / 5))
     want = exact_composition(NEAR_FIELD, *order, R)(z)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pompeiu.errors import CoincidentPoints, DomainError, NonFiniteSample, ResolutionTooLow
 from pompeiu.geometry import DiskDomain, PolydiscDomain, require_separated
-from pompeiu.operators import _pass_tensor
-from pompeiu.quadrature import (TABLE_DEGREE, build_area_rule, build_contour_rule,
+from pompeiu.operators import ScalarField, _pass_tensor, apply_2T, transform
+from pompeiu.quadrature import (DEFAULT_COUNTS, build_area_rule, build_contour_rule,
                                 build_half_rule, integrate, radial_rule)
 
 
@@ -97,32 +97,40 @@ def test_radial_rule_moments_hold_to_round_off(n):
     assert np.array_equal(_pass_tensor(n - 2)[0], s)
 
 
-@pytest.mark.parametrize("ratio, counts", [
-    (0.0, (16, 32)), (0.5, (16, 32)), (0.50001, (16, 48)), (0.8, (16, 48)), (0.85, (24, 64)),
-    (0.95, (24, 96)), (0.97, (32, 128)), (0.99, (64, 160)), (0.9999, (64, 160))])
+@pytest.mark.parametrize("ratio, counts", [(ratio, DEFAULT_COUNTS) for ratio in (
+    0.0, 0.5, 0.50001, 0.8, 0.85, 0.95, 0.97, 0.99, 0.9999)])
 def test_default_counts_come_from_the_table_by_distance(ratio, counts):
+    # the ratios span the rows of the per-distance table that DEFAULT_COUNTS
+    # replaced: every distance now takes its one row
     d = DiskDomain(2.5)
     center = 2.5 * ratio * np.exp(0.7j)
-    assert build_area_rule(d, center, degree=TABLE_DEGREE).nodes.size == counts[0] * counts[1]
-    # a given count is used as it is, the other still comes from the table
-    assert build_area_rule(d, center, (8, None), TABLE_DEGREE).nodes.size == 8 * counts[1]
-    assert build_area_rule(d, center, (None, 40), TABLE_DEGREE).nodes.size == counts[0] * 40
+    assert build_area_rule(d, center).nodes.size == counts[0] * counts[1]
+    # a given count is used as it is, the other is its entry of DEFAULT_COUNTS
+    assert build_area_rule(d, center, (8, None)).nodes.size == 8 * counts[1]
+    assert build_area_rule(d, center, (None, 40)).nodes.size == counts[0] * 40
+    assert build_area_rule(d, center, (8, 40)).nodes.size == 8 * 40
 
 
-@pytest.mark.parametrize("ratio, counts", [(0.0, (64, 128)), (0.97, (64, 128)),
-                                           (0.99, (64, 160))])
-@pytest.mark.parametrize("degree", [TABLE_DEGREE + 1, 40, math.inf])
+@pytest.mark.parametrize("ratio, counts", [(ratio, DEFAULT_COUNTS) for ratio in (0.0, 0.97, 0.99)])
+@pytest.mark.parametrize("degree", [12, 40, math.inf])
 def test_higher_or_unknown_degree_takes_at_least_64_by_128(ratio, counts, degree):
-    d = DiskDomain(1.0)
-    assert build_area_rule(d, ratio * np.exp(0.7j), degree=degree).nodes.size \
-        == counts[0] * counts[1]
+    # the rules read no degree: 2T of a field of any degree, and T of one of
+    # unknown degree, take DEFAULT_COUNTS, which are at least 64 x 128
+    assert counts[0] >= 64 and counts[1] >= 128
+    f = ScalarField(lambda w: w * np.conj(w) ** 2, DiskDomain(1.0), degree=degree)
+    z = ratio * np.exp(0.7j)
+    assert apply_2T(f, z) == apply_2T(f, z, counts)
+    if degree == math.inf:
+        assert transform(f, z, 1, 0) == transform(f, z, 1, 0, counts)
 
 
 def test_half_rules_default_to_the_unknown_degree_counts():
     d = DiskDomain(1.0)
     a, b = 0.1 + 0.05j, -0.2 + 0.1j
-    outer = build_half_rule(d, a, b, (64, 128))
+    outer = build_half_rule(d, a, b, DEFAULT_COUNTS)
     assert np.array_equal(build_half_rule(d, a, b).nodes, outer.nodes)
+    assert np.array_equal(build_half_rule(d, a, b, (None, 40)).nodes,
+                          build_half_rule(d, a, b, (DEFAULT_COUNTS[0], 40)).nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +294,16 @@ def test_rows_of_a_batched_rule_are_the_single_centre_rules():
     # T centres give (T, N) nodes and weights, row t the rule about centre t
     d = DiskDomain(2.5)
     centers = 2.5 * np.array([0.1, 0.3j, -0.45 + 0.1j])
-    rule = build_area_rule(d, centers, degree=4)
-    assert rule.nodes.shape == rule.weights.shape == (3, 16 * 32)
+    rule = build_area_rule(d, centers)
+    assert rule.nodes.shape == rule.weights.shape == (3, DEFAULT_COUNTS[0] * DEFAULT_COUNTS[1])
     for row, center in zip(range(3), centers):
-        single = build_area_rule(d, complex(center), degree=4)
+        single = build_area_rule(d, complex(center))
         assert np.allclose(rule.nodes[row], single.nodes, rtol=1e-15, atol=0)
         assert np.allclose(rule.weights[row], single.weights, rtol=1e-15, atol=0)
         assert np.array_equal(rule.log_shift, single.log_shift)
-    # centres of different table rows share the largest counts
-    assert build_area_rule(d, 2.5 * np.array([0.1, 0.99]), degree=4).nodes.shape == (2, 64 * 160)
     integral = integrate(rule, lambda w: np.conj(w) / (w - centers[:, None]))
     assert integral.shape == (3,)
-    assert integral[1] == integrate(build_area_rule(d, complex(centers[1]), degree=4),
+    assert integral[1] == integrate(build_area_rule(d, complex(centers[1])),
                                     lambda w: np.conj(w) / (w - centers[1]))
 
 

@@ -48,9 +48,9 @@ def test_rule_table_smoke(capsys):
                  "--degree", "1", "--angles", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
-    assert lines[2].split()[:3] == ["0.5", "default", "16x32"]
+    assert lines[2].split()[:3] == ["0.5", "default", "64x160"]
     assert lines[3].split()[:2] == ["0.5", "8x16"]
-    # the table's default reaches round-off on a degree-1 field
+    # the default counts reach round-off on a degree-1 field
     assert all(float(err) <= 1e-14 for err in lines[2].split()[3:])
 
 
@@ -132,16 +132,16 @@ def test_biharmonic_demo_writes_its_grid(tmp_path, capsys):
         assert im == 0.0 and re == pytest.approx(u(complex(x, y)), rel=1e-14, abs=1e-15)
 
 
-#: |z|/R at each RESOLUTION_TABLE row's outer edge (1 - 1e-6 for the last row)
-#: -> the worst absolute error over five angles of T, 2T, (1,1), (2,2) and
-#: (3,1) at the default resolution, as scripts/rule_table.py measured them;
-#: round-off cells (all below 5e-15) read 1e-14
+#: |z|/R at each edge of the per-distance table of counts that DEFAULT_COUNTS
+#: replaced (1 - 1e-6 for the last) -> the worst absolute error over five
+#: angles of T, 2T, (1,1), (2,2) and (3,1) at DEFAULT_COUNTS, as
+#: scripts/rule_table.py measured them; round-off cells (all below 1e-15) read 1e-14
 TABLE_EDGE_ERRORS = {
     0.5: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
     0.8: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
     0.9: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
-    0.95: (1e-14, 1e-14, 1.5e-14, 1e-14, 1e-14),
-    0.98: (1e-14, 1e-14, 2.8e-13, 1e-14, 1e-14),
+    0.95: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
+    0.98: (1e-14, 1e-14, 1e-14, 1e-14, 1e-14),
     1 - 1e-6: (1e-14, 1e-14, 7.4e-6, 7.4e-9, 3.5e-9),
 }
 
@@ -153,5 +153,5 @@ def test_default_resolution_at_each_table_edge(ratio):
     module = load(SCRIPTS[0].parent / "rule_table.py")
     poly = module.seeded_field(2, 0)
     for op, pinned in zip(("T", "2T", "1x1", "2x2", "3x1"), TABLE_EDGE_ERRORS[ratio]):
-        worst = module.worst_error(poly, op, ratio, module.DEFAULT_RESOLUTION, 5)
+        worst = module.worst_error(poly, op, ratio, module.DEFAULT_COUNTS, 5)
         assert worst <= 2 * pinned, (op, worst)

@@ -9,6 +9,7 @@ from pompeiu.errors import DomainError, NonFiniteSample, NonRealRHS, StencilOutO
 from pompeiu.geometry import DiskDomain, wirtinger_split
 from pompeiu.operators import (ScalarField, apply_mixed, constant_field,
                                field_from_expression)
+from pompeiu.quadrature import DEFAULT_COUNTS
 from pompeiu.solver import SolutionSpec, fd_residual, solve_biharmonic, solve_pde
 
 DISK = DiskDomain(1.0)
@@ -216,15 +217,15 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     # each density's band, its degree plus its table entry's orders, sets the
     # disk-centred core's Gauss radii (band + 2) and angles (2 band + 2):
     # A at (nu, mu), g_j at (j, 0), conj(f_i) at (nu, i); a density of unknown
-    # degree sends the sum to the target-centred rule at degree inf; a zero datum,
-    # however spelled, takes no pass
+    # degree sends the sum to the target-centred rule at DEFAULT_COUNTS; a zero
+    # datum, however spelled, takes no pass
     import pompeiu.operators as operators
-    shapes, degrees = [], []
+    shapes, counts = [], []
     sample, rule = operators.sample, operators.build_area_rule
     monkeypatch.setattr(operators, "sample",
                         lambda f, nodes: shapes.append(nodes.shape) or sample(f, nodes))
     monkeypatch.setattr(operators, "build_area_rule",
-                        lambda *args: degrees.append(args[3]) or rule(*args))
+                        lambda *args: counts.append(args[2]) or rule(*args))
     rhs = field_from_expression("z*zbar", DISK)
     cube, square = field_from_expression("z^3", DISK), field_from_expression("z^2", DISK)
     zero, cancelled = ZERO, field_from_expression("z^2-z*z", DISK)
@@ -233,9 +234,9 @@ def test_solve_pde_keys_the_core_by_each_density(monkeypatch):
     solve_pde(SolutionSpec(2, 1, rhs, (zero,), (zero, square)))(0.3)
     solve_pde(SolutionSpec(1, 1, None, (zero,), (zero,)), DISK)(0.3)
     # nodes are (radius, angle), sampled once per density
-    assert shapes == [(8, 14), (6, 10), (7, 12), (6, 10), (7, 12)] and degrees == []
+    assert shapes == [(8, 14), (6, 10), (7, 12), (6, 10), (7, 12)] and counts == []
     solve_pde(SolutionSpec(1, 1, replace(rhs, degree=math.inf), (zero,), (zero,)))(0.3)
-    assert degrees == [math.inf]
+    assert counts == [DEFAULT_COUNTS]
 
 
 # ---------------------------------------------------------------------------
