@@ -86,7 +86,14 @@ def _unread_flag(args) -> str | None:
         elif name not in reads[picked]:
             by = f"--{choice} {picked}" if picked else "export without --op"
             return f"--{name.replace('_', '-')} is not read by {by}"
-    return None
+    return _unread_seed(args, "export") if args.command == "export" else None
+
+
+def _unread_seed(args, form: str) -> str | None:
+    """Refuse --seed with CSV output, which echoes no config; else fill in csv and 0."""
+    if args.seed is not None and args.format != "json":
+        return f"--seed is not read by {form} without --format json"
+    args.format, args.seed = args.format or "csv", args.seed or 0
 
 
 #: solve's switches -> (the flags it never reads with the switch given, and
@@ -94,7 +101,7 @@ def _unread_flag(args) -> str | None:
 #: can tell which were given, and then fills in _SOLVE_DEFAULTS
 _SOLVE_UNREAD = {"biharmonic": (("mu", "nu", "g", "f"), ("h1", "h2")),
                  "grid": (("z",), ("format", "seed"))}
-_SOLVE_DEFAULTS = {"mu": 1, "nu": 1, "h1": "0", "h2": "0", "format": "csv", "seed": 0}
+_SOLVE_DEFAULTS = {"mu": 1, "nu": 1, "h1": "0", "h2": "0"}
 
 
 def _unread_solve_flag(args) -> str | None:
@@ -107,7 +114,7 @@ def _unread_solve_flag(args) -> str | None:
     for name, default in _SOLVE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    return None
+    return _unread_seed(args, "solve --grid") if args.grid is not None else None
 
 
 def _orders(text: str) -> tuple[int, ...]:
@@ -203,8 +210,8 @@ def _parser(names) -> argparse.ArgumentParser:
         ex.add_argument("--nu", type=_orders)
         ex.add_argument("--grid", type=int, default=17)
         ex.add_argument("--extent", type=float, default=0.95)
-        ex.add_argument("--format", choices=["csv", "json"], default="csv")
-        ex.add_argument("--seed", type=int, default=0, help="echoed into the JSON config")
+        ex.add_argument("--format", choices=["csv", "json"])
+        ex.add_argument("--seed", type=int, help="echoed into the JSON config")
         _add_radius_and_out(ex)
         _add_resolution(ex)
     return top

@@ -8,7 +8,7 @@ over several fields.  Disk operators take a field on a `DiskDomain`, centred
 at 0 as the closed-form kernels assume.  At the default counts, for fields
 of finite degree, they take the disk-centred core `_disk_core`, exact per
 angular mode up to and on the circle: mu + nu single passes on each density's
-modes, then each mode at the distinct target radii and each target's phases.
+modes, then each mode at the distinct target radii and each target's Horner sum.
 Otherwise each target gets its polar area rule (`build_area_rule`, a None
 count from `quadrature.DEFAULT_COUNTS`) and the kernel its `log_shift`, in
 (T x N) blocks taken in order in the calling thread, each row reduced in a
@@ -27,7 +27,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_
 BLOCK_NODES = 8192
 #: `_disk_core` builds its pass tensors, then takes distinct radii, then
 #: targets, in chunks whose largest array (pass weights per radius; modes per
-#: distinct radius; phases per target) holds at most CORE_BLOCK elements, or
-#: one radius or target; a band whose pass tensor, (2 band + 1) (band + 2)^2
-#: weights, exceeds CORE_TARGET_CAP raises OrderTooLarge, and one above
-#: 16 CORE_BLOCK (1 MiB) is built per call and freed before the targets' stage
+#: radius; 2 band + 1 rings per radius of a block, or per target) holds at most
+#: CORE_BLOCK elements, or one radius or target; a band whose pass tensor,
+#: (2 band + 1) (band + 2)^2 weights, exceeds CORE_TARGET_CAP raises OrderTooLarge,
+#: and one above 16 CORE_BLOCK (1 MiB) is built per call and freed before the targets' stage
 CORE_BLOCK = 1 << 13
 CORE_TARGET_CAP = 1 << 20
 
@@ -178,9 +178,9 @@ def _core_modes(f: ScalarField, mu: int, nu: int):
     band (rows) at the Gauss radii r (columns) of `_pass_tensor`.
 
     f, of degree d, is sampled once at r R times 2 band + 2 angles, and one FFT
-    gives its modes |k| <= d; then nu Tbar and mu T passes.  Tbar is the T pass
-    between two flips k -> -k, since W is real.  Orders are checked as by
-    `kernels.check_entry`, and the band against CORE_TARGET_CAP, before any sample.
+    gives its modes |k| <= d; then nu Tbar (T between flips k -> -k, W being real)
+    and mu T passes on the 2d + 1 live rows, one row higher per Tbar, lower per T.
+    Orders (`kernels.check_entry`) and the band (CORE_TARGET_CAP) are checked first.
     """
     mu, nu = check_entry(mu, nu)
     d = int(f.degree)
@@ -195,16 +195,17 @@ def _core_modes(f: ScalarField, mu: int, nu: int):
     nodes = f.domain.radius * r[:, None] * turn
     spectrum = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape)) / turn.size
     modes = np.zeros((2 * band + 1, r.size), dtype=complex)
-    modes[band - d:band + d + 1] = spectrum[:, np.arange(-d, d + 1)].T
-    for flip in [True] * nu + [False] * mu:   # Tbar^nu first, then T^mu
-        if flip:
-            modes = np.ascontiguousarray(modes[::-1])
-        # the real weights on the real and imaginary parts: W is never cast
-        out = np.einsum("kij,kjc->kic", passes, modes.view(float).reshape(*modes.shape, 2))
-        # mode k goes to k - 1; the lowest row is 0 until the last pass
-        modes = np.roll(out.view(complex)[..., 0], -1, axis=0)
-        if flip:
-            modes = np.ascontiguousarray(modes[::-1])
+    lo, hi = band - d, band + d + 1   # the live rows; mode k is row band + k
+    modes[lo:hi] = spectrum[:, np.arange(-d, d + 1)].T
+    for shift in [1] * nu + [-1] * mu:   # Tbar^nu first (mode k to k + 1), then T^mu
+        # a Tbar pass gives row i the weights of row -i: W's rows reversed
+        weights = (passes[::-1] if shift > 0 else passes)[lo:hi]
+        out = np.zeros_like(modes)
+        # the real weights on the real and imaginary parts, strided views (a
+        # contiguous copy sums in another order): W is never cast
+        out.real[lo + shift:hi + shift] = np.einsum("kij,kj->ki", weights, modes[lo:hi].real)
+        out.imag[lo + shift:hi + shift] = np.einsum("kij,kj->ki", weights, modes[lo:hi].imag)
+        modes, lo, hi = out, lo + shift, hi + shift
     return r, bary, modes
 
 
@@ -216,9 +217,9 @@ def _disk_core(domain: DiskDomain, terms, z):
     density's transform is composed from mu + nu single passes on its modes
     (`_core_modes`), each exact per mode with weights of at most 1 (the ring
     weights of Daripa, SIAM J. Sci. Stat. Comput. 13, 1992).  Then each mode
-    is interpolated to the distinct target radii, once per radius, and each
-    target sums its phases, scaled by R^(mu+nu).  Radii, then targets, go in
-    chunks under CORE_BLOCK.  A NaN/Inf sample or value raises NonFiniteSample.
+    is interpolated to the distinct target radii, once per radius, and each target
+    sums them by Horner's rule (k >= 0 in p = e^{i arg z}, k < 0 in conj(p)), scaled
+    by R^(mu+nu).  Chunks as by CORE_BLOCK.  A NaN/Inf sample or value raises NonFiniteSample.
     """
     targets = np.asarray(z, dtype=complex).ravel()
     for point in targets[~domain.contains(targets)]:
@@ -230,19 +231,25 @@ def _disk_core(domain: DiskDomain, terms, z):
     starts = np.searchsorted(where[order], np.arange(radii.size + 1))
     total = np.zeros(targets.shape, dtype=complex)
     for (r, bary, modes), scale in composed:
-        k = np.arange(modes.shape[0]) - modes.shape[0] // 2
-        step, per_target = max(1, CORE_BLOCK // modes.size), max(1, CORE_BLOCK // k.size)
+        step, per_target = max(1, CORE_BLOCK // modes.size), max(1, CORE_BLOCK // modes.shape[0])
+        block = max(1, per_target // step) * step   # whole radius chunks per block of rings
+        # the rows from the lowest nonzero mode or k = 0 to the highest: the rest add exact 0s
+        live = np.flatnonzero(modes.any(axis=1)).tolist() + [modes.shape[0] // 2]
+        zero, modes = live[-1] - min(live), modes[min(live):max(live) + 1]   # zero: k = 0's row
         # floating-point warnings are silenced here: a NaN/Inf value raises below
         with np.errstate(all="ignore"):
-            for lo in range(0, radii.size, step):
-                rows = _interpolation_rows(radii[lo:lo + step], r, bary)
+            for lo in range(0, radii.size, block):
                 # cumsum sums in order whatever the shape, so a value never depends on T
-                rings = np.cumsum(rows[:, None, :] * modes, axis=2)[..., -1]
-                chunk = order[starts[lo]:starts[min(lo + step, radii.size)]]
+                rings = np.concatenate([np.cumsum(
+                    _interpolation_rows(radii[at:at + step], r, bary)[:, None, :] * modes,
+                    axis=2)[..., -1] for at in range(lo, min(lo + block, radii.size), step)]).T
+                chunk = order[starts[lo]:starts[min(lo + block, radii.size)]]
                 for at in range(0, chunk.size, per_target):
                     index = chunk[at:at + per_target]
-                    phases = np.exp(1j * np.angle(targets[index])[:, None] * k)
-                    value = np.cumsum(phases * rings[where[index] - lo], axis=1)[:, -1]
+                    p = np.exp(1j * np.angle(targets[index]))
+                    ring, q = rings[:, where[index] - lo], p.conj()
+                    up = reduce(lambda v, row: v * p + row, ring[zero:][::-1], 0)
+                    value = up + reduce(lambda v, row: v * q + row, ring[:zero], 0) * q
                     # an exact 0 stays 0 where R^(mu+nu) overflows
                     total[index] += np.where(value == 0, 0, scale * value)
     if not np.isfinite(total).all():
@@ -393,12 +400,13 @@ class GridField:
             raise NonFiniteSample("grid contains non-finite values")
 
     def to_csv_text(self) -> str:
-        # Python floats format faster than numpy scalars, to the same digits;
-        # each x and y is formatted once, not once per grid value
+        # one %-format over (cell prefix, re, im) triples of Python floats, which
+        # format faster than numpy scalars, to the same digits; each x and y once
         xs, ys = ([f"{t:.15g}" for t in axis.tolist()] for axis in (self.xs, self.ys))
-        rows = (f"{x},{y},{v.real:.15g},{v.imag:.15g}"
-                for y, row in zip(ys, self.values.tolist()) for x, v in zip(xs, row))
-        return "\n".join(["x,y,re,im", *rows]) + "\n"
+        cells, values = [None] * (3 * self.values.size), self.values.ravel()
+        cells[0::3] = [f"{x},{y}," for y in ys for x in xs]
+        cells[1::3], cells[2::3] = values.real.tolist(), values.imag.tolist()
+        return "x,y,re,im\n" + "%s%.15g,%.15g\n" * values.size % tuple(cells)
 
     def to_json_text(self) -> str:
         obj = {"config": self.config, "xs": self.xs.tolist(), "ys": self.ys.tolist(),

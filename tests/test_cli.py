@@ -206,7 +206,7 @@ def test_solve_biharmonic_harmonic_part(capsys):
 
 def test_solve_grid_csv_deterministic(tmp_path, capsys):
     args = ["solve", "--mu", "1", "--nu", "1", "--rhs", "1", "--grid", "5",
-            "--nr", "16", "--ntheta", "32", "--seed", "3"]
+            "--nr", "16", "--ntheta", "32"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_command(args + ["--out", str(p1)]) == 0
     assert run_command(args + ["--out", str(p2)]) == 0
@@ -236,6 +236,16 @@ def test_export_field_csv(tmp_path):
     x, y, re, im = (float(part) for part in lines[1].split(","))
     assert re == pytest.approx(x * x + y * y)
     assert abs(im) < 1e-15
+
+
+def test_export_constant_field_csv_bytes(capsys):
+    # a constant field's grid is one value broadcast with zero strides
+    assert run(capsys, "export", "--f", "1", "--grid", "2") == (0, (
+        "x,y,re,im\n"
+        "-0.67175144212722,-0.67175144212722,1,0\n"
+        "0.67175144212722,-0.67175144212722,1,0\n"
+        "-0.67175144212722,0.67175144212722,1,0\n"
+        "0.67175144212722,0.67175144212722,1,0\n"))
 
 
 def test_export_field_json_echoes_no_resolution(tmp_path):
@@ -539,8 +549,8 @@ def test_flags_the_op_never_reads_are_usage_errors(argv, flag, op, capsys):
      "--z is not read by solve --grid"),
     (["--rhs", "1", "--z", "0.1", "--format", "json"], ["--rhs", "1", "--grid", "2",
      "--format", "json"], "--format is not read by solve without --grid"),
-    (["--rhs", "1", "--z", "0.1", "--seed", "2"], ["--rhs", "1", "--grid", "2", "--seed", "2"],
-     "--seed is not read by solve without --grid"),
+    (["--rhs", "1", "--z", "0.1", "--seed", "2"], ["--rhs", "1", "--grid", "2", "--seed", "2",
+     "--format", "json"], "--seed is not read by solve without --grid"),
 ], ids=["biharmonic-mu", "biharmonic-nu", "biharmonic-g", "biharmonic-f", "h1", "h2",
         "grid-z", "format", "seed"])
 def test_solve_refuses_the_flags_its_form_never_reads(refused, read, message, capsys):
@@ -548,6 +558,17 @@ def test_solve_refuses_the_flags_its_form_never_reads(refused, read, message, ca
     assert _outcome(capsys, ["solve", *refused]) == (2, "", f"pmp: error: {message}\n")
     code, out, err = _outcome(capsys, ["solve", *read])
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, form", [(["export", "--f", "z"], "export"),
+                                         (["solve", "--rhs", "1"], "solve --grid")])
+def test_seed_is_read_only_with_json_output(argv, form, capsys):
+    # only the JSON config echoes --seed: with CSV output, named or by default, it is refused
+    for csv in ([], ["--format", "csv"]):
+        assert _outcome(capsys, [*argv, "--grid", "2", "--seed", "4", *csv]) == (
+            2, "", f"pmp: error: --seed is not read by {form} without --format json\n")
+    code, out, err = _outcome(capsys, [*argv, "--grid", "2", "--seed", "4", "--format", "json"])
+    assert (code, err) == (0, "") and json.loads(out)["config"]["seed"] == 4
 
 
 def test_solve_grid_0_picks_the_grid_form(capsys):

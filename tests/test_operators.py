@@ -19,7 +19,7 @@ from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjuga
                                apply_mixed, apply_polydisc, apply_S, apply_Sbar,
                                apply_T, apply_T_power, apply_Tbar, apply_Tbar_power,
                                constant_field, evaluate_on_grid, field_from_expression,
-                               transform, worker_count)
+                               GridField, transform, worker_count)
 from pompeiu.kernels import TWO_PI_I
 from pompeiu.oracle import PolynomialField, exact_transform, polydisc_tensor
 from pompeiu.cli import run_command
@@ -634,6 +634,32 @@ def test_grid_csv_shape():
     assert np.all(np.abs(grid.xs[None, :] + 1j * grid.ys[:, None]) <= DISK.radius)
 
 
+def csv_rows(grid) -> str:
+    """The reference rendering of `GridField.to_csv_text`: one f-string per row."""
+    xs, ys = ([f"{t:.15g}" for t in axis.tolist()] for axis in (grid.xs, grid.ys))
+    rows = (f"{x},{y},{v.real:.15g},{v.imag:.15g}"
+            for y, row in zip(ys, grid.values.tolist()) for x, v in zip(xs, row))
+    return "\n".join(["x,y,re,im", *rows]) + "\n"
+
+
+# finite floats with both zeros, subnormals and magnitudes up to 1e+-300 and beyond
+csv_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e-300,
+                                        -1e300, 1.7976931348623157e308, 0.1, 1 / 3]))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_grid_csv_matches_the_row_by_row_rendering(nx, ny, data):
+    xs, ys = (np.array(data.draw(st.lists(csv_floats, min_size=n, max_size=n)))
+              for n in (nx, ny))
+    parts = data.draw(st.lists(csv_floats, min_size=2 * nx * ny, max_size=2 * nx * ny))
+    values = np.empty(nx * ny, dtype=complex)
+    values.real, values.imag = parts[0::2], parts[1::2]   # keeps -0.0 in both parts
+    grid = GridField(xs, ys, values.reshape(ny, nx))
+    assert grid.to_csv_text() == csv_rows(grid)
+
+
 @settings(max_examples=30)
 @given(st.sampled_from([(1, 0), (1, 1), (2, 2)]), st.sampled_from([1.0, 2.5]),
        st.floats(0.99, 1.0), st.floats(0.0, 2 * np.pi))
@@ -771,7 +797,7 @@ def test_core_samples_once_per_distinct_radius(monkeypatch):
     assert 1 < len(radial) < radii and sum(radial) == radii
 
 
-@pytest.mark.parametrize("order", [(2, 2), (1, 1), (2, 0), (0, 1)])
+@pytest.mark.parametrize("order", [(2, 2), (1, 1), (2, 0), (0, 1), (13, 12)])
 def test_core_samples_each_density_once(order, monkeypatch):
     # degree 20 at 400 distinct radii, then each 37th target alone: every call
     # samples band + 2 Gauss radii x 2 band + 2 angles, whatever its targets
@@ -784,6 +810,31 @@ def test_core_samples_each_density_once(order, monkeypatch):
     assert sampled == [(band + 2) * (2 * band + 2)] * (1 + len(singles))
     # each target's value is the one a call of its own gives it
     assert np.array_equal(got[::37], singles)
+
+
+@pytest.mark.parametrize("expression, order", [("1+z*zbar-2i*z^2", (2, 2)),
+                                               ("zbar^20+z^3*zbar^5", (1, 3)),
+                                               ("z^9*zbar^2-zbar^4", (13, 12)),
+                                               ("z^5", (0, 7))])
+def test_core_passes_on_live_rows_equal_the_whole_tensor(expression, order):
+    # the reference runs every row of W through each pass, the real and
+    # imaginary parts as one trailing axis, with the flips and the roll
+    f = field_from_expression(expression, DiskDomain(1.3))
+    r, _, got = pompeiu.operators._core_modes(f, *order)
+    d, band = int(f.degree), got.shape[0] // 2
+    passes = pompeiu.operators._pass_tensor(band)[2]
+    turn = np.exp(2j * np.pi * np.arange(2 * band + 2) / (2 * band + 2))
+    spectrum = np.fft.fft(f(1.3 * r[:, None] * turn)) / turn.size
+    modes = np.zeros_like(got)
+    modes[band - d:band + d + 1] = spectrum[:, np.arange(-d, d + 1)].T
+    for flip in [True] * order[1] + [False] * order[0]:
+        if flip:
+            modes = np.ascontiguousarray(modes[::-1])
+        out = np.einsum("kij,kjc->kic", passes, modes.view(float).reshape(*modes.shape, 2))
+        modes = np.roll(out.view(complex)[..., 0], -1, axis=0)
+        if flip:
+            modes = np.ascontiguousarray(modes[::-1])
+    assert np.array_equal(got, modes)
 
 
 @pytest.mark.parametrize("mu, nu, error", [(0, 0, DomainError), (-1, 2, DomainError),
