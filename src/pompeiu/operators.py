@@ -15,7 +15,7 @@ count from `quadrature.DEFAULT_COUNTS`) and the kernel its `log_shift`, in
 fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
-`apply_polydisc` sums one-disk moments of an expression field's monomials.
+`apply_polydisc` sums products of one-disk `transform`s over a field's monomials.
 Nothing here nests integrals or samples a polydisc tensor grid: those are
 the oracle's routes.
 """
@@ -34,7 +34,9 @@ import numpy as np
 from . import expressions
 from .errors import DimensionCap, DomainError, NonFiniteSample, OrderTooLarge, PompeiuError
 from .geometry import DiskDomain, MultiIndex, PolydiscDomain
-from .kernels import TWO_PI_I, c3, c8, check_entry, kernel
+from .kernels import TWO_PI_I, check_entry, kernel, power
+# operators.c3 stays bound: test_tracing_restores_originals_and_keeps_outputs_identical reads it
+from .kernels import c3  # noqa: F401
 from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_area_rule,
                          build_contour_rule, integrate, radial_rule, rule_counts, sample)
 
@@ -336,23 +338,21 @@ def apply_Sbar(f: ScalarField, z: complex, contour_count: int = DEFAULT_CONTOUR_
 
 @lru_cache(maxsize=256)
 def cached_area_rule(domain: DiskDomain, center: complex, resolution: tuple[int, int]) -> Rule:
-    """`build_area_rule` for `apply_polydisc`'s factors; the LRU stays only
-    because `perfbench/workloads.py` reads its `cache_clear`/`cache_info`."""
+    """`build_area_rule` behind an LRU; nothing here calls it, perfbench reads its cache_info."""
     return build_area_rule(domain, center, resolution)
 
 
 def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
                    resolution=DEFAULT_RESOLUTION) -> complex:
-    """T^mu Tbar^nu f(z) on the polydisc, as n one-disk moment sums.
+    """T^mu Tbar^nu f(z) on the polydisc, as products of one-disk transforms.
 
-    With kernel c8 * prod_j c3(z_j, w_j) and f = sum_m c_m prod_j w_j^p conj(w_j)^q
-    (`expressions.to_coefficients`), the tensor-product quadrature is
-    c8 * sum_m c_m prod_j M_j(p, q), M_j(p, q) = sum_k W_jk w_jk^p conj(w_jk)^q,
-    W_j = factor j's rule weights about z_j times c3 (with its log_shift).  Each
-    distinct moment is formed once: n * monomials * N work, not N^n samples.
-    The round-off is about u |c8| sum_m |c_m| prod_j sum_k |W_jk| |w_jk|^(p+q)
-    (u = 2^-53), the size of the terms summed.  A field with no expression raises DomainError: see
-    `oracle.polydisc_tensor`."""
+    The kernel c8 * prod_j c3(z_j, w_j) separates, c8 being the product of the
+    factors' `g_mixed` prefactors, so for f = sum_m c_m prod_j w_j^p conj(w_j)^q
+    (`expressions.to_coefficients`) it is sum_m c_m prod_j V_j(p, q): V_j(p, q) is
+    `transform` of w^p conj(w)^q at z_j, orders (mu_j, nu_j), at `resolution`,
+    each distinct (j, p, q) taken once.  At the default counts each V_j is the
+    core's, within 8.2e-14 of its largest |value| on the disk up to (20, 20).  A
+    field with no expression raises DomainError: see `oracle.polydisc_tensor`."""
     domain = f.domain
     if not isinstance(domain, PolydiscDomain):
         raise DomainError("apply_polydisc needs a ScalarField on a PolydiscDomain")
@@ -366,18 +366,15 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     nu.require_length(n)
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
-    rules = [cached_area_rule(domain.factor_disk, w, tuple(resolution)) for w in z]
-    wk = [rule.weights * c3(z[j], rule.nodes, mu.entries[j], nu.entries[j], domain.radius,
-                            rule.log_shift) for j, rule in enumerate(rules)]
-    # floating-point warnings are silenced here: a NaN/Inf total raises below
-    with np.errstate(all="ignore"):
-        moments = [{(p, q): np.sum(wk[j] * rules[j].nodes ** p * np.conj(rules[j].nodes) ** q)
-                    for p, q in {key[j] for key in coefficients}} for j in range(n)]
-        total = sum(c * math.prod(m[pq] for m, pq in zip(moments, key))
-                    for key, c in coefficients.items())
-    if not np.isfinite(total):
+    values = {(j, p, q): transform(
+        ScalarField(lambda w, p=p, q=q: power(w, p) * power(np.conj(w), q), domain.factor_disk,
+                    degree=p + q), z[j], mu.entries[j], nu.entries[j], resolution)
+        for j in range(n) for p, q in {key[j] for key in coefficients}}
+    total = sum(c * math.prod(values[j, p, q] for j, (p, q) in enumerate(key))
+                for key, c in coefficients.items())   # Python complexes: no numpy warnings
+    if not cmath.isfinite(total):
         raise NonFiniteSample("integrand produced NaN/Inf at a quadrature node")
-    return complex(c8(mu, nu) * total)
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Deterministic quadrature for weakly singular disk integrals and contours.
 
-These are the target-centred rules: they serve transforms at explicit
-counts or of fields of unknown degree, 2T, the polydisc factors and every
+These are the target-centred rules: they serve transforms (polydisc factors
+included) at explicit counts or of fields of unknown degree, 2T and every
 oracle but the norm-bound check, while the default counts of a field of
 finite degree take the disk-centred core (`operators`), which shares `sample`.
 Area rules are polar about the singularity of the intended integrand: along

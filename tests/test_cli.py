@@ -160,6 +160,17 @@ def test_polydisc_nine_factors(capsys):
     assert parse_complex(out.strip()) == pytest.approx(want, rel=1e-6)
 
 
+def test_polydisc_above_the_core_band_cap_exits_1(capsys):
+    # factor 1's band is 60 + 10 + 10 = 80: its pass tensor exceeds CORE_TARGET_CAP
+    code = run_command(["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1^60*z2",
+                        "--z", "0.5,0.3i", "--mu", "10,1", "--nu", "10,1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: field degree 60 plus orders (10, 10) need a pass tensor of "
+                            "1082564 elements, above CORE_TARGET_CAP = 1048576; explicit counts "
+                            "take the target-centred rule\n")
+
+
 def test_solve_point_value(capsys):
     code, out = run(capsys, "solve", "--mu", "1", "--nu", "1", "--g", "z", "--z", "0.3+0.1i")
     assert code == 0
@@ -304,6 +315,18 @@ def test_verify_kernels_builds_one_pair_of_half_rules_per_point_pair(capsys, mon
     code, out = run(capsys, "verify", "--suite", "kernels", "--seed", "3")
     assert code == 0 and out.count("vs quadrature") == 16
     assert len(built) == 8 and len(set(built)) == 8
+
+
+def test_verify_kernels_fails_a_c3_off_by_1e_5(capsys, monkeypatch):
+    # at the default counts the quadrature reads at most 2.58e-8, so a c3 off
+    # by 1e-5 relative fails every one of the 16 quadrature checks
+    real = pompeiu.kernels.c3
+    monkeypatch.setattr(pompeiu.kernels, "c3", lambda *args: real(*args) * (1 + 1e-5))
+    for seed in (1, 7):
+        code, out = run(capsys, "verify", "--suite", "kernels", "--seed", str(seed))
+        lines = [line for line in out.splitlines() if "vs quadrature" in line]
+        assert code == 1 and len(lines) == 16
+        assert all(line.startswith("FAIL") for line in lines), out
 
 
 def test_usage_error_exits_2():

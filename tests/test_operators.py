@@ -4,7 +4,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjuga
                                constant_field, evaluate_on_grid, field_from_expression,
                                GridField, transform, worker_count)
 from pompeiu.kernels import TWO_PI_I
-from pompeiu.oracle import PolynomialField, exact_transform, polydisc_tensor
+from pompeiu.oracle import (PolynomialField, exact_transform, polydisc_tensor,
+                            transform_monomials)
 from pompeiu.cli import run_command
 from pompeiu.quadrature import build_area_rule, build_contour_rule, integrate
 from pompeiu.solver import SolutionSpec, solve_biharmonic, solve_pde
@@ -450,6 +455,44 @@ def test_polydisc_up_to_nine_factors_matches_exact_factor_products():
         f = field_from_expression("*".join(texts), PolydiscDomain(n, 1.0))
         got = apply_polydisc(f, z, MultiIndex(mu), MultiIndex(nu))
         assert abs(got - want) <= 1e-3 * abs(want), n
+
+
+def exact_factor_values(coefficients, radius, mu, nu, points):
+    """T^mu Tbar^nu of sum c w^p conj(w)^q at each point: `transform_monomials`
+    composed in Fraction (real and imaginary parts apart), summed at 60 digits."""
+    parts = [{key: Fraction(getattr(c, part)) for key, c in coefficients.items()}
+             for part in ("real", "imag")]
+    for conjugate, count in ((True, nu), (False, mu)):
+        for _ in range(count):
+            parts = [transform_monomials(part, Fraction(radius), conjugate) for part in parts]
+    with mpmath.workdps(60):
+        ws = [mpmath.mpc(w.real, w.imag) for w in points]
+        return [complex(sum(unit * mpmath.mpf(c.numerator) / c.denominator * w ** p
+                            * mpmath.conj(w) ** q
+                            for part, unit in zip(parts, (1, 1j)) for (p, q), c in part.items()))
+                for w in ws]
+
+
+def test_polydisc_default_counts_match_exact_factor_products_to_round_off():
+    # two degree-1 factors at orders (mu, nu) and (nu, mu) up to 20, on the core;
+    # each factor's error is measured against its scale, its largest |exact value|
+    # along the target's ray (0 to R): at (10, 20) the value at 0.99 R is 1e-13
+    # of it, and no per-value relative promise holds there
+    rng = np.random.default_rng(0)
+    for radius, ratio, (mu, nu) in product((1.0, 2.5), (0.3, 0.8, 0.99),
+                                           product((1, 9, 20), repeat=2)):
+        texts, z, want, scale = [], [], 1, 1
+        for j, (m, k) in enumerate(((mu, nu), (nu, mu))):
+            a, b, c = np.round(rng.standard_normal(3) + 1j * rng.standard_normal(3), 3)
+            ray = radius * np.exp(2j * np.pi * rng.random()) * np.array([ratio, 0, 0.3, 0.8, 1])
+            values = exact_factor_values({(0, 0): a, (1, 0): b, (0, 1): c}, radius, m, k, ray)
+            z.append(complex(ray[0]))
+            want, scale = want * values[0], scale * max(map(abs, values))
+            texts.append(f"(({a.real}{a.imag:+}i)+({b.real}{b.imag:+}i)*z{j + 1}"
+                         f"+({c.real}{c.imag:+}i)*zbar{j + 1})")
+        f = field_from_expression("*".join(texts), PolydiscDomain(2, radius))
+        got = apply_polydisc(f, z, MultiIndex((mu, nu)), MultiIndex((nu, mu)))
+        assert abs(got - want) <= 1e-12 * scale, (radius, ratio, mu, nu)
 
 
 def test_polydisc_callable_field_names_the_tensor_route():
