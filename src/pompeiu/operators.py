@@ -15,7 +15,8 @@ count from `quadrature.DEFAULT_COUNTS`) and the kernel its `log_shift`, in
 fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
-`apply_polydisc` sums products of one-disk `transform`s over a field's monomials.
+`apply_polydisc` sums products of one-disk transforms over a field's monomials,
+a factor's in one `_transforms` call, the route under `transform_sum` (a sum per group).
 Nothing here nests integrals or samples a polydisc tensor grid: those are
 the oracle's routes.
 """
@@ -43,13 +44,15 @@ from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_
 #: nodes per (T x N) pass of the rule path (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
 #: `_disk_core` builds its pass tensors, then takes distinct radii, then
-#: targets, in chunks whose largest array (pass weights per radius; modes per
-#: radius; 2 band + 1 rings per radius of a block, or per target) holds at most
-#: CORE_BLOCK elements, or one radius or target; a band whose pass tensor,
+#: targets, in chunks whose largest array (pass weights per radius; the fields'
+#: modes per radius; their 2 band + 1 rings per radius of a block, or per target)
+#: holds at most CORE_BLOCK elements, or one radius or target; a band whose pass tensor,
 #: (2 band + 1) (band + 2)^2 weights, exceeds CORE_TARGET_CAP raises OrderTooLarge,
-#: and one above 16 CORE_BLOCK (1 MiB) is built per call and freed before the targets' stage
+#: one above 16 CORE_BLOCK (1 MiB) is built per call and entry and freed before the
+#: targets' stage of its last CORE_FIELDS fields, whose modes stay under its size
 CORE_BLOCK = 1 << 13
 CORE_TARGET_CAP = 1 << 20
+CORE_FIELDS = 32
 
 
 @dataclass(frozen=True)
@@ -116,22 +119,29 @@ def transform(f: ScalarField, z, mu: int, nu: int, resolution=DEFAULT_RESOLUTION
 def transform_sum(domain, terms, z, resolution):
     """The sum of T^mu Tbar^nu f(z) over `terms`, ((mu, nu), f) pairs of fields
     on `domain`; z a complex (giving a complex) or an array (an array of its
-    shape).  The disk-centred core at the default counts with every degree
-    finite, else one polar rule per target whose `log_shift` the kernels take,
-    the targets in order in blocks of at most BLOCK_NODES nodes (or one target)."""
+    shape).  Routed as by `_transforms`."""
+    values = _transforms(domain, [terms], np.asarray(z, dtype=complex).ravel(), resolution)[0]
+    return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
+
+
+def _transforms(domain, groups, targets, resolution):
+    """Each group's `transform_sum` at the flat array `targets`, shape (groups, targets),
+    routed as the module says; a rule block's rule and kernel entries serve every group."""
     if (tuple(resolution) == DEFAULT_RESOLUTION and isinstance(domain, DiskDomain)
-            and all(f.degree < math.inf for _, f in terms)):
-        return _disk_core(domain, terms, z)
-    targets = np.asarray(z, dtype=complex).ravel()
+            and all(f.degree < math.inf for group in groups for _, f in group)):
+        return _disk_core(domain, groups, targets)
     counts = rule_counts(domain, targets, resolution)
     size = max(1, BLOCK_NODES // math.prod(counts))
-    values = np.empty(targets.shape, dtype=complex)
+    values = np.empty((len(groups), targets.size), dtype=complex)
     for lo in range(0, targets.size, size):
         zs = targets[lo:lo + size, None]
         r = build_area_rule(domain, zs, counts)
-        values[lo:lo + size] = integrate(r, lambda w: sum(
-            kernel(zs, w, *entry, domain.radius, r.log_shift) * f(w) for entry, f in terms))
-    return values.reshape(np.shape(z)) if np.ndim(z) else complex(values[0])
+        with np.errstate(all="ignore"):   # a NaN/Inf kernel value raises in `integrate`
+            k = {entry: kernel(zs, r.nodes, *entry, domain.radius, r.log_shift)
+                 for entry in dict.fromkeys(entry for group in groups for entry, _ in group)}
+        for g, group in enumerate(groups):
+            values[g, lo:lo + size] = integrate(r, lambda w: sum(k[e] * f(w) for e, f in group))
+    return values
 
 
 def _interpolation_rows(x, radii, bary):
@@ -175,88 +185,112 @@ def _pass_tensor(band: int):
 _cached_pass_tensor = lru_cache(maxsize=8)(_pass_tensor)
 
 
-def _core_modes(f: ScalarField, mu: int, nu: int):
-    """T^mu Tbar^nu f on the unit disk as (r, bary, modes): its modes -band ..
-    band (rows) at the Gauss radii r (columns) of `_pass_tensor`.
+def _core_modes(fields, mu: int, nu: int, tensors=None):
+    """T^mu Tbar^nu of each of `fields` on the unit disk as (r, bary, modes):
+    modes[band + k, i, m] is mode k (-band .. band) of field m at the Gauss
+    radius r[i] of `_pass_tensor`, the band their largest degree d plus mu + nu.
+    `tensors`, the caller's dict, keeps the last band's tensor for its next call.
 
-    f, of degree d, is sampled once at r R times 2 band + 2 angles, and one FFT
-    gives its modes |k| <= d; then nu Tbar (T between flips k -> -k, W being real)
+    Each field is sampled once at r R times 2 band + 2 angles, and one FFT gives
+    its modes |k| <= d; then nu Tbar (T between flips k -> -k, W being real)
     and mu T passes on the 2d + 1 live rows, one row higher per Tbar, lower per T.
     Orders (`kernels.check_entry`) and the band (CORE_TARGET_CAP) are checked first.
     """
     mu, nu = check_entry(mu, nu)
-    d = int(f.degree)
+    d = int(max(f.degree for f in fields))
     band = d + mu + nu   # every intermediate's modes are polynomials of degree <= band
     size = (2 * band + 1) * (band + 2) ** 2
     if size > CORE_TARGET_CAP:
         raise OrderTooLarge(f"field degree {d} plus orders ({mu}, {nu}) need a pass tensor of "
                             f"{size} elements, above CORE_TARGET_CAP = {CORE_TARGET_CAP}; "
                             "explicit counts take the target-centred rule")
-    r, bary, passes = (_cached_pass_tensor if size <= 16 * CORE_BLOCK else _pass_tensor)(band)
+    tensors = {} if tensors is None else tensors
+    if band not in tensors:
+        tensors.clear()
+        tensors[band] = (_cached_pass_tensor if size <= 16 * CORE_BLOCK else _pass_tensor)(band)
+    r, bary, passes = tensors[band]
     turn = np.exp(2j * np.pi * np.arange(2 * band + 2) / (2 * band + 2))
-    nodes = f.domain.radius * r[:, None] * turn
-    spectrum = np.fft.fft(np.broadcast_to(sample(f, nodes), nodes.shape)) / turn.size
-    modes = np.zeros((2 * band + 1, r.size), dtype=complex)
+    nodes = fields[0].domain.radius * r[:, None] * turn
+    spectrum = np.fft.fft(np.stack([np.broadcast_to(sample(f, nodes), nodes.shape)
+                                    for f in fields], axis=1)) / turn.size
+    modes = np.zeros((2 * band + 1, r.size, len(fields)), dtype=complex)
     lo, hi = band - d, band + d + 1   # the live rows; mode k is row band + k
-    modes[lo:hi] = spectrum[:, np.arange(-d, d + 1)].T
+    modes[lo:hi] = spectrum[..., np.arange(-d, d + 1)].transpose(2, 0, 1)
     for shift in [1] * nu + [-1] * mu:   # Tbar^nu first (mode k to k + 1), then T^mu
         # a Tbar pass gives row i the weights of row -i: W's rows reversed
         weights = (passes[::-1] if shift > 0 else passes)[lo:hi]
         out = np.zeros_like(modes)
-        # the real weights on the real and imaginary parts, strided views (a
-        # contiguous copy sums in another order): W is never cast
-        out.real[lo + shift:hi + shift] = np.einsum("kij,kj->ki", weights, modes[lo:hi].real)
-        out.imag[lo + shift:hi + shift] = np.einsum("kij,kj->ki", weights, modes[lo:hi].imag)
+        # the real weights on the real and imaginary parts, one trailing axis: W is never cast
+        out[lo + shift:hi + shift] = np.einsum(
+            "kij,kjc->kic", weights, modes[lo:hi].view(float)).view(complex)
         modes, lo, hi = out, lo + shift, hi + shift
     return r, bary, modes
 
 
-def _disk_core(domain: DiskDomain, terms, z):
-    """`transform_sum` about the disk's centre, for fields of finite degree.
+def _disk_core(domain: DiskDomain, groups, targets):
+    """`_transforms` about the disk's centre, for fields of finite degree.
 
     For a field of degree d every T^j Tbar^i f is band-limited: its mode k is
     a polynomial in |z| of degree at most the band d + mu + nu.  So each
     density's transform is composed from mu + nu single passes on its modes
     (`_core_modes`), each exact per mode with weights of at most 1 (the ring
-    weights of Daripa, SIAM J. Sci. Stat. Comput. 13, 1992).  Then each mode
-    is interpolated to the distinct target radii, once per radius, and each target
-    sums them by Horner's rule (k >= 0 in p = e^{i arg z}, k < 0 in conj(p)), scaled
-    by R^(mu+nu).  Chunks as by CORE_BLOCK.  A NaN/Inf sample or value raises NonFiniteSample.
+    weights of Daripa, SIAM J. Sci. Stat. Comput. 13, 1992), the terms of one
+    entry sharing them CORE_FIELDS at a time by degree.  Then each mode is
+    interpolated to the distinct target radii, once per radius, and each target
+    sums them by Horner's rule (k >= 0 in p = e^{i arg z}, k < 0 in conj(p)), scaled by
+    R^(mu+nu) and added to its group's, entry by entry.  Chunks as by CORE_BLOCK.  A
+    NaN/Inf sample or value raises NonFiniteSample.
     """
-    targets = np.asarray(z, dtype=complex).ravel()
     for point in targets[~domain.contains(targets)]:
         domain.validate_point(point)   # raises its DomainError
-    composed = [(_core_modes(f, mu, nu), np.float64(f.domain.radius) ** (mu + nu))
-                for (mu, nu), f in terms]
-    radii, where = np.unique(np.abs(targets / domain.radius), return_inverse=True)
-    order = np.argsort(where, kind="stable")   # the targets grouped by radius
-    starts = np.searchsorted(where[order], np.arange(radii.size + 1))
-    total = np.zeros(targets.shape, dtype=complex)
-    for (r, bary, modes), scale in composed:
-        step, per_target = max(1, CORE_BLOCK // modes.size), max(1, CORE_BLOCK // modes.shape[0])
-        block = max(1, per_target // step) * step   # whole radius chunks per block of rings
-        # the rows from the lowest nonzero mode or k = 0 to the highest: the rest add exact 0s
-        live = np.flatnonzero(modes.any(axis=1)).tolist() + [modes.shape[0] // 2]
-        zero, modes = live[-1] - min(live), modes[min(live):max(live) + 1]   # zero: k = 0's row
-        # floating-point warnings are silenced here: a NaN/Inf value raises below
-        with np.errstate(all="ignore"):
-            for lo in range(0, radii.size, block):
-                # cumsum sums in order whatever the shape, so a value never depends on T
-                rings = np.concatenate([np.cumsum(
-                    _interpolation_rows(radii[at:at + step], r, bary)[:, None, :] * modes,
-                    axis=2)[..., -1] for at in range(lo, min(lo + block, radii.size), step)]).T
-                chunk = order[starts[lo]:starts[min(lo + block, radii.size)]]
-                for at in range(0, chunk.size, per_target):
-                    index = chunk[at:at + per_target]
-                    p = np.exp(1j * np.angle(targets[index]))
-                    ring, q = rings[:, where[index] - lo], p.conj()
-                    up = reduce(lambda v, row: v * p + row, ring[zero:][::-1], 0)
-                    value = up + reduce(lambda v, row: v * q + row, ring[:zero], 0) * q
-                    # an exact 0 stays 0 where R^(mu+nu) overflows
-                    total[index] += np.where(value == 0, 0, scale * value)
+    terms = [(g, entry, f) for g, group in enumerate(groups) for entry, f in group]
+    total = None   # the targets' arrays follow the first modes: a call peaks in one or the other
+    for entry in dict.fromkeys(entry for _, entry, _ in terms):
+        batch = sorted((i for i, t in enumerate(terms) if t[1] == entry),
+                       key=lambda i: terms[i][2].degree)
+        tensors = {}   # the entry's parts share a band's pass tensor
+        for start in range(0, len(batch), CORE_FIELDS):
+            part = batch[start:start + CORE_FIELDS]
+            r, bary, modes = _core_modes([terms[i][2] for i in part], *entry, tensors)
+            if start + CORE_FIELDS >= len(batch):
+                tensors.clear()   # freed before the last part's targets' stage
+            if total is None:
+                radii, where = np.unique(np.abs(targets / domain.radius), return_inverse=True)
+                order = np.argsort(where, kind="stable")   # the targets grouped by radius
+                starts = np.searchsorted(where[order], np.arange(radii.size + 1))
+                total = np.zeros((len(groups), targets.size), dtype=complex)
+            modes = modes.transpose(2, 0, 1)   # (fields, rows, radii)
+            step = max(1, CORE_BLOCK // modes.size)
+            per_target = max(1, CORE_BLOCK // modes[..., 0].size)   # rings per target
+            block = max(1, per_target // step) * step   # whole radius chunks per block of rings
+            # the rows from the lowest nonzero mode or k = 0 to the highest: the rest add exact 0s
+            live = np.flatnonzero(modes.any(axis=(0, 2))).tolist() + [modes.shape[1] // 2]
+            zero, modes = live[-1] - min(live), modes[:, min(live):max(live) + 1]   # k = 0's row
+            scale = np.float64(domain.radius) ** (entry[0] + entry[1])
+            # floating-point warnings are silenced here: a NaN/Inf value raises below
+            with np.errstate(all="ignore"):
+                for lo in range(0, radii.size, block):
+                    # cumsum sums in order whatever the shape, so a value never depends on T
+                    rings = np.concatenate([np.cumsum(
+                        _interpolation_rows(radii[at:at + step], r, bary)[:, None, None] * modes,
+                        axis=3)[..., -1] for at in range(lo, min(lo + block, radii.size), step)])
+                    rings = rings.transpose(2, 1, 0)   # (rows, fields, radii of the block)
+                    chunk = order[starts[lo]:starts[min(lo + block, radii.size)]]
+                    for at in range(0, chunk.size, per_target):
+                        index = chunk[at:at + per_target]
+                        # 1-d (fields x targets) operands: numpy rounds a (1, 1) by (1,) complex
+                        # product apart from the 1-d one, so a batch would move a field's value
+                        p = np.tile(np.exp(1j * np.angle(targets[index])), len(part))
+                        ring, q = rings[..., where[index] - lo].reshape(len(rings), -1), p.conj()
+                        up = reduce(lambda v, row: v * p + row, ring[zero:][::-1], 0)
+                        value = up + reduce(lambda v, row: v * q + row, ring[:zero], 0) * q
+                        for i, v in zip(part, value.reshape(len(part), -1)):
+                            # an exact 0 stays 0 where R^(mu+nu) overflows
+                            total[terms[i][0], index] += np.where(v == 0, 0, scale * v)
+    total = np.zeros((len(groups), targets.size), dtype=complex) if total is None else total
     if not np.isfinite(total).all():
         raise NonFiniteSample("weighted sum of the integrand samples is NaN/Inf")
-    return total.reshape(np.shape(z)) if np.ndim(z) else complex(total[0])
+    return total
 
 
 def apply_T(f: ScalarField, z: complex, resolution=DEFAULT_RESOLUTION) -> complex:
@@ -350,7 +384,8 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     factors' `g_mixed` prefactors, so for f = sum_m c_m prod_j w_j^p conj(w_j)^q
     (`expressions.to_coefficients`) it is sum_m c_m prod_j V_j(p, q): V_j(p, q) is
     `transform` of w^p conj(w)^q at z_j, orders (mu_j, nu_j), at `resolution`,
-    each distinct (j, p, q) taken once.  At the default counts each V_j is the
+    each distinct (j, p, q) taken once and a factor's in one `_transforms` call
+    (shared passes, or one rule and kernel).  At the default counts each V_j is the
     core's, within 8.2e-14 of its largest |value| on the disk up to (20, 20).  A
     field with no expression raises DomainError: see `oracle.polydisc_tensor`."""
     domain = f.domain
@@ -366,10 +401,14 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     nu.require_length(n)
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
-    values = {(j, p, q): transform(
-        ScalarField(lambda w, p=p, q=q: power(w, p) * power(np.conj(w), q), domain.factor_disk,
-                    degree=p + q), z[j], mu.entries[j], nu.entries[j], resolution)
-        for j in range(n) for p, q in {key[j] for key in coefficients}}
+    values = {}
+    for j in range(n):
+        keys = sorted({key[j] for key in coefficients})
+        groups = [[((mu.entries[j], nu.entries[j]), ScalarField(
+            lambda w, p=p, q=q: power(w, p) * power(np.conj(w), q), domain.factor_disk,
+            degree=p + q))] for p, q in keys]
+        factor = _transforms(domain.factor_disk, groups, np.array([complex(z[j])]), resolution)
+        values.update(zip([(j, *key) for key in keys], factor[:, 0].tolist()))
     total = sum(c * math.prod(values[j, p, q] for j, (p, q) in enumerate(key))
                 for key, c in coefficients.items())   # Python complexes: no numpy warnings
     if not cmath.isfinite(total):

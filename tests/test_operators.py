@@ -863,7 +863,8 @@ def test_core_passes_on_live_rows_equal_the_whole_tensor(expression, order):
     # the reference runs every row of W through each pass, the real and
     # imaginary parts as one trailing axis, with the flips and the roll
     f = field_from_expression(expression, DiskDomain(1.3))
-    r, _, got = pompeiu.operators._core_modes(f, *order)
+    r, _, got = pompeiu.operators._core_modes([f], *order)
+    got = got[..., 0]
     d, band = int(f.degree), got.shape[0] // 2
     passes = pompeiu.operators._pass_tensor(band)[2]
     turn = np.exp(2j * np.pi * np.arange(2 * band + 2) / (2 * band + 2))
@@ -899,3 +900,37 @@ def test_core_values_ignore_target_order_and_repetition(order):
     permutation = np.random.default_rng(3).permutation(z.size)
     assert np.array_equal(transform(f, z[permutation], *order),
                           transform(f, z, *order)[permutation])
+
+
+def test_core_batch_of_one_degree_equals_each_field_alone():
+    # a polydisc factor's monomials share one pass per pair of orders; fields
+    # of one degree share the band, and each keeps its own transform's bits
+    d = DiskDomain(1.7)
+    rng = np.random.default_rng(2)
+    z = 1.7 * rng.random(50) ** 0.5 * np.exp(2j * np.pi * rng.random(50))
+    fields = [field_from_expression(text, d) for text in
+              ("z^3*zbar^2", "z^5", "zbar^4*z", "z*zbar^4+2i", "zbar^5-z^2*zbar^3")]
+    for order in ((1, 1), (2, 3), (0, 2)):
+        batch = pompeiu.operators._transforms(d, [[(order, f)] for f in fields], z, (None, None))
+        for f, values in zip(fields, batch):
+            assert np.array_equal(values, transform(f, z, *order))
+            assert values[7] == transform(f, complex(z[7]), *order)
+
+
+def test_polydisc_factor_monomials_share_one_rule_or_pass_tensor(monkeypatch):
+    # 41 monomials per factor: one area rule per factor at explicit counts, and
+    # at the default counts one band-42 pass tensor (above 1 MiB, so built per
+    # call) per factor, shared by its two batches of CORE_FIELDS
+    built = []
+    rule, tensor = pompeiu.operators.build_area_rule, pompeiu.operators._pass_tensor
+    monkeypatch.setattr(pompeiu.operators, "build_area_rule",
+                        lambda *args: built.append("rule") or rule(*args))
+    monkeypatch.setattr(pompeiu.operators, "_pass_tensor",
+                        lambda band: built.append(band) or tensor(band))
+    f = field_from_expression("(z1+z1bar)^40*(z2+z2bar)^40", PolydiscDomain(2, 1.0))
+    args = (f, (0.5 + 0.1j, -0.3j), MultiIndex((1, 1)), MultiIndex((1, 1)))
+    explicit = apply_polydisc(*args, (64, 160))
+    assert built == ["rule", "rule"]
+    built.clear()
+    assert apply_polydisc(*args) == pytest.approx(explicit, rel=1e-12)
+    assert built == [42, 42]
