@@ -43,10 +43,10 @@ from .quadrature import (DEFAULT_CONTOUR_COUNT, DEFAULT_RESOLUTION, Rule, build_
 
 #: nodes per (T x N) pass of the rule path (a node budget: 33 targets x 8192 nodes ran slow)
 BLOCK_NODES = 8192
-#: `_disk_core` builds its pass tensors, then takes distinct radii, then
+#: `_disk_core` builds its pass tensors, then takes distinct radii and their
 #: targets, in chunks whose largest array (pass weights per radius; the fields'
-#: modes per radius; their 2 band + 1 rings per radius of a block, or per target)
-#: holds at most CORE_BLOCK elements, or one radius or target; a band whose pass tensor,
+#: 2 band + 1 rings per radius, or per target) holds at most CORE_BLOCK
+#: elements, or one radius or target; a band whose pass tensor,
 #: (2 band + 1) (band + 2)^2 weights, exceeds CORE_TARGET_CAP raises OrderTooLarge,
 #: one above 16 CORE_BLOCK (1 MiB) is built per call and entry and freed before the
 #: targets' stage of its last CORE_FIELDS fields, whose modes stay under its size
@@ -238,8 +238,8 @@ def _disk_core(domain: DiskDomain, groups, targets):
     entry sharing them CORE_FIELDS at a time by degree.  Then each mode is
     interpolated to the distinct target radii, once per radius, and each target
     sums them by Horner's rule (k >= 0 in p = e^{i arg z}, k < 0 in conj(p)), scaled by
-    R^(mu+nu) and added to its group's, entry by entry.  Chunks as by CORE_BLOCK.  A
-    NaN/Inf sample or value raises NonFiniteSample.
+    R^(mu+nu) and added to its group's, entry by entry, CORE_BLOCK // (fields (2 band
+    + 1)) radii, then targets, at a time.  A NaN/Inf sample or value raises NonFiniteSample.
     """
     for point in targets[~domain.contains(targets)]:
         domain.validate_point(point)   # raises its DomainError
@@ -259,25 +259,21 @@ def _disk_core(domain: DiskDomain, groups, targets):
                 order = np.argsort(where, kind="stable")   # the targets grouped by radius
                 starts = np.searchsorted(where[order], np.arange(radii.size + 1))
                 total = np.zeros((len(groups), targets.size), dtype=complex)
-            modes = modes.transpose(2, 0, 1)   # (fields, rows, radii)
-            step = max(1, CORE_BLOCK // modes.size)
-            per_target = max(1, CORE_BLOCK // modes[..., 0].size)   # rings per target
-            block = max(1, per_target // step) * step   # whole radius chunks per block of rings
+            size = max(1, CORE_BLOCK // modes[:, 0].size)   # radii, or targets, per chunk
             # the rows from the lowest nonzero mode or k = 0 to the highest: the rest add exact 0s
-            live = np.flatnonzero(modes.any(axis=(0, 2))).tolist() + [modes.shape[1] // 2]
-            zero, modes = live[-1] - min(live), modes[:, min(live):max(live) + 1]   # k = 0's row
+            live = np.flatnonzero(modes.any(axis=(1, 2))).tolist() + [len(modes) // 2]
+            zero, modes = live[-1] - min(live), modes[min(live):max(live) + 1]   # k = 0's row
             scale = np.float64(domain.radius) ** (entry[0] + entry[1])
             # floating-point warnings are silenced here: a NaN/Inf value raises below
             with np.errstate(all="ignore"):
-                for lo in range(0, radii.size, block):
-                    # cumsum sums in order whatever the shape, so a value never depends on T
-                    rings = np.concatenate([np.cumsum(
-                        _interpolation_rows(radii[at:at + step], r, bary)[:, None, None] * modes,
-                        axis=3)[..., -1] for at in range(lo, min(lo + block, radii.size), step)])
-                    rings = rings.transpose(2, 1, 0)   # (rows, fields, radii of the block)
-                    chunk = order[starts[lo]:starts[min(lo + block, radii.size)]]
-                    for at in range(0, chunk.size, per_target):
-                        index = chunk[at:at + per_target]
+                for lo in range(0, radii.size, size):
+                    # (rows, fields, radii): einsum's C loop sums a ring over r in order,
+                    # so a value never depends on the chunk
+                    weights = _interpolation_rows(radii[lo:lo + size], r, bary)
+                    rings = np.einsum("tj,kjf->kft", weights, modes)
+                    chunk = order[starts[lo]:starts[min(lo + size, radii.size)]]
+                    for at in range(0, chunk.size, size):
+                        index = chunk[at:at + size]
                         # 1-d (fields x targets) operands: numpy rounds a (1, 1) by (1,) complex
                         # product apart from the 1-d one, so a batch would move a field's value
                         p = np.tile(np.exp(1j * np.angle(targets[index])), len(part))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -706,15 +707,25 @@ GRID_ERROR = "grid needs n >= 1 and 0 < extent <= 1, got n={}, extent={}"
         "S-0.999R", "Sbar-8-nodes", "nr-3", "export-grid-3", "solve-grid-2", "grid-0",
         "extent-2", "T-extent-2", "extent-nan", "mixed-mu-list", "dual-nu-list",
         "c3-nu-list", "c2-nu-list", "gmixed-mu-list", "export-nu-list"])
-def test_numeric_failure_prints_only_the_error_line(argv, threads, message):
-    # a fresh interpreter, so numpy's floating-point warnings would reach stderr
-    env = dict(os.environ, PMP_THREADS=threads, PYTHONWARNINGS="default",
+def test_numeric_failure_prints_only_the_error_line(argv, threads, message, monkeypatch,
+                                                    capsys):
+    # in-process, with every warning an error: a numpy floating-point warning,
+    # which a fresh interpreter would print to stderr, fails the case
+    monkeypatch.setenv("PMP_THREADS", threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(argv)
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
+def test_entry_point_prints_only_the_error_line():
+    # `python -m pompeiu.cli` in a fresh interpreter, numpy's warnings on
+    env = dict(os.environ, PMP_THREADS="1", PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(pompeiu.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "pompeiu.cli", "op", "apply", "--op", "T",
+                           "--R", "1e150", "--f", "z^3", "--z", "0"],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {SAMPLE}\n")
 
 
 @given(st.floats(-200.0, 200.0))

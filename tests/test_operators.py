@@ -552,14 +552,15 @@ def test_disk_values_retain_no_rules():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts Linux faults")
 def test_library_transforms_reuse_freed_pages():
     # a fresh interpreter that never enters the CLI: importing the package is
-    # enough for the 128 KiB rule arrays to come from reused heap pages
+    # enough for the 160 KiB arrays of explicit (64, 160) rules to come from
+    # reused heap pages (the default counts take the core, which builds none)
     code = ("import cmath, resource\n"
             "from pompeiu import DiskDomain, field_from_expression, transform\n"
             "f = field_from_expression('1+z*zbar', DiskDomain(1.0))\n"
-            "transform(f, 0.05, 2, 2)\n"
+            "transform(f, 0.05, 2, 2, (64, 160))\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for k in range(20):\n"
-            "    transform(f, 0.5 * cmath.exp(2j * cmath.pi * k / 20), 2, 2)\n"
+            "    transform(f, 0.5 * cmath.exp(2j * cmath.pi * k / 20), 2, 2, (64, 160))\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(pompeiu.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -825,19 +826,65 @@ def counted_samples(monkeypatch) -> list:
 
 
 def test_core_samples_once_per_distinct_radius(monkeypatch):
-    # the 33 x 33 grid's 1,089 targets have 210 distinct radii: the density is
-    # sampled once, and the chunks interpolate its modes once to each radius
-    sampled, points, radial = counted_samples(monkeypatch), [], []
+    # the 33 x 33 grid's 1,089 targets have 210 distinct radii: each density is
+    # sampled once, and its modes are interpolated once to each radius, in chunks
+    # of at most CORE_BLOCK // (2 band + 1) radii: one chunk at band 6, two at band 24
     real = pompeiu.operators._interpolation_rows
-    monkeypatch.setattr(pompeiu.operators, "_interpolation_rows",   # 2-D x builds a pass tensor
-                        lambda x, r, bary: (x.ndim == 1 and radial.append(x.size))
-                        or real(x, r, bary))
-    f = field_from_expression("1+z*zbar-2i*z^2", DISK)
-    evaluate_on_grid(lambda z: points.append(z) or transform(f, z, 2, 2), DISK)
-    radii = np.unique(np.abs(points[0])).size
-    band = 2 + 2 + 2
-    assert radii == 210 and sampled == [(band + 2) * (2 * band + 2)]
-    assert 1 < len(radial) < radii and sum(radial) == radii
+    for expression, band, chunks in (("1+z*zbar-2i*z^2", 6, 1), ("zbar^20+z^3*zbar^5", 24, 2)):
+        sampled, points, radial = counted_samples(monkeypatch), [], []
+        monkeypatch.setattr(pompeiu.operators, "_interpolation_rows",   # 2-D x builds a pass tensor
+                            lambda x, r, bary: (x.ndim == 1 and radial.append(x))
+                            or real(x, r, bary))
+        f = field_from_expression(expression, DISK)
+        evaluate_on_grid(lambda z: points.append(z) or transform(f, z, 2, 2), DISK)
+        radii = np.unique(np.abs(points[0]))
+        assert radii.size == 210 and sampled == [(band + 2) * (2 * band + 2)]
+        assert len(radial) == chunks
+        assert max(x.size for x in radial) <= pompeiu.operators.CORE_BLOCK // (2 * band + 1)
+        assert np.array_equal(np.concatenate(radial), radii)
+
+
+@pytest.mark.parametrize("fields, degree, order", [(1, 0, (1, 0)), (32, 0, (0, 1)),
+                                                   (1, 4, (1, 2)), (32, 5, (1, 1)),
+                                                   (32, 20, (2, 2)), (1, 20, (13, 12)),
+                                                   (1, 39, (20, 20)), (32, 58, (1, 0))])
+def test_core_rings_equal_the_cumsum_of_the_broadcast_product(fields, degree, order, monkeypatch):
+    # bands 1 to 79: the rings Horner sums, taken from its trimmed rows, bit for bit
+    # as a cumsum over r of the rows times the transposed modes gives them, whether
+    # a chunk holds 1, 7 or all radii; the radii include 0, 1 and a Gauss radius
+    band = degree + sum(order)
+    d = DiskDomain(2.0)
+    rng = np.random.default_rng(band + fields)
+    gauss = pompeiu.operators._pass_tensor(band)[0][band // 2]
+    radii = np.sort(np.concatenate([[0, 1, gauss], rng.random(16)]))
+    turn = np.exp(2j * np.pi * rng.random(radii.size))
+    z = 2 * radii * np.select([radii == gauss, radii == 1], [1j, -1], turn)
+    radii = np.unique(np.abs(z / 2))   # as the core takes them
+    assert radii[0] == 0 and radii[-1] == 1 and gauss in radii
+    texts = [f"({rng.normal():.3f}+{rng.normal():.3f}i)*z^{a}*zbar^{degree - a}+zbar^{a // 2}"
+             for a in rng.integers(0, degree + 1, fields)]
+    group = [[(order, field_from_expression(text, d))] for text in texts]
+    real_modes, real_reduce = pompeiu.operators._core_modes, pompeiu.operators.reduce
+    for chunk in (1, 7, radii.size):
+        modes, horner = [], []
+        monkeypatch.setattr(pompeiu.operators, "CORE_BLOCK", chunk * fields * (2 * band + 1))
+        monkeypatch.setattr(pompeiu.operators, "_core_modes",
+                            lambda *args: modes.append(real_modes(*args)) or modes[-1])
+        monkeypatch.setattr(pompeiu.operators, "reduce",
+                            lambda step, rows, start: horner.append(np.array(rows))
+                            or real_reduce(step, rows, start))
+        pompeiu.operators._transforms(d, group, z, (None, None))
+        assert len(horner) == 2 * -(-radii.size // chunk)   # up and down per chunk of targets
+        # each Horner call takes its k >= 0 rows top down, then its k < 0 rows
+        rings = np.concatenate([np.concatenate([down, up[::-1]]).reshape(len(up) + len(down),
+                                                                         fields, -1)
+                                for up, down in zip(horner[::2], horner[1::2])], axis=2)
+        r, bary, full = modes[0]
+        want = np.cumsum(pompeiu.operators._interpolation_rows(radii, r, bary)[:, None, None]
+                         * full.transpose(2, 0, 1), axis=3)[..., -1].transpose(2, 1, 0)
+        low = band - len(horner[1])   # the lowest live row
+        assert rings.tobytes() == want[low:low + len(rings)].tobytes()
+        assert not want[:low].any() and not want[low + len(rings):].any()
 
 
 @pytest.mark.parametrize("order", [(2, 2), (1, 1), (2, 0), (0, 1), (13, 12)])
