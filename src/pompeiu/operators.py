@@ -238,8 +238,8 @@ def _disk_core(domain: DiskDomain, groups, targets):
     entry sharing them CORE_FIELDS at a time by degree.  Then each mode is
     interpolated to the distinct target radii, once per radius, and each target
     sums them by Horner's rule (k >= 0 in p = e^{i arg z}, k < 0 in conj(p)), scaled by
-    R^(mu+nu) and added to its group's, entry by entry, CORE_BLOCK // (fields (2 band
-    + 1)) radii, then targets, at a time.  A NaN/Inf sample or value raises NonFiniteSample.
+    R^(mu+nu) and added to its group's, entry by entry, in chunks of CORE_BLOCK //
+    (fields (2 band + 1)) radii or targets.  A NaN/Inf sample or value raises NonFiniteSample.
     """
     for point in targets[~domain.contains(targets)]:
         domain.validate_point(point)   # raises its DomainError

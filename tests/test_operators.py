@@ -832,7 +832,8 @@ def test_core_samples_once_per_distinct_radius(monkeypatch):
     real = pompeiu.operators._interpolation_rows
     for expression, band, chunks in (("1+z*zbar-2i*z^2", 6, 1), ("zbar^20+z^3*zbar^5", 24, 2)):
         sampled, points, radial = counted_samples(monkeypatch), [], []
-        monkeypatch.setattr(pompeiu.operators, "_interpolation_rows",   # 2-D x builds a pass tensor
+        # a 2-D x builds a pass tensor
+        monkeypatch.setattr(pompeiu.operators, "_interpolation_rows",
                             lambda x, r, bary: (x.ndim == 1 and radial.append(x))
                             or real(x, r, bary))
         f = field_from_expression(expression, DISK)
