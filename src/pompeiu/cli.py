@@ -273,7 +273,10 @@ def _cmd_op(args) -> int:
     if args.op == "polydisc":
         f = field_from_expression(args.f, PolydiscDomain(args.n, args.R))
         z = tuple(parse_complex(part) for part in args.z.split(","))
-        value = apply_polydisc(f, z, MultiIndex(args.mu), MultiIndex(args.nu), res)
+        # one order (the default too) is every factor's; past 9 factors DimensionCap comes first
+        mu, nu = (MultiIndex(o * min(args.n, 10) if len(o) == 1 else o)
+                  for o in (args.mu, args.nu))
+        value = apply_polydisc(f, z, mu, nu, res)
     else:
         f = field_from_expression(args.f, DiskDomain(args.R))
         value = _DISK_OPS[args.op](f, parse_complex(args.z), args, res)

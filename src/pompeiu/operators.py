@@ -16,7 +16,8 @@ fixed order.
 `apply_S` and `apply_2T` have kernels of their own and keep the rules;
 `apply_Sbar`, `apply_2Tbar` and `apply_conjugate_dual` are conj(op(conj f)).
 `apply_polydisc` sums products of one-disk transforms over a field's monomials,
-a factor's in one `_transforms` call, the route under `transform_sum` (a sum per group).
+the factors of one order (mu_j, nu_j) in one `_transforms` call at their targets,
+the route under `transform_sum` (a sum per group).
 Nothing here nests integrals or samples a polydisc tensor grid: those are
 the oracle's routes.
 """
@@ -379,11 +380,12 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     The kernel c8 * prod_j c3(z_j, w_j) separates, c8 being the product of the
     factors' `g_mixed` prefactors, so for f = sum_m c_m prod_j w_j^p conj(w_j)^q
     (`expressions.to_coefficients`) it is sum_m c_m prod_j V_j(p, q): V_j(p, q) is
-    `transform` of w^p conj(w)^q at z_j, orders (mu_j, nu_j), at `resolution`,
-    each distinct (j, p, q) taken once and a factor's in one `_transforms` call
-    (shared passes, or one rule and kernel).  At the default counts each V_j is the
-    core's, within 8.2e-14 of its largest |value| on the disk up to (20, 20).  A
-    field with no expression raises DomainError: see `oracle.polydisc_tensor`."""
+    `transform` of w^p conj(w)^q at z_j, orders (mu_j, nu_j), at `resolution`.  The
+    factors of one order are one `_transforms` call at their z_j on the union of their
+    monomials: shared passes, or a rule block and kernel evaluation per block of targets.
+    At the default counts each V_j is the core's, within 8.2e-14 of its largest |value|
+    on the disk up to (20, 20).  A field with no expression raises DomainError: see
+    `oracle.polydisc_tensor`."""
     domain = f.domain
     if not isinstance(domain, PolydiscDomain):
         raise DomainError("apply_polydisc needs a ScalarField on a PolydiscDomain")
@@ -397,14 +399,16 @@ def apply_polydisc(f: ScalarField, z, mu: MultiIndex, nu: MultiIndex,
     nu.require_length(n)
     z = domain.validate_point(z)
     coefficients = expressions.to_coefficients(f.expression, n)
-    values = {}
-    for j in range(n):
-        keys = sorted({key[j] for key in coefficients})
-        groups = [[((mu.entries[j], nu.entries[j]), ScalarField(
+    orders, values = list(zip(mu.entries, nu.entries)), {}
+    for entry in dict.fromkeys(orders):   # the factors j of one order (mu_j, nu_j) share a call
+        js = [j for j, order in enumerate(orders) if order == entry]
+        keys = sorted({key[j] for key in coefficients for j in js})
+        groups = [[(entry, ScalarField(
             lambda w, p=p, q=q: power(w, p) * power(np.conj(w), q), domain.factor_disk,
             degree=p + q))] for p, q in keys]
-        factor = _transforms(domain.factor_disk, groups, np.array([complex(z[j])]), resolution)
-        values.update(zip([(j, *key) for key in keys], factor[:, 0].tolist()))
+        rows = _transforms(domain.factor_disk, groups, np.array([z[j] for j in js]), resolution)
+        for key, row in zip(keys, rows.tolist()):   # row (p, q), column j
+            values.update(((j, *key), v) for j, v in zip(js, row))
     total = sum(c * math.prod(values[j, p, q] for j, (p, q) in enumerate(key))
                 for key, c in coefficients.items())   # Python complexes: no numpy warnings
     if not cmath.isfinite(total):

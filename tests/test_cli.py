@@ -134,6 +134,22 @@ def test_op_apply_polydisc(capsys):
     assert parse_complex(out2.strip()) == pytest.approx(1.0, rel=1e-4)
 
 
+def test_polydisc_one_order_is_every_factors(capsys):
+    # --mu/--nu of one entry, the default (1) included, give every factor that order
+    base = ["op", "apply", "--op", "polydisc", "--n", "3", "--f", "z1*z2bar+z3^2",
+            "--z", "0.1,0.2i,-0.3"]
+    assert run(capsys, *base) == run(capsys, *base, "--mu", "1,1,1", "--nu", "1,1,1")
+    assert (run(capsys, *base, "--mu", "2", "--nu", "1,3,1")
+            == run(capsys, *base, "--mu", "2,2,2", "--nu", "1,3,1"))
+    code, out = run(capsys, "op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1",
+                    "--z", "0.1,0.2")
+    # T Tbar z = (z^2 zbar - z)/2 and T Tbar 1 = |z|^2 - 1
+    assert code == 0 and parse_complex(out) == pytest.approx((0.1 ** 3 - 0.1) / 2 * (0.04 - 1))
+    for flag, orders, length in (("--mu", "1,1", 2), ("--nu", "1,1,1,1", 4)):
+        assert _outcome(capsys, base + [flag, orders]) == (
+            1, "", f"error: multi-index length {length} != factor count 3\n")
+
+
 def test_polydisc_single_resolution_flag_is_honoured(capsys):
     # each of --nr / --ntheta replaces its own entry of DEFAULT_COUNTS, (64, 160)
     base = ["op", "apply", "--op", "polydisc", "--n", "2", "--f", "z1*z1bar*z2",

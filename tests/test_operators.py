@@ -24,7 +24,8 @@ from pompeiu.operators import (ScalarField, apply_2T, apply_2Tbar, apply_conjuga
                                apply_T, apply_T_power, apply_Tbar, apply_Tbar_power,
                                constant_field, evaluate_on_grid, field_from_expression,
                                GridField, transform, worker_count)
-from pompeiu.kernels import TWO_PI_I
+from pompeiu.expressions import to_coefficients
+from pompeiu.kernels import TWO_PI_I, power
 from pompeiu.oracle import (PolynomialField, exact_transform, polydisc_tensor,
                             transform_monomials)
 from pompeiu.cli import run_command
@@ -966,9 +967,9 @@ def test_core_batch_of_one_degree_equals_each_field_alone():
 
 
 def test_polydisc_factor_monomials_share_one_rule_or_pass_tensor(monkeypatch):
-    # 41 monomials per factor: one area rule per factor at explicit counts, and
-    # at the default counts one band-42 pass tensor (above 1 MiB, so built per
-    # call) per factor, shared by its two batches of CORE_FIELDS
+    # 41 monomials per factor: one area rule per factor at explicit counts (64 x 160
+    # holds one target per block), and at the default counts one band-42 pass tensor
+    # (above 1 MiB, so built per call) per order, shared by its two batches of CORE_FIELDS
     built = []
     rule, tensor = pompeiu.operators.build_area_rule, pompeiu.operators._pass_tensor
     monkeypatch.setattr(pompeiu.operators, "build_area_rule",
@@ -981,4 +982,72 @@ def test_polydisc_factor_monomials_share_one_rule_or_pass_tensor(monkeypatch):
     assert built == ["rule", "rule"]
     built.clear()
     assert apply_polydisc(*args) == pytest.approx(explicit, rel=1e-12)
-    assert built == [42, 42]
+    assert built == [42]
+
+
+def test_polydisc_factors_of_one_order_share_one_transform_call(monkeypatch):
+    # factors of one order (mu_j, nu_j) take one `_transforms` call at all their targets:
+    # at 16 x 32 one (T, N) rule block serves them, and at the default counts a monomial
+    # they share is sampled and passed once
+    built, passes = [], []
+    rule, modes = pompeiu.operators.build_area_rule, pompeiu.operators._core_modes
+    monkeypatch.setattr(pompeiu.operators, "build_area_rule",
+                        lambda *args: built.append("rule") or rule(*args))
+    monkeypatch.setattr(pompeiu.operators, "_core_modes",
+                        lambda *args: passes.append(args[1:3]) or modes(*args))
+    f = field_from_expression("(0.6-0.8i)*z1*z2bar*z3", PolydiscDomain(3, 1.0))
+    z = (0.2 + 0.1j, -0.15 + 0.2j, 0.1 - 0.25j)
+    apply_polydisc(f, z, MultiIndex((1, 1, 1)), MultiIndex((1, 1, 1)), (16, 32))
+    assert built == ["rule"]
+    built.clear()
+    apply_polydisc(f, z, MultiIndex((1, 2, 1)), MultiIndex((1, 1, 1)), (16, 32))
+    assert built == ["rule", "rule"]
+    nine = field_from_expression("*".join(f"z{j}" for j in range(1, 10)), PolydiscDomain(9, 1.0))
+    ones = MultiIndex((1,) * 9)
+    apply_polydisc(nine, interior_points(9, 9, 0.8), ones, ones)
+    assert passes == [(1, 1)]
+
+
+def per_factor_terms(f, z, mu, nu, resolution, each=False):
+    """The terms c_m prod_j V_j(p, q) of `apply_polydisc`'s sum, factor j's values from
+    one `_transforms` call at z_j alone, or (each) one `transform` per monomial."""
+    disk, values = f.domain.factor_disk, {}
+    coefficients = to_coefficients(f.expression, len(z))
+    for j in range(len(z)):
+        keys = sorted({key[j] for key in coefficients})
+        fields = [ScalarField(lambda w, p=p, q=q: power(w, p) * power(np.conj(w), q), disk,
+                              degree=p + q) for p, q in keys]
+        column = ([transform(g, z[j], mu[j], nu[j], resolution) for g in fields] if each
+                  else pompeiu.operators._transforms(disk, [[((mu[j], nu[j]), g)] for g in fields],
+                                                     np.array([z[j]]), resolution)[:, 0].tolist())
+        values.update(zip([(j, *key) for key in keys], column))
+    return [c * math.prod(values[j, p, q] for j, (p, q) in enumerate(key))
+            for key, c in coefficients.items()]
+
+
+#: (field, mu, nu), every factor at 0.3, 0.8 and 0.99 R on its own ray
+POLYDISC_ORDER_CASES = [
+    ("(z1-z2)^12*z3bar^3", (1, 1, 1), (1, 1, 1)), ("(z1-z2)^12*z3bar^3", (2, 2, 1), (1, 1, 3)),
+    ("(z1*z2bar-z3)^5+(z1+z2+z3+z4)^3", (1, 1, 2, 2), (1, 2, 2, 2)),
+    ("(z1-z2bar)^7*(z2+z1bar)^3", (4, 4), (2, 2)),
+    ("(z1+z1bar)^6*(z2-z2bar)^5*(z3+z1)^3", (3, 3, 3), (2, 2, 2))]
+
+
+@pytest.mark.parametrize("text, mu, nu", POLYDISC_ORDER_CASES)
+def test_polydisc_values_match_products_of_factor_transforms(text, mu, nu):
+    # explicit counts: a factor's values do not depend on the targets sharing its rule
+    # block, so they equal per-monomial `transform` calls bit for bit.  Default counts:
+    # a core batch's band is its highest degree, so batching the factors of one order
+    # together moves values by round-off from a call per factor: at most 3.2e-14 of the
+    # terms' summed size on these cases, 8.5e-14 over 108 seeded ones, and values
+    # relative to themselves up to 3.7e-12 where the terms cancel
+    f = field_from_expression(text, PolydiscDomain(len(mu), 1.0))
+    orders = MultiIndex(mu), MultiIndex(nu)
+    for ratio in (0.3, 0.8, 0.99):
+        z = tuple(ratio * cmath.exp(1j * (1 + 2 * j)) for j in range(len(mu)))
+        for res in ((16, 32), (64, 160)):
+            assert apply_polydisc(f, z, *orders, res) == sum(
+                per_factor_terms(f, z, mu, nu, res, each=True)), (ratio, res)
+        terms = per_factor_terms(f, z, mu, nu, (None, None))
+        got = apply_polydisc(f, z, *orders)
+        assert abs(got - sum(terms)) <= 1e-12 * sum(map(abs, terms)), ratio
